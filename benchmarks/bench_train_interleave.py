@@ -10,7 +10,7 @@ workload under the two concurrency realisations:
   batched launch through the shared segment store.
 
 Fusing matters on the host for the same reason it matters on the device:
-the fixed-shape matmul tiling (``repro.sparse.ops.MATMUL_TILE_ROWS``)
+the fixed-shape matmul tiling (``repro.backends.reference.MATMUL_TILE_ROWS``)
 means a handful of missing rows costs a full tile, so consolidating the
 wave's demand into a few well-filled tiles replaces many mostly-padding
 launches.  Both paths produce bitwise-identical models — the bench
@@ -54,7 +54,6 @@ def _fit(x, y, kernel, *, concurrent: bool):
         device=scaled_tesla_p100(),
         solver="batched",
         concurrent=concurrent,
-        concurrency_mode="interleaved",
         share_kernel_values=True,
         probability=False,
         working_set_size=WORKING_SET,

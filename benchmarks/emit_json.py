@@ -202,7 +202,6 @@ def run_train_interleave() -> dict[str, float]:
             device=scaled_tesla_p100(),
             solver="batched",
             concurrent=concurrent,
-            concurrency_mode="interleaved",
             share_kernel_values=True,
             probability=False,
             working_set_size=32,

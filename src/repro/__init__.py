@@ -92,7 +92,7 @@ from repro.serving import InferenceSession, MicroBatcher
 from repro.sparse import CSRMatrix, dump_libsvm, load_libsvm
 from repro.telemetry import Tracer
 
-__version__ = "1.7.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "BackendSpec",

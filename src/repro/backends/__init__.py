@@ -10,11 +10,8 @@ accepted: ``GMPSVC(backend="numpy32")``, ``TrainerConfig`` /
 ``train_multiclass_sharded``, or ``repro-train`` / ``repro-serve``
 ``--backend``.
 
-The float64 reference numerics formerly importable as
-``repro.sparse.ops.matmul_transpose`` and
-``repro.probability.linalg.gaussian_elimination_batch`` live here now
-(:mod:`repro.backends.reference`); the old paths keep working as
-deprecation shims.
+The float64 reference numerics (tiled ``matmul_transpose``, batched
+``gaussian_elimination_batch``) live in :mod:`repro.backends.reference`.
 """
 
 from repro.backends.base import (

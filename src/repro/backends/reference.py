@@ -5,8 +5,7 @@ These are the exact routines that used to live in
 ``repro.probability.linalg.gaussian_elimination[_batch]``, moved here —
 not rewritten — when the backend registry was introduced.  Bitwise
 stability of every existing parity suite (training, serving, distributed)
-rests on this code not changing; the old import paths keep working as
-deprecation shims that delegate back here.
+rests on this code not changing.
 """
 
 from __future__ import annotations

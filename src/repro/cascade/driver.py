@@ -6,11 +6,10 @@ Distributed Multi-Class SVM"):
 1. **Partition** — the instances are cut into seeded, stratified shards
    (:mod:`repro.cascade.partition`), assigned node-major to the cluster's
    devices, and their rows shipped over the host link.
-2. **Shard sub-solves** — every shard trains its own sub-SVM through the
-   existing resumable :class:`~repro.solvers.batch_smo.BatchSMOSession`
-   under the interleaved wave scheduler, one wave group per device (the
-   same machinery single-device and pair-sharded training use).  Fault
-   injection plugs in here exactly as in ``train_multiclass_sharded``:
+2. **Shard sub-solves** — every shard trains its own sub-SVM as a
+   resumable :class:`~repro.solvers.batch_smo.BatchSMOSession`, one wave
+   group per device, through the fault-tolerant executor pair-sharded
+   training uses (:func:`repro.distributed.waves.run_device_waves`):
    stragglers stretch the device clock, a scripted device loss aborts at
    a wave boundary and the lost shards re-solve on the survivors from
    the last shipped checkpoint.
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
 import numpy as np
@@ -49,21 +48,23 @@ import numpy as np
 from repro.cascade.config import CascadeConfig
 from repro.cascade.partition import effective_shards, shard_instances
 from repro.cascade.tree import build_reduction_tree, assign_shards
-from repro.core.interleave import PairMember, run_interleaved
-from repro.exceptions import (
-    ConvergenceWarning,
-    DeviceLostError,
-    SolverError,
-    ValidationError,
+from repro.core.interleave import PairMember
+from repro.core.trainer import (
+    _batched_solver,
+    _batched_task_bytes,
+    _config_engine,
 )
-from repro.faults.checkpoint import (
-    CheckpointStore,
-    SessionSnapshot,
-    TrainingCheckpoint,
+from repro.distributed.waves import (
+    DeviceGroup,
+    cluster_pool,
+    fault_summary,
+    run_device_waves,
 )
-from repro.faults.plan import FaultInjector, FaultPlan
+from repro.exceptions import ConvergenceWarning
+from repro.faults.checkpoint import CheckpointStore
+from repro.faults.plan import FaultPlan
 from repro.gpusim.clock import SimClock
-from repro.gpusim.engine import FLOAT_BYTES, make_engine
+from repro.gpusim.engine import FLOAT_BYTES
 from repro.kernels.functions import KernelFunction
 from repro.kernels.rows import KernelRowComputer
 from repro.solvers.base import (
@@ -184,22 +185,6 @@ def _slot_payload_bytes(slot: _Slot, per_row: float) -> int:
     )
 
 
-def _member_snapshot(member: PairMember) -> SessionSnapshot:
-    """One shard member's resumable solver state (keyed by shard id)."""
-    state = member.session.snapshot_state()
-    return SessionSnapshot(
-        problem_index=member.index,
-        alpha=state["alpha"],
-        f=state["f"],
-        rounds=state["rounds"],
-        inner_total=state["inner_total"],
-        ws_order=tuple(state["ws_order"]),
-        stalled=state["stalled"],
-        converged=state["converged"],
-        finished=state["finished"],
-    )
-
-
 def _make_shard_member(
     config,
     shard: int,
@@ -212,15 +197,7 @@ def _make_shard_member(
     counters,
 ) -> _ShardMember:
     """A resumable wave-driver member for one instance shard."""
-    from repro.core.trainer import _batched_solver, _batched_task_bytes
-
-    engine = make_engine(
-        config.device,
-        flop_efficiency=config.flop_efficiency,
-        bandwidth_efficiency=config.bandwidth_efficiency,
-        backend=config.backend,
-        counters=counters,
-    )
+    engine = _config_engine(config, counters)
     rows = KernelRowComputer(
         engine, kernel, mops.take_rows(data, indices), category="cascade_shard"
     )
@@ -269,8 +246,6 @@ def _merge_solve(
     instances, so ``sum alpha_i y_i = 0`` is preserved exactly), and the
     destination slot keeps only the surviving support vectors.
     """
-    from repro.core.trainer import _batched_solver
-
     src, dst = slots[step.src], slots[step.dst]
     payload = _slot_payload_bytes(src, per_row)
     pool.device_to_device(
@@ -281,13 +256,7 @@ def _merge_solve(
     merged_labels = labels[merged_idx]
     sv_in = int(merged_idx.size)
 
-    engine = make_engine(
-        config.device,
-        flop_efficiency=config.flop_efficiency,
-        bandwidth_efficiency=config.bandwidth_efficiency,
-        backend=config.backend,
-        counters=pool.engine(dst.device).counters,
-    )
+    engine = _config_engine(config, pool.engine(dst.device).counters)
     with maybe_span(
         tracer,
         "cascade_merge",
@@ -377,13 +346,7 @@ def _global_kkt_pass(
             pool.device_to_device(
                 root.device, device, sv_payload, category="cascade_kkt"
             )
-        engine = make_engine(
-            config.device,
-            flop_efficiency=config.flop_efficiency,
-            bandwidth_efficiency=config.bandwidth_efficiency,
-            backend=config.backend,
-            counters=pool.engine(device).counters,
-        )
+        engine = _config_engine(config, pool.engine(device).counters)
         computer = KernelRowComputer(
             engine,
             kernel,
@@ -473,23 +436,20 @@ def _cascade_solve(
     penalty: float,
     *,
     penalty_vector: Optional[np.ndarray] = None,
-    injector: Optional[FaultInjector] = None,
+    member_clocks: list[SimClock],
     store: Optional[CheckpointStore] = None,
     checkpoint_every: int = 4,
-    member_clocks: Optional[list[SimClock]] = None,
-    tracer=None,
 ) -> tuple[SolverResult, CascadeReport]:
     """Run one cascade solve over an existing :class:`DevicePool`.
 
     ``member_clocks`` (one per device) accumulate the wave-scaled member
     time; the caller folds them with the pool's engine clocks to obtain
-    the timeline.  Returns the full-problem :class:`SolverResult` (alpha
-    over every instance, exact final ``f``, bias, global gap) plus the
-    :class:`CascadeReport`.
+    the timeline.  Spans go to ``config.tracer``.  Returns the
+    full-problem :class:`SolverResult` (alpha over every instance, exact
+    final ``f``, bias, global gap) plus the :class:`CascadeReport`.
     """
-    from repro.core.trainer import _batched_solver, _interleave_limits
-
     cluster = pool.cluster
+    tracer = config.tracer
     labels = validate_binary_problem(labels, penalty)
     n = labels.size
     box = resolve_penalty_vector(penalty, n, penalty_vector)
@@ -499,8 +459,6 @@ def _cascade_solve(
     shards = shard_instances(labels, n_shards, cascade.seed)
     shard_device = assign_shards(n_shards, pool.n_devices)
     per_row = _row_bytes(data)
-    if member_clocks is None:
-        member_clocks = [SimClock() for _ in range(pool.n_devices)]
 
     report = CascadeReport(
         n_instances=n,
@@ -515,223 +473,63 @@ def _cascade_solve(
     total_rows_computed = 0
 
     # ------------------------------------------------------------------
-    # Phase 1: per-device shard sub-solves under the wave scheduler.
-    # ------------------------------------------------------------------
-    members_by_device: dict[int, list[_ShardMember]] = {}
-    for shard, indices in enumerate(shards):
-        device = shard_device[shard]
-        members_by_device.setdefault(device, []).append(
-            _make_shard_member(
-                config, shard, indices, data, labels, kernel, penalty,
-                weighted_box, pool.engine(device).counters,
-            )
-        )
-    lost_devices: dict[int, float] = {}
-    results: dict[int, SolverResult] = {}
-    shard_seconds = 0.0
-    for device in sorted(members_by_device):
-        members = members_by_device[device]
-        master = pool.engine(device)
-        if tracer is not None:
-            tracer.bind_clock(master.clock)
-        resident = int(
-            round(sum(m.problem.n for m in members) * per_row)
-        )
-        with maybe_span(
-            tracer,
-            "cascade_shard_wave",
-            clock=master.clock,
-            device=device,
-            n_shards=len(members),
-            resident_bytes=resident,
-        ) as device_span:
-            pool.host_to_device(device, resident)
-            if injector is not None:
-                rate = injector.straggler_rate(device)
-                if rate != 1.0:
-                    for member in members:
-                        member.engine.clock.rate = rate
-            loss_at = (
-                injector.loss_time(device) if injector is not None else None
-            )
-            on_wave = None
-            if loss_at is not None or store is not None:
-
-                def on_wave(
-                    wave_index,
-                    running,
-                    finished,
-                    wave_outcome,
-                    *,
-                    _device=device,
-                    _members=members,
-                    _master=master,
-                    _loss_at=loss_at,
-                ):
-                    now_s = (
-                        _master.clock.elapsed_s
-                        + wave_outcome.timeline.elapsed_s
-                    )
-                    # Loss first: a checkpoint "taken" on the wave that
-                    # crosses the loss time never reached the host.
-                    if _loss_at is not None and now_s >= _loss_at:
-                        injector.check_device(_device, now_s)
-                    if store is not None and wave_index % checkpoint_every == 0:
-                        checkpoint = TrainingCheckpoint(
-                            device=_device,
-                            wave=wave_index,
-                            simulated_s=now_s,
-                            snapshots={
-                                m.index: _member_snapshot(m)
-                                for m in _members
-                            },
-                        )
-                        pool.device_to_host(
-                            _device, checkpoint.nbytes, category="checkpoint"
-                        )
-                        store.save(checkpoint)
-
-            limits = _interleave_limits(config, resident)
-            try:
-                outcome = run_interleaved(
-                    members,
-                    limits,
-                    tracer=tracer,
-                    span_clock=master.clock,
-                    on_wave=on_wave,
-                )
-            except DeviceLostError as exc:
-                lost_devices[device] = exc.at_s
-                device_span.set(lost=True, lost_at_s=exc.at_s)
-                continue
-            member_clocks[device].merge(outcome.timeline)
-            shard_seconds = max(shard_seconds, outcome.timeline.elapsed_s)
-            for member in members:
-                results[member.index] = member.result
-            device_span.set(
-                simulated_seconds=outcome.timeline.elapsed_s,
-                max_concurrency=outcome.max_concurrency,
-            )
-        if tracer is not None:
-            tracer.bind_clock(None)
-
-    # ------------------------------------------------------------------
-    # Recovery: lost devices hand their shards to the survivors, which
+    # Phase 1: per-device shard sub-solves under the wave scheduler.  A
+    # lost device hands its shards round-robin to the survivors, which
     # restore the last shipped checkpoint (or restart) and re-solve.
     # ------------------------------------------------------------------
-    if lost_devices:
-        survivors = [
-            d for d in range(pool.n_devices) if d not in lost_devices
-        ]
-        if not survivors:
-            raise SolverError(
-                "every device in the cluster was lost mid-cascade; "
-                "nothing survives to recover on"
+    results: dict[int, SolverResult] = {}
+    shard_seconds = 0.0
+
+    def group(device, indices):
+        resident = int(round(sum(shards[s].size for s in indices) * per_row))
+        return DeviceGroup(device, indices, resident, resident)
+
+    def build(device, indices, master):
+        members = [
+            _make_shard_member(
+                config, shard, shards[shard], data, labels, kernel, penalty,
+                weighted_box, master.counters,
             )
-        lost_shards = sorted(
-            member.index
-            for device in lost_devices
-            for member in members_by_device.get(device, [])
-        )
-        snapshots: dict[int, SessionSnapshot] = {}
-        if store is not None:
-            for device in lost_devices:
-                checkpoint = store.latest(device)
-                if checkpoint is not None:
-                    snapshots.update(checkpoint.snapshots)
-        regrouped: dict[int, list[int]] = {}
+            for shard in indices
+        ]
+        return members, None
+
+    def regroup(lost_shards, survivors):
+        placed: dict[int, list[int]] = {}
         for position, shard in enumerate(lost_shards):
             survivor = survivors[position % len(survivors)]
-            regrouped.setdefault(survivor, []).append(shard)
+            placed.setdefault(survivor, []).append(shard)
             shard_device[shard] = survivor
-        with maybe_span(
-            tracer,
-            "cascade_recovery",
-            n_shards=len(lost_shards),
-            n_survivors=len(survivors),
-            resumed_from_checkpoint=sum(
-                1 for shard in lost_shards if shard in snapshots
-            ),
-        ):
-            for survivor in sorted(regrouped):
-                shards_here = regrouped[survivor]
-                master = pool.engine(survivor)
-                if tracer is not None:
-                    tracer.bind_clock(master.clock)
-                resident = int(
-                    round(sum(shards[s].size for s in shards_here) * per_row)
-                )
-                with maybe_span(
-                    tracer,
-                    "cascade_shard_wave",
-                    clock=master.clock,
-                    device=survivor,
-                    n_shards=len(shards_here),
-                    resident_bytes=resident,
-                    recovery=True,
-                ):
-                    pool.host_to_device(survivor, resident)
-                    restore_bytes = sum(
-                        snapshots[s].nbytes
-                        for s in shards_here
-                        if s in snapshots
-                    )
-                    if restore_bytes:
-                        pool.host_to_device(
-                            survivor, restore_bytes, category="checkpoint"
-                        )
-                    recovered = [
-                        _make_shard_member(
-                            config, shard, shards[shard], data, labels,
-                            kernel, penalty, weighted_box, master.counters,
-                        )
-                        for shard in shards_here
-                    ]
-                    if injector is not None:
-                        rate = injector.straggler_rate(survivor)
-                        if rate != 1.0:
-                            for member in recovered:
-                                member.engine.clock.rate = rate
-                    for member in recovered:
-                        snapshot = snapshots.get(member.index)
-                        if snapshot is not None:
-                            member.session.restore_state(
-                                {
-                                    "alpha": snapshot.alpha,
-                                    "f": snapshot.f,
-                                    "rounds": snapshot.rounds,
-                                    "inner_total": snapshot.inner_total,
-                                    "ws_order": list(snapshot.ws_order),
-                                    "stalled": snapshot.stalled,
-                                    "converged": snapshot.converged,
-                                    "finished": snapshot.finished,
-                                }
-                            )
-                    limits = _interleave_limits(config, resident)
-                    outcome = run_interleaved(
-                        recovered,
-                        limits,
-                        tracer=tracer,
-                        span_clock=master.clock,
-                    )
-                    member_clocks[survivor].merge(outcome.timeline)
-                    shard_seconds = max(
-                        shard_seconds, outcome.timeline.elapsed_s
-                    )
-                    for member in recovered:
-                        results[member.index] = member.result
-                if tracer is not None:
-                    tracer.bind_clock(None)
-        report.faults = {
-            "devices_lost": {
-                int(d): float(at) for d, at in sorted(lost_devices.items())
-            },
-            "survivors": [int(d) for d in survivors],
-            "recovered_shards": len(lost_shards),
-            "resumed_from_checkpoint": sum(
-                1 for shard in lost_shards if shard in snapshots
-            ),
+        return [group(device, placed[device]) for device in sorted(placed)]
+
+    def on_done(device, members, outcome):
+        nonlocal shard_seconds
+        member_clocks[device].merge(outcome.timeline)
+        shard_seconds = max(shard_seconds, outcome.timeline.elapsed_s)
+        for member in members:
+            results[member.index] = member.result
+        return {
+            "simulated_seconds": outcome.timeline.elapsed_s,
+            "max_concurrency": outcome.max_concurrency,
         }
+
+    waves = run_device_waves(
+        pool,
+        [
+            group(device, [s for s in range(n_shards) if shard_device[s] == device])
+            for device in sorted(set(shard_device))
+        ],
+        config=config,
+        build=build,
+        regroup=regroup,
+        on_done=on_done,
+        span_name="cascade_shard_wave",
+        recovery_span_name="cascade_recovery",
+        count_key="n_shards",
+        store=store,
+        checkpoint_every=checkpoint_every,
+    )
+    report.faults = waves.summary("recovered_shards")
 
     # Collapse the shard results into tree slots (SVs only).
     slots: dict[int, _Slot] = {}
@@ -859,13 +657,7 @@ def _cascade_solve(
         alpha0 = np.zeros(active.size)
         for g, a in zip(root.indices, root.alpha):
             alpha0[position_of[int(g)]] = a
-        engine = make_engine(
-            config.device,
-            flop_efficiency=config.flop_efficiency,
-            bandwidth_efficiency=config.bandwidth_efficiency,
-            backend=config.backend,
-            counters=pool.engine(root.device).counters,
-        )
+        engine = _config_engine(config, pool.engine(root.device).counters)
         with maybe_span(
             tracer,
             "cascade_feedback",
@@ -1003,40 +795,16 @@ def train_cascade(
     tree is then built over the surviving devices and the error budget
     still applies.
     """
-    from repro.distributed.cluster import DevicePool
-
     tracer = config.tracer
-    if config.solver != "batched":
-        raise ValidationError(
-            "cascade training drives resumable batched-SMO sessions; "
-            f"solver {config.solver!r} is not shardable"
-        )
-    if checkpoint_every < 1:
-        raise ValidationError(
-            f"checkpoint_every must be >= 1, got {checkpoint_every}"
-        )
-    if config.device is not cluster.device:
-        config = replace(config, device=cluster.device)
-    cascade = cascade if cascade is not None else CascadeConfig()
-    injector = (
-        FaultInjector(fault_plan, cluster.n_devices)
-        if fault_plan is not None and not fault_plan.is_empty
-        else None
-    )
-    store_root = None if checkpoint_dir == ":memory:" else checkpoint_dir
-    store = (
-        CheckpointStore(store_root)
-        if injector is not None or checkpoint_dir is not None
-        else None
-    )
-    pool = DevicePool(
+    config, pool, store = cluster_pool(
+        config,
         cluster,
-        flop_efficiency=config.flop_efficiency,
-        bandwidth_efficiency=config.bandwidth_efficiency,
-        backend=config.backend,
-        tracer=tracer,
-        fault_injector=injector,
+        what="cascade training",
+        fault_plan=fault_plan,
+        checkpoint_every=checkpoint_every,
+        checkpoint_dir=checkpoint_dir,
     )
+    cascade = cascade if cascade is not None else CascadeConfig()
     member_clocks = [SimClock() for _ in range(cluster.n_devices)]
     with maybe_span(
         tracer,
@@ -1054,23 +822,15 @@ def train_cascade(
             np.asarray(y).ravel(),
             kernel,
             penalty,
-            injector=injector,
+            member_clocks=member_clocks,
             store=store,
             checkpoint_every=checkpoint_every,
-            member_clocks=member_clocks,
-            tracer=tracer,
         )
         report.simulated_seconds = max(
             pool.engine(d).clock.elapsed_s + member_clocks[d].elapsed_s
             for d in range(cluster.n_devices)
         )
-        if injector is not None:
-            faults = injector.summary()
-            faults["checkpoints_written"] = store.n_written if store else 0
-            faults["recovery"] = report.faults
-            report.faults = faults
-        elif store is not None and store.n_written:
-            report.faults = {"checkpoints_written": store.n_written}
+        report.faults = fault_summary(pool, store, report.faults)
         span.set(
             simulated_seconds=report.simulated_seconds,
             final_gap=report.final_gap,

@@ -78,7 +78,6 @@ class GMPSVC:
         share_support_vectors: bool = True,
         parallel_line_search: bool = True,
         concurrent_svms: bool = True,
-        concurrency_mode: str = "interleaved",
         max_concurrent_svms: Optional[int] = None,
         blocks_per_svm: int = 7,
         share_budget_bytes: Optional[int] = None,
@@ -107,7 +106,6 @@ class GMPSVC:
         self.share_support_vectors = share_support_vectors
         self.parallel_line_search = parallel_line_search
         self.concurrent_svms = concurrent_svms
-        self.concurrency_mode = concurrency_mode
         self.max_concurrent_svms = max_concurrent_svms
         self.blocks_per_svm = blocks_per_svm
         self.share_budget_bytes = share_budget_bytes
@@ -194,7 +192,6 @@ class GMPSVC:
             device=self.device,
             solver="batched",
             concurrent=self.concurrent_svms,
-            concurrency_mode=self.concurrency_mode,
             share_kernel_values=self.share_kernel_values,
             share_budget_bytes=self.share_budget_bytes,
             parallel_line_search=self.parallel_line_search,

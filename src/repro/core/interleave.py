@@ -1,18 +1,18 @@
 """Execution-level MP-SVM concurrency: the interleaved wave driver.
 
-The sequential trainer realises Section 3.3.2 *post hoc*: it solves the
-k(k-1)/2 binary SVMs one after another, records each solver's serial clock,
-and lets :class:`~repro.gpusim.scheduler.ConcurrentScheduler` repack those
-clocks into hypothetical waves.  This module replaces the hypothesis with
-execution: it steps every admitted solver's resumable session
-(:class:`~repro.solvers.batch_smo.BatchSMOSession`) in lockstep waves, so
-the simulated timeline is read off the work that actually ran concurrently.
+This module realises Section 3.3.2 by execution: it steps every admitted
+solver's resumable session (:class:`~repro.solvers.batch_smo.BatchSMOSession`)
+in lockstep waves, so the simulated timeline is read off the work that
+actually ran concurrently.  Single-device training calls it directly; the
+multi-device trainers run it per device through
+:func:`repro.distributed.waves.run_device_waves`, which adds checkpoints
+and device-loss recovery.
 
 Per wave the driver
 
-1. admits pending solvers into the running set under the same
+1. admits pending solvers into the running set under
    :class:`~repro.gpusim.scheduler.WaveLimits` (SM blocks, device memory,
-   optional concurrency cap) the post-hoc packer uses;
+   optional concurrency cap);
 2. calls ``begin_round`` on every running session, collecting each one's
    working-set refresh and the kernel rows it is missing;
 3. fuses the missing-row demand of all members into one batched launch
@@ -21,8 +21,9 @@ Per wave the driver
 4. calls ``complete_round`` on every member (the rows now hit the share),
    then folds the members' per-round clock deltas into the wave's
    concurrent makespan ``max(max_i(latency_i + compute_i), sum_i
-   compute_i)`` — the same overlap law the post-hoc model uses, now
-   applied to measured rounds instead of whole repacked solvers.
+   compute_i)``: each member still pays its own serial chain, the device
+   throughput bounds the total, and launch gaps are hidden by the other
+   members' kernels.  A one-member wave is exactly serial.
 
 Sessions that terminate release their SM/memory footprint, and the next
 pending solver is admitted at the following wave boundary.  The driver's

@@ -15,9 +15,9 @@ GMP-SVM             batched   GPU                      yes         yes
 The pipeline: decompose into pairwise problems, train each binary SVM
 (classic or batched SMO), fit each sigmoid on the SVM's training-set
 decision values (Figure 1), then either sum the per-task simulated times
-(sequential systems) or pack them through the concurrency scheduler
-(Section 3.3.2).  Kernel-value sharing (Figure 3) plugs in as a row
-provider shared by all pairwise solvers.
+(sequential systems) or step the solvers in lockstep concurrent waves
+(Section 3.3.2, :mod:`repro.core.interleave`).  Kernel-value sharing
+(Figure 3) plugs in as a row provider shared by all pairwise solvers.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.exceptions import ConvergenceWarning, ValidationError
 from repro.gpusim.clock import SimClock
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.engine import FLOAT_BYTES, Engine, make_engine
-from repro.gpusim.scheduler import ConcurrentScheduler, ScheduledTask, WaveLimits
+from repro.gpusim.scheduler import WaveLimits
 from repro.kernels.cache import KernelBuffer
 from repro.kernels.functions import KernelFunction
 from repro.kernels.rows import KernelRowComputer
@@ -67,13 +67,11 @@ class TrainerConfig:
     solver: str = "batched"  # "batched" (GMP/CMP) or "classic" (LibSVM/baseline)
     flop_efficiency: Optional[float] = None  # None -> device-kind default
     bandwidth_efficiency: float = 1.0  # program-level access-pattern quality
-    concurrent: bool = True  # MP-SVM-level concurrency (Section 3.3.2)
-    # How concurrency is realised: "interleaved" steps the batched solvers
-    # in lockstep waves with fused kernel launches (the timeline comes
-    # from the executed wave trace); "posthoc" keeps the legacy repacking
-    # of serial solver clocks by ConcurrentScheduler.plan.  Classic-solver
-    # systems always use the post-hoc model (no resumable stepper).
-    concurrency_mode: str = "interleaved"
+    # MP-SVM-level concurrency (Section 3.3.2): the batched solvers step
+    # in lockstep waves with fused kernel launches and the timeline comes
+    # from the executed wave trace.  The classic solver has no resumable
+    # stepper, so it always trains serially.
+    concurrent: bool = True
     share_kernel_values: bool = True  # Figure 3 block sharing
     # Device-byte cap of the cross-SVM segment share; None keeps the
     # default of a quarter of device memory.
@@ -131,11 +129,6 @@ class TrainerConfig:
         if self.decomposition not in ("ovo", "ova"):
             raise ValidationError(
                 f"decomposition must be ovo/ova, got {self.decomposition!r}"
-            )
-        if self.concurrency_mode not in ("interleaved", "posthoc"):
-            raise ValidationError(
-                "concurrency_mode must be interleaved/posthoc, "
-                f"got {self.concurrency_mode!r}"
             )
         # Both bounds feed the wave-packing rules; non-positive values
         # would silently corrupt SM/concurrency accounting.
@@ -217,6 +210,17 @@ def train_multiclass(
             max_concurrency=report.max_concurrency,
         )
         return model, report
+
+
+def _config_engine(config: TrainerConfig, counters=None) -> Engine:
+    """A fresh engine (own clock) on ``config``'s device and backend."""
+    return make_engine(
+        config.device,
+        flop_efficiency=config.flop_efficiency,
+        bandwidth_efficiency=config.bandwidth_efficiency,
+        backend=config.backend,
+        counters=counters,
+    )
 
 
 def _validate_warm_start(
@@ -305,12 +309,7 @@ def _train_multiclass_impl(
     if config.force_dense:
         data = mops.to_dense(data)
 
-    master = make_engine(
-        config.device,
-        flop_efficiency=config.flop_efficiency,
-        bandwidth_efficiency=config.bandwidth_efficiency,
-        backend=config.backend,
-    )
+    master = _config_engine(config)
     if tracer is not None:
         # Give clock-less spans (the train_multiclass root above all) the
         # master engine's simulated time axis.
@@ -322,7 +321,6 @@ def _train_multiclass_impl(
         config, master, kernel, data, classes, partition
     )
 
-    tasks: list[ScheduledTask] = []
     per_svm_records: list[BinarySVMRecord] = []
     pool_entries: list[tuple[int, int, np.ndarray, np.ndarray, float]] = []
     per_svm_stats: list[dict] = []
@@ -360,13 +358,52 @@ def _train_multiclass_impl(
             for index, problem in enumerate(problems)
             if problem.n >= cascade_cfg.threshold
         }
+    # Each routed pair gets a fresh single-device pool (the multi-device
+    # cascade lives in train_multiclass_sharded / repro.cascade); its
+    # shard/merge/feedback/finalize timeline folds into cascade_clock and
+    # its op counters into the master tally.
     cascade_clock = SimClock()
     if cascade_indices:
-        total_iterations, total_rows_computed = _run_cascade_pairs(
-            config, classes, problems, cascade_indices, cascade_cfg,
-            data, kernel, penalty, master, finals, cascade_clock,
-            warm_start=warm_start,
+        from repro.distributed.cluster import ClusterSpec, DevicePool
+
+        if config.device.kind != "gpu":
+            raise ValidationError(
+                "cascade routing shards instances across (simulated) GPU "
+                f"devices; device kind {config.device.kind!r} runs the "
+                "monolithic path only"
+            )
+    for index in sorted(cascade_indices):
+        problem = problems[index]
+        pool = DevicePool(
+            ClusterSpec(device=config.device, n_devices=1),
+            flop_efficiency=config.flop_efficiency,
+            bandwidth_efficiency=config.bandwidth_efficiency,
+            backend=config.backend,
+            tracer=tracer,
         )
+        member_clocks = [SimClock()]
+        with maybe_span(
+            tracer,
+            "solve_pair",
+            clock=pool.engine(0).clock,
+            pair=(problem.s, problem.t),
+            n=problem.n,
+            cascade=True,
+        ) as pair_span:
+            finals[index], result, _, finalize_clock = _train_cascade_pair(
+                config, classes, problem, pool, data, kernel, penalty,
+                member_clocks, pair_span=pair_span,
+            )
+        if tracer is not None:
+            # The cascade unbinds its wave clocks on exit; restore the
+            # run-wide default axis for subsequent clock-less spans.
+            tracer.bind_clock(master.clock)
+        total_iterations += result.iterations
+        total_rows_computed += result.kernel_rows_computed
+        cascade_clock.merge(pool.engine(0).clock)
+        cascade_clock.merge(member_clocks[0])
+        cascade_clock.merge(finalize_clock)
+        master.counters.merge(pool.engine(0).counters)
     remaining = [
         (index, problem)
         for index, problem in enumerate(problems)
@@ -377,13 +414,15 @@ def _train_multiclass_impl(
     # batched solver provides; a single pair has nothing to interleave.
     use_interleaved = (
         config.concurrent
-        and config.concurrency_mode == "interleaved"
         and config.solver == "batched"
         and len(remaining) > 1
     )
 
     schedule_source = "serial"
     wave_trace: Optional[list[dict]] = None
+    max_concurrency = 1
+    concurrency_speedup = 1.0
+    task_clocks: list[SimClock] = []  # folded in after the master clock
 
     if use_interleaved:
         members: list[PairMember] = [
@@ -424,91 +463,56 @@ def _train_multiclass_impl(
             total_rows_computed += member.result.kernel_rows_computed
             peak_task_mem = max(peak_task_mem, member.mem_bytes)
             finalize_clock.merge(delta)
-        interleave_outcome = outcome
-        interleave_finalize = finalize_clock
+        task_clocks = [outcome.timeline, finalize_clock]
         schedule_source = "wave_trace"
         wave_trace = outcome.wave_trace
+        max_concurrency = outcome.max_concurrency
+        concurrency_speedup = outcome.concurrency_speedup
+    else:
+        for index, problem in remaining:
+            engine = _config_engine(config, master.counters)
+            with maybe_span(
+                tracer,
+                "solve_pair",
+                clock=engine.clock,
+                pair=(problem.s, problem.t),
+                n=problem.n,
+            ) as pair_span:
+                if shared is not None and shared_computer is not None:
+                    rows = _SharedPairRows(engine, shared, shared_computer, problem)
+                    pair_data = None
+                else:
+                    pair_data = mops.take_rows(data, problem.global_indices)
+                    rows = KernelRowComputer(engine, kernel, pair_data)
 
-    for index, problem in ([] if use_interleaved else remaining):
-        engine = make_engine(
-            config.device,
-            flop_efficiency=config.flop_efficiency,
-            bandwidth_efficiency=config.bandwidth_efficiency,
-            backend=config.backend,
-            counters=master.counters,
-        )
-        with maybe_span(
-            tracer,
-            "solve_pair",
-            clock=engine.clock,
-            pair=(problem.s, problem.t),
-            n=problem.n,
-        ) as pair_span:
-            if shared is not None and shared_computer is not None:
-                rows = _SharedPairRows(engine, shared, shared_computer, problem)
-                pair_data = None
-            else:
-                pair_data = mops.take_rows(data, problem.global_indices)
-                rows = KernelRowComputer(engine, kernel, pair_data)
-
-            penalty_vector = _class_weighted_penalties(
-                config, classes, problem, penalty
-            )
-            warm = _warm_pair_init(
-                warm_start, problem, rows, penalty, penalty_vector
-            )
-            result, task_mem = _solve_pair(
-                config, engine, rows, problem.labels, penalty,
-                penalty_vector=penalty_vector, warm=warm,
-            )
-            total_iterations += result.iterations
-            total_rows_computed += result.kernel_rows_computed
-            peak_task_mem = max(peak_task_mem, task_mem)
-
-            record, pool_entry, svm_stats = _finalize_pair(
-                config, engine, problem, result, data, kernel, penalty,
-                penalty_vector=penalty_vector, pair_span=pair_span,
-                pair_data=pair_data,
-            )
-            svm_stats["warm_start"] = warm is not None
-            finals[index] = (record, pool_entry, svm_stats)
-            tasks.append(
-                ScheduledTask.from_clock(
-                    f"svm_{problem.s}_{problem.t}",
-                    engine.clock,
-                    mem_bytes=task_mem,
-                    blocks=config.blocks_per_svm,
+                penalty_vector = _class_weighted_penalties(
+                    config, classes, problem, penalty
                 )
-            )
+                warm = _warm_pair_init(
+                    warm_start, problem, rows, penalty, penalty_vector
+                )
+                result, task_mem = _solve_pair(
+                    config, engine, rows, problem.labels, penalty,
+                    penalty_vector=penalty_vector, warm=warm,
+                )
+                total_iterations += result.iterations
+                total_rows_computed += result.kernel_rows_computed
+                peak_task_mem = max(peak_task_mem, task_mem)
 
-    # Combine per-task time: the executed wave trace (interleaved),
-    # post-hoc concurrent packing, or plain serial sum.
+                record, pool_entry, svm_stats = _finalize_pair(
+                    config, engine, problem, result, data, kernel, penalty,
+                    penalty_vector=penalty_vector, pair_span=pair_span,
+                    pair_data=pair_data,
+                )
+                svm_stats["warm_start"] = warm is not None
+                finals[index] = (record, pool_entry, svm_stats)
+                task_clocks.append(engine.clock)
+
+    # The executed wave trace (interleaved) or the plain serial sum.
     combined = SimClock()
     combined.merge(master.clock)
-    if use_interleaved:
-        combined.merge(interleave_outcome.timeline)
-        combined.merge(interleave_finalize)
-        max_concurrency = interleave_outcome.max_concurrency
-        concurrency_speedup = interleave_outcome.concurrency_speedup
-    elif config.concurrent and len(tasks) > 1:
-        scheduler = ConcurrentScheduler(
-            config.device,
-            max_concurrent=config.max_concurrent_svms,
-            mem_budget_bytes=max(
-                config.device.global_mem_bytes - mops.matrix_nbytes(data), 1
-            ),
-        )
-        plan = scheduler.plan(tasks, tracer=tracer)
-        combined.merge(plan.aggregate_clock())
-        max_concurrency = plan.max_concurrency
-        concurrency_speedup = plan.speedup
-        schedule_source = "posthoc"
-    else:
-        for task in tasks:
-            if task.clock is not None:
-                combined.merge(task.clock)
-        max_concurrency = 1
-        concurrency_speedup = 1.0
+    for clock in task_clocks:
+        combined.merge(clock)
     # Cascade pairs train sequentially before the monolithic pass; their
     # single-pool timeline (shards, merges, feedback, finalize) adds on.
     combined.merge(cascade_clock)
@@ -556,126 +560,79 @@ def _train_multiclass_impl(
     return model, report
 
 
-def _run_cascade_pairs(
+def _train_cascade_pair(
     config: TrainerConfig,
     classes: np.ndarray,
-    problems: list,
-    cascade_indices: set,
-    cascade_cfg,
+    problem,
+    pool,
     data: mops.MatrixLike,
     kernel: KernelFunction,
     penalty: float,
-    master: Engine,
-    finals: dict,
-    cascade_clock: SimClock,
+    member_clocks: list[SimClock],
     *,
-    warm_start: Optional[MPSVMModel] = None,
-) -> tuple[int, int]:
-    """Train the routed pairs through the cascade driver, in problem order.
+    store=None,
+    checkpoint_every: int = 4,
+    pair_span=None,
+):
+    """Train one routed pair through the cascade driver and finalize it.
 
-    Each routed pair gets a fresh single-device pool (the multi-device
-    cascade lives in ``train_multiclass_sharded`` /
-    :func:`repro.cascade.train_cascade`); its shard/merge/feedback
-    timeline folds into ``cascade_clock`` and its op counters into the
-    master tally, so the report covers the routed work.  Cascade pairs
-    always train cold — ``warm_start`` priors map a monolithic dual
+    The cascade (``config.cascade``) runs over ``pool`` (its wave-scaled member time lands in
+    ``member_clocks``, one per device); the pair then finalizes on a
+    fresh engine whose op counts go to the reduction-tree root device.
+    The per-SVM ``simulated_seconds`` is the pair's busy time summed over
+    every device: shard solves, merges, feedback and finalize.  Cascade
+    pairs always train cold — a warm-start prior maps a monolithic dual
     solution, which has no sound projection onto the instance shards.
 
-    Fills ``finals[index]`` with the standard ``(record, pool_entry,
-    svm_stats)`` triple (plus a ``"cascade"`` stats block) and returns
-    the accumulated ``(iterations, kernel_rows_computed)``.
+    Returns ``((record, pool_entry, svm_stats), result, cascade_report,
+    finalize_clock)``; the stats carry a ``"cascade"`` block.
     """
-    del warm_start  # accepted for signature symmetry; see docstring
     from repro.cascade.driver import _cascade_solve
-    from repro.distributed.cluster import ClusterSpec, DevicePool
 
-    tracer = config.tracer
-    if config.device.kind != "gpu":
-        raise ValidationError(
-            "cascade routing shards instances across (simulated) GPU "
-            f"devices; device kind {config.device.kind!r} runs the "
-            "monolithic path only"
-        )
-    total_iterations = 0
-    total_rows = 0
-    for index in sorted(cascade_indices):
-        problem = problems[index]
-        pool = DevicePool(
-            ClusterSpec(device=config.device, n_devices=1),
-            flop_efficiency=config.flop_efficiency,
-            bandwidth_efficiency=config.bandwidth_efficiency,
-            backend=config.backend,
-            tracer=tracer,
-        )
-        member_clocks = [SimClock()]
-        pair_data = mops.take_rows(data, problem.global_indices)
-        penalty_vector = _class_weighted_penalties(
-            config, classes, problem, penalty
-        )
-        with maybe_span(
-            tracer,
-            "solve_pair",
-            clock=pool.engine(0).clock,
-            pair=(problem.s, problem.t),
-            n=problem.n,
-            cascade=True,
-        ) as pair_span:
-            result, casc_report = _cascade_solve(
-                config,
-                cascade_cfg,
-                pool,
-                pair_data,
-                problem.labels,
-                kernel,
-                penalty,
-                penalty_vector=penalty_vector,
-                member_clocks=member_clocks,
-                tracer=tracer,
-            )
-            finalize_engine = make_engine(
-                config.device,
-                flop_efficiency=config.flop_efficiency,
-                bandwidth_efficiency=config.bandwidth_efficiency,
-                backend=config.backend,
-                counters=master.counters,
-            )
-            record, pool_entry, svm_stats = _finalize_pair(
-                config, finalize_engine, problem, result, data, kernel,
-                penalty, penalty_vector=penalty_vector, pair_span=pair_span,
-                pair_data=pair_data,
-            )
-            svm_stats["warm_start"] = False
-            svm_stats["simulated_seconds"] = (
-                pool.engine(0).clock.elapsed_s
-                + member_clocks[0].elapsed_s
-                + finalize_engine.clock.elapsed_s
-            )
-            svm_stats["cascade"] = {
-                "n_shards": casc_report.n_shards,
-                "feedback_rounds": casc_report.feedback_rounds,
-                "final_gap": casc_report.final_gap,
-                "gap_budget": casc_report.gap_budget,
-                "budget_met": casc_report.budget_met,
-                "sv_survival": casc_report.sv_survival,
-                "transfer_bytes": dict(casc_report.transfer_bytes),
-                "levels": [
-                    {k: v for k, v in level.items()
-                     if k not in ("merges", "shards")}
-                    for level in casc_report.levels
-                ],
-            }
-            finals[index] = (record, pool_entry, svm_stats)
-        if tracer is not None:
-            # _cascade_solve unbinds its wave clocks on exit; restore the
-            # run-wide default axis for subsequent clock-less spans.
-            tracer.bind_clock(master.clock)
-        total_iterations += result.iterations
-        total_rows += result.kernel_rows_computed
-        cascade_clock.merge(pool.engine(0).clock)
-        cascade_clock.merge(member_clocks[0])
-        cascade_clock.merge(finalize_engine.clock)
-        master.counters.merge(pool.engine(0).counters)
-    return total_iterations, total_rows
+    engines_before = [engine.clock.copy() for engine in pool.engines]
+    members_before = [clock.copy() for clock in member_clocks]
+    pair_data = mops.take_rows(data, problem.global_indices)
+    penalty_vector = _class_weighted_penalties(config, classes, problem, penalty)
+    result, report = _cascade_solve(
+        config,
+        config.cascade,
+        pool,
+        pair_data,
+        problem.labels,
+        kernel,
+        penalty,
+        penalty_vector=penalty_vector,
+        member_clocks=member_clocks,
+        store=store,
+        checkpoint_every=checkpoint_every,
+    )
+    root = int(report.tree["root_device"])
+    finalize_engine = _config_engine(config, pool.engine(root).counters)
+    record, pool_entry, svm_stats = _finalize_pair(
+        config, finalize_engine, problem, result, data, kernel, penalty,
+        penalty_vector=penalty_vector, pair_span=pair_span,
+        pair_data=pair_data,
+    )
+    svm_stats["warm_start"] = False
+    svm_stats["simulated_seconds"] = sum(
+        pool.engine(device).clock.since(engines_before[device]).elapsed_s
+        + member_clocks[device].since(members_before[device]).elapsed_s
+        for device in range(pool.n_devices)
+    ) + finalize_engine.clock.elapsed_s
+    svm_stats["cascade"] = {
+        "n_shards": report.n_shards,
+        "feedback_rounds": report.feedback_rounds,
+        "final_gap": report.final_gap,
+        "gap_budget": report.gap_budget,
+        "budget_met": report.budget_met,
+        "sv_survival": report.sv_survival,
+        "transfer_bytes": dict(report.transfer_bytes),
+        "levels": [
+            {k: v for k, v in level.items() if k not in ("merges", "shards")}
+            for level in report.levels
+        ],
+    }
+    return (record, pool_entry, svm_stats), result, report, finalize_engine.clock
 
 
 def _finalize_pair(
@@ -823,13 +780,7 @@ def _make_pair_member(
     untraced; the ``solve_pair``/``solver.batch_smo`` spans are emitted by
     :func:`_finalize_member` with the same attributes.
     """
-    engine = make_engine(
-        config.device,
-        flop_efficiency=config.flop_efficiency,
-        bandwidth_efficiency=config.bandwidth_efficiency,
-        backend=config.backend,
-        counters=counters,
-    )
+    engine = _config_engine(config, counters)
     if shared is not None and shared_computer is not None:
         rows = _SharedPairRows(engine, shared, shared_computer, problem)
     else:
@@ -998,7 +949,7 @@ def _solve_pair(
 
     Returns ``(SolverResult, task_device_bytes)`` where the byte estimate
     covers what the task keeps resident on the device (solver state plus
-    its kernel buffer/cache) — the scheduler packs concurrency from it.
+    its kernel buffer/cache) — wave packing bounds concurrency from it.
     ``warm`` optionally carries ``(initial_alpha, initial_f)`` from
     :func:`_warm_pair_init`; only the batched solver consumes it
     (``_validate_warm_start`` rejects warm starts on the classic path).

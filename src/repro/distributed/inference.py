@@ -21,7 +21,7 @@ against per-device memory:
 
 **Bitwise parity.**  Every kernel block element is a pure function of its
 (test row, pool row) pair — both matmul axes go through the fixed-tile
-discipline of :mod:`repro.sparse.ops` — so a shard computing ``K(x, sv)``
+discipline of :mod:`repro.backends.reference` — so a shard computing ``K(x, sv)``
 against its sub-pool produces the very bytes the full pool would, and each
 SVM's weighted sum consumes an identical gathered column block.  The
 router chunks ``predict_proba`` exactly like

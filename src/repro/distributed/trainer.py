@@ -8,10 +8,10 @@ This driver:
    (:mod:`repro.distributed.placement`);
 2. per device, ships the class blocks its problems need over the host
    link, builds the same cross-SVM segment share single-device training
-   uses, and runs the existing resumable wave driver
-   (:func:`repro.core.interleave.run_interleaved`) over that device's
-   members — every device reuses the single-device execution machinery
-   unchanged, under a ``cluster_wave`` telemetry span;
+   uses, and runs the resumable wave driver over that device's members
+   under a ``cluster_wave`` telemetry span, through the fault-tolerant
+   executor :func:`repro.distributed.waves.run_device_waves` (which the
+   cascade's shard phase shares);
 3. gathers the per-device binary models to the root device over the peer
    links (``shard_merge`` span) and assembles one unified
    :class:`~repro.multiclass.sv_sharing.SupportVectorPool` in global
@@ -19,7 +19,7 @@ This driver:
 
 **Bitwise parity.**  Every per-pair solve consumes kernel values computed
 per (instance row, full class column block) through the fixed-tile matmul
-discipline (``repro.sparse.ops``), so segment values are pure functions of
+discipline (``repro.backends.reference``), so segment values are pure functions of
 the operand rows — independent of which device computes them, what else
 shares its waves, and where its tiles sit.  Finalization and pool assembly
 run in global problem order regardless of placement.  Training on any
@@ -35,33 +35,31 @@ its placement requires, which is what the simulation measures.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
 import numpy as np
 
-from repro.core.interleave import run_interleaved
 from repro.core.trainer import (
     TrainerConfig,
-    _class_weighted_penalties,
     _finalize_member,
-    _finalize_pair,
-    _interleave_limits,
     _make_pair_member,
     _make_shared_store,
+    _train_cascade_pair,
 )
-from repro.distributed.cluster import ClusterSpec, DevicePool
+from repro.distributed.cluster import ClusterSpec
 from repro.distributed.placement import plan_placement
-from repro.exceptions import DeviceLostError, SolverError, ValidationError
-from repro.faults.checkpoint import (
-    CheckpointStore,
-    SessionSnapshot,
-    TrainingCheckpoint,
+from repro.distributed.waves import (
+    DeviceGroup,
+    cluster_pool,
+    fault_summary,
+    run_device_waves,
 )
-from repro.faults.plan import FaultInjector, FaultPlan
+from repro.exceptions import ValidationError
+from repro.faults.plan import FaultPlan
 from repro.gpusim.clock import SimClock
 from repro.gpusim.counters import OpCounters
-from repro.gpusim.engine import FLOAT_BYTES, make_engine
+from repro.gpusim.engine import FLOAT_BYTES
 from repro.kernels.functions import KernelFunction
 from repro.model.multiclass import MPSVMModel
 from repro.multiclass.decomposition import class_partition, pair_problems
@@ -152,23 +150,6 @@ class ClusterTrainingReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
 
-def _check_config(config: TrainerConfig, cluster: ClusterSpec) -> TrainerConfig:
-    """Align the trainer config with the cluster's device."""
-    if config.solver != "batched":
-        raise ValidationError(
-            "sharded training drives resumable batched-SMO sessions; "
-            f"solver {config.solver!r} is not distributable"
-        )
-    if config.decomposition != "ovo":
-        raise ValidationError(
-            "sharded training partitions the one-against-one problems; "
-            f"decomposition {config.decomposition!r} is not supported"
-        )
-    if config.device is not cluster.device:
-        config = replace(config, device=cluster.device)
-    return config
-
-
 def _class_block_bytes(data: mops.MatrixLike, partition: dict) -> list[int]:
     """Estimated resident bytes of each class's training-row block."""
     total_rows = max(mops.n_rows(data), 1)
@@ -188,22 +169,6 @@ def _record_payload_bytes(record) -> int:
     )
 
 
-def _member_snapshot(member) -> SessionSnapshot:
-    """One member's resumable solver state as a checkpoint snapshot."""
-    state = member.session.snapshot_state()
-    return SessionSnapshot(
-        problem_index=member.index,
-        alpha=state["alpha"],
-        f=state["f"],
-        rounds=state["rounds"],
-        inner_total=state["inner_total"],
-        ws_order=tuple(state["ws_order"]),
-        stalled=state["stalled"],
-        converged=state["converged"],
-        finished=state["finished"],
-    )
-
-
 def train_multiclass_sharded(
     config: TrainerConfig,
     cluster: ClusterSpec,
@@ -216,7 +181,6 @@ def train_multiclass_sharded(
     fault_plan: Optional[FaultPlan] = None,
     checkpoint_every: int = 4,
     checkpoint_dir: Optional[object] = None,
-    cascade: Optional[object] = None,
 ) -> tuple[MPSVMModel, ClusterTrainingReport]:
     """Train a multi-class SVM sharded across a simulated cluster.
 
@@ -225,35 +189,26 @@ def train_multiclass_sharded(
     for every device count and placement strategy (see the module
     docstring); the report carries the cluster timeline instead.
 
-    ``cascade`` (a :class:`repro.cascade.CascadeConfig`, or the one on
-    ``config.cascade``) additionally routes pairwise problems with at
-    least ``cascade.threshold`` instances through the instance-sharded
-    cascade driver across the *whole* cluster — seeded shards, pairwise
-    SV merges up a topology-aware reduction tree, global-KKT feedback —
-    before the remaining pairs run the bitwise pair-sharded path.
-    Cascade-routed pairs are approximate under an explicit dual-gap
-    budget (the bitwise guarantee above then covers only the unrouted
-    pairs); the report's ``cascade`` section carries each routed pair's
-    per-level timeline, SV survival and per-tier transfer bytes.
-    Cascade routing cannot be combined with ``fault_plan`` here — for
-    faults during a cascade, drive :func:`repro.cascade.train_cascade`
-    directly.
+    ``config.cascade`` (a :class:`repro.cascade.CascadeConfig`)
+    additionally routes pairwise problems with at least
+    ``cascade.threshold`` instances through the instance-sharded cascade
+    driver across the *whole* cluster — seeded shards, pairwise SV merges
+    up a topology-aware reduction tree, global-KKT feedback — before the
+    remaining pairs run the bitwise pair-sharded path.  Cascade-routed
+    pairs are approximate under an explicit dual-gap budget (the bitwise
+    guarantee above then covers only the unrouted pairs); the report's
+    ``cascade`` section carries each routed pair's per-level timeline, SV
+    survival and per-tier transfer bytes.  Cascade routing cannot be
+    combined with ``fault_plan`` here — for faults during a cascade,
+    drive :func:`repro.cascade.train_cascade` directly.
 
-    ``fault_plan`` injects scripted faults (see :mod:`repro.faults`):
-    stragglers stretch the affected device's timeline; a scripted device
-    loss aborts that device at the next wave boundary, after which the
-    lost device's problems are re-placed onto the survivors (elastic
-    re-placement through the same planner) and resumed from the last
-    checkpoint — the final model stays **bitwise identical** to the
-    fault-free run, because a restored session's state fully determines
-    its remaining iterates.  Checkpoints are taken every
-    ``checkpoint_every`` waves per device (their device→host shipping
-    cost lands on the simulated clocks) and persisted to
-    ``checkpoint_dir`` when given; without a fault plan no checkpoint
-    machinery runs unless ``checkpoint_dir`` asks for durability.
-    Losses scheduled after a device finished are no-ops, lost devices
-    stay lost, and recovery itself runs fault-free (the supported model
-    is one failure per device per run).
+    ``fault_plan`` injects scripted faults (see :mod:`repro.faults`);
+    ``checkpoint_every`` / ``checkpoint_dir`` set the checkpoint cadence
+    and persistence.  :func:`repro.distributed.waves.run_device_waves`
+    runs the waves, observes losses and recovers: a lost device's
+    problems are re-placed onto the survivors through the same planner
+    and resumed from their last checkpoint, so the final model stays
+    **bitwise identical** to the fault-free run.
 
     With ``config.tracer`` set, the run is recorded as a
     ``train_cluster`` root span over per-device ``cluster_wave`` spans,
@@ -262,11 +217,19 @@ def train_multiclass_sharded(
     gather.
     """
     tracer = config.tracer
-    config = _check_config(config, cluster)
-    if checkpoint_every < 1:
+    if config.decomposition != "ovo":
         raise ValidationError(
-            f"checkpoint_every must be >= 1, got {checkpoint_every}"
+            "sharded training partitions the one-against-one problems; "
+            f"decomposition {config.decomposition!r} is not supported"
         )
+    config, pool, store = cluster_pool(
+        config,
+        cluster,
+        what="sharded training",
+        fault_plan=fault_plan,
+        checkpoint_every=checkpoint_every,
+        checkpoint_dir=checkpoint_dir,
+    )
     labels = np.asarray(y).ravel()
     classes, partition = class_partition(labels)
     if config.force_dense:
@@ -276,16 +239,9 @@ def train_multiclass_sharded(
     # Instance-sharded cascade routing: the routed pairs train across
     # the whole pool before the per-device phase; placement then covers
     # only the remaining (bitwise pair-sharded) problems.
-    cascade_cfg = cascade if cascade is not None else config.cascade
+    cascade_cfg = config.cascade
     cascade_indices: set[int] = set()
     if cascade_cfg is not None and cascade_cfg.n_shards > 1:
-        from repro.cascade.config import CascadeConfig
-
-        if not isinstance(cascade_cfg, CascadeConfig):
-            raise ValidationError(
-                "cascade must be a repro.cascade.CascadeConfig, got "
-                f"{type(cascade_cfg).__name__}"
-            )
         if fault_plan is not None and not fault_plan.is_empty:
             raise ValidationError(
                 "cascade routing and fault injection cannot be combined "
@@ -312,28 +268,6 @@ def train_multiclass_sharded(
         [small_indices[local] for local in plan.device_problems[device]]
         for device in range(cluster.n_devices)
     ]
-    injector = (
-        FaultInjector(fault_plan, cluster.n_devices)
-        if fault_plan is not None and not fault_plan.is_empty
-        else None
-    )
-    # ":memory:" opts into checkpointing (same simulated shipping cost)
-    # without persistence — what a fault-free baseline run uses to be
-    # timeline-comparable with a faulted one.
-    store_root = None if checkpoint_dir == ":memory:" else checkpoint_dir
-    store = (
-        CheckpointStore(store_root)
-        if injector is not None or checkpoint_dir is not None
-        else None
-    )
-    pool = DevicePool(
-        cluster,
-        flop_efficiency=config.flop_efficiency,
-        bandwidth_efficiency=config.bandwidth_efficiency,
-        backend=config.backend,
-        tracer=tracer,
-        fault_injector=injector,
-    )
     block_bytes = _class_block_bytes(data, partition)
 
     with maybe_span(
@@ -349,17 +283,15 @@ def train_multiclass_sharded(
         member_clocks = [SimClock() for _ in range(cluster.n_devices)]
         device_stats = [
             {"iterations": 0, "kernel_rows": 0, "resident_bytes": 0,
-             "max_concurrency": 1, "wave_trace": None, "lost": False}
+             "max_concurrency": 1, "wave_trace": None}
             for _ in range(cluster.n_devices)
         ]
-        max_concurrency = 1
         # Final problem ownership: starts at the plan, moves to survivors
         # when a loss forces re-placement (drives the merge payloads).
         # Cascade-routed pairs land on their reduction-tree root device.
         owner = [0] * len(problems)
         for position, index in enumerate(small_indices):
             owner[index] = plan.assignments[position]
-        lost_devices: dict[int, float] = {}  # device -> simulated loss time
 
         # ----------------------------------------------------------
         # Cascade phase: the routed pairs train instance-sharded over
@@ -367,58 +299,17 @@ def train_multiclass_sharded(
         # every device), before the per-device pair phase.
         # ----------------------------------------------------------
         cascade_entries: list[dict] = []
-        if cascade_indices:
-            from repro.cascade.driver import _cascade_solve
         for index in sorted(cascade_indices):
             problem = problems[index]
-            pair_data = mops.take_rows(data, problem.global_indices)
-            penalty_vector = _class_weighted_penalties(
-                config, classes, problem, penalty
-            )
-            result, casc_report = _cascade_solve(
-                config,
-                cascade_cfg,
-                pool,
-                pair_data,
-                problem.labels,
-                kernel,
-                penalty,
-                penalty_vector=penalty_vector,
-                store=store,
-                checkpoint_every=checkpoint_every,
-                member_clocks=member_clocks,
-                tracer=tracer,
+            finals[index], result, casc_report, finalize_clock = (
+                _train_cascade_pair(
+                    config, classes, problem, pool, data, kernel, penalty,
+                    member_clocks, store=store, checkpoint_every=checkpoint_every,
+                )
             )
             root_device = int(casc_report.tree["root_device"])
             owner[index] = root_device
-            finalize_engine = make_engine(
-                config.device,
-                flop_efficiency=config.flop_efficiency,
-                bandwidth_efficiency=config.bandwidth_efficiency,
-                backend=config.backend,
-                counters=pool.engine(root_device).counters,
-            )
-            record, pool_entry, svm_stats = _finalize_pair(
-                config, finalize_engine, problem, result, data, kernel,
-                penalty, penalty_vector=penalty_vector, pair_data=pair_data,
-            )
-            svm_stats["warm_start"] = False
-            svm_stats["cascade"] = {
-                "n_shards": casc_report.n_shards,
-                "feedback_rounds": casc_report.feedback_rounds,
-                "final_gap": casc_report.final_gap,
-                "gap_budget": casc_report.gap_budget,
-                "budget_met": casc_report.budget_met,
-                "sv_survival": casc_report.sv_survival,
-                "transfer_bytes": dict(casc_report.transfer_bytes),
-                "levels": [
-                    {k: v for k, v in level.items()
-                     if k not in ("merges", "shards")}
-                    for level in casc_report.levels
-                ],
-            }
-            finals[index] = (record, pool_entry, svm_stats)
-            member_clocks[root_device].merge(finalize_engine.clock)
+            member_clocks[root_device].merge(finalize_clock)
             stats = device_stats[root_device]
             stats["iterations"] += result.iterations
             stats["kernel_rows"] += result.kernel_rows_computed
@@ -433,326 +324,109 @@ def train_multiclass_sharded(
             if tracer is not None:
                 tracer.bind_clock(None)
 
+        # ----------------------------------------------------------
+        # Pair phase: every device ships its class blocks and runs its
+        # placed problems in waves; a lost device's problems are
+        # re-placed onto the survivors and resumed from the last
+        # shipped checkpoint.
+        # ----------------------------------------------------------
+        groups = []
         for device in range(cluster.n_devices):
-            problem_indices = device_problems[device]
-            master = pool.engine(device)
-            if tracer is not None:
-                tracer.bind_clock(master.clock)
             resident = sum(
                 block_bytes[c] for c in sorted(plan.device_classes[device])
             )
             device_stats[device]["resident_bytes"] = resident
-            with maybe_span(
-                tracer,
-                "cluster_wave",
-                clock=master.clock,
-                device=device,
-                n_svms=len(problem_indices),
-                resident_bytes=resident,
-            ) as device_span:
-                # Ship this device's class blocks over the host link.
-                pool.host_to_device(device, resident)
-                if not problem_indices:
-                    continue
-                shared, shared_computer = _make_shared_store(
-                    config, master, kernel, data, classes, partition
-                )
-                members = [
-                    _make_pair_member(
-                        config,
-                        classes,
-                        index,
-                        problems[index],
-                        penalty,
-                        data,
-                        kernel,
-                        shared=shared,
-                        shared_computer=shared_computer,
-                        counters=master.counters,
-                    )
-                    for index in problem_indices
-                ]
-                if injector is not None:
-                    rate = injector.straggler_rate(device)
-                    if rate != 1.0:
-                        for member in members:
-                            member.engine.clock.rate = rate
-                loss_at = (
-                    injector.loss_time(device) if injector is not None else None
-                )
-                on_wave = None
-                if loss_at is not None or store is not None:
-
-                    def on_wave(
-                        wave_index,
-                        running,
-                        finished,
-                        wave_outcome,
-                        *,
-                        _device=device,
-                        _members=members,
-                        _master=master,
-                        _loss_at=loss_at,
-                    ):
-                        # Device time so far: master charges (transfers,
-                        # prefetches) plus the wave-scaled member time.
-                        now_s = (
-                            _master.clock.elapsed_s
-                            + wave_outcome.timeline.elapsed_s
-                        )
-                        # Loss first: a checkpoint "taken" on the wave
-                        # that crosses the loss time would never have
-                        # reached the host.
-                        if _loss_at is not None and now_s >= _loss_at:
-                            injector.check_device(_device, now_s)
-                        if store is not None and wave_index % checkpoint_every == 0:
-                            checkpoint = TrainingCheckpoint(
-                                device=_device,
-                                wave=wave_index,
-                                simulated_s=now_s,
-                                snapshots={
-                                    m.index: _member_snapshot(m)
-                                    for m in _members
-                                },
-                            )
-                            pool.device_to_host(
-                                _device,
-                                checkpoint.nbytes,
-                                category="checkpoint",
-                            )
-                            store.save(checkpoint)
-
-                limits = _interleave_limits(config, resident)
-                try:
-                    outcome = run_interleaved(
-                        members,
-                        limits,
-                        shared=shared,
-                        tracer=tracer,
-                        span_clock=master.clock,
-                        on_wave=on_wave,
-                    )
-                except DeviceLostError as exc:
-                    # Everything resident on the device dies with it —
-                    # nothing finalizes here; recovery resumes the
-                    # device's problems on survivors from the last
-                    # shipped checkpoint (possibly from scratch).  Its
-                    # clock stops at the loss, so the inflated makespan
-                    # is carried by the survivors that absorb the work.
-                    lost_devices[device] = exc.at_s
-                    device_stats[device]["lost"] = True
-                    device_span.set(lost=True, lost_at_s=exc.at_s)
-                    continue
-                max_concurrency = max(max_concurrency, outcome.max_concurrency)
-
-                # Finalize this device's members (assembly restores global
-                # order below; finalization order is irrelevant to the
-                # numerics and each charge lands on its own engine).
-                finalize_clock = SimClock()
-                stats = device_stats[device]
-                for member in members:
-                    finals[member.index] = _finalize_member(
-                        config, classes, member, data, kernel, penalty, tracer
-                    )
-                    finalize_clock.merge(finals[member.index][3])
-                    stats["iterations"] += member.result.iterations
-                    stats["kernel_rows"] += member.result.kernel_rows_computed
-
-                member_clocks[device].merge(outcome.timeline)
-                member_clocks[device].merge(finalize_clock)
-                stats["max_concurrency"] = outcome.max_concurrency
-                stats["wave_trace"] = outcome.wave_trace
-                device_span.set(
-                    simulated_seconds=(
-                        master.clock.elapsed_s
-                        + member_clocks[device].elapsed_s
-                    ),
-                    max_concurrency=outcome.max_concurrency,
-                    iterations=stats["iterations"],
-                )
-            if tracer is not None:
-                tracer.bind_clock(None)
-
-        # --------------------------------------------------------------
-        # Recovery: re-place every lost device's problems onto the
-        # survivors (same planner, elastic) and resume them from the
-        # last shipped checkpoint.  A restored session's state fully
-        # determines its remaining iterates, so the recovered model is
-        # bitwise the fault-free one; only the timeline pays.
-        # --------------------------------------------------------------
-        recovery: dict = {}
-        if lost_devices:
-            survivors = [
-                d for d in range(cluster.n_devices) if d not in lost_devices
-            ]
-            if not survivors:
-                raise SolverError(
-                    "every device in the cluster was lost; nothing "
-                    "survives to recover on"
-                )
-            lost_indices = sorted(
-                index
-                for device in lost_devices
-                for index in device_problems[device]
+            groups.append(
+                DeviceGroup(device, device_problems[device], resident, resident)
             )
-            snapshots: dict[int, SessionSnapshot] = {}
-            if store is not None:
-                for device in lost_devices:
-                    checkpoint = store.latest(device)
-                    if checkpoint is not None:
-                        snapshots.update(checkpoint.snapshots)
+
+        def build(device, indices, master):
+            shared, shared_computer = _make_shared_store(
+                config, master, kernel, data, classes, partition
+            )
+            members = [
+                _make_pair_member(
+                    config,
+                    classes,
+                    index,
+                    problems[index],
+                    penalty,
+                    data,
+                    kernel,
+                    shared=shared,
+                    shared_computer=shared_computer,
+                    counters=master.counters,
+                )
+                for index in indices
+            ]
+            return members, shared
+
+        def regroup(lost_indices, survivors):
             replan = plan_placement(
                 [problems[index] for index in lost_indices],
                 len(survivors),
                 strategy=placement,
             )
-            with maybe_span(
-                tracer,
-                "fault_recovery",
-                n_problems=len(lost_indices),
-                n_survivors=len(survivors),
-                resumed_from_checkpoint=sum(
-                    1 for index in lost_indices if index in snapshots
+            recovery_groups = []
+            for position, survivor in enumerate(survivors):
+                indices = [lost_indices[j] for j in replan.device_problems[position]]
+                if not indices:
+                    continue
+                # Class blocks these problems need beyond what the
+                # survivor already holds.
+                needed = {c for i in indices for c in (problems[i].s, problems[i].t)}
+                already = set(plan.device_classes[survivor])
+                extra = sum(block_bytes[c] for c in sorted(needed - already))
+                stats = device_stats[survivor]
+                stats["resident_bytes"] += extra
+                recovery_groups.append(
+                    DeviceGroup(survivor, indices, extra, stats["resident_bytes"])
+                )
+            return recovery_groups
+
+        def on_done(device, members, outcome):
+            # Finalize this device's members (assembly restores global
+            # order below; finalization order is irrelevant to the
+            # numerics and each charge lands on its own engine).
+            finalize_clock = SimClock()
+            stats = device_stats[device]
+            for member in members:
+                finals[member.index] = _finalize_member(
+                    config, classes, member, data, kernel, penalty, tracer
+                )
+                finalize_clock.merge(finals[member.index][3])
+                stats["iterations"] += member.result.iterations
+                stats["kernel_rows"] += member.result.kernel_rows_computed
+                owner[member.index] = device
+            member_clocks[device].merge(outcome.timeline)
+            member_clocks[device].merge(finalize_clock)
+            stats["max_concurrency"] = max(
+                stats["max_concurrency"], outcome.max_concurrency
+            )
+            stats["wave_trace"] = (stats["wave_trace"] or []) + outcome.wave_trace
+            return {
+                "simulated_seconds": (
+                    pool.engine(device).clock.elapsed_s
+                    + member_clocks[device].elapsed_s
                 ),
-            ):
-                for position, survivor in enumerate(survivors):
-                    local = replan.device_problems[position]
-                    if not local:
-                        continue
-                    indices = [lost_indices[j] for j in local]
-                    master = pool.engine(survivor)
-                    if tracer is not None:
-                        tracer.bind_clock(master.clock)
-                    stats = device_stats[survivor]
-                    # Class blocks these problems need beyond what the
-                    # survivor already holds, plus the checkpoint upload.
-                    needed: set = set()
-                    for index in indices:
-                        needed.update(
-                            (problems[index].s, problems[index].t)
-                        )
-                    already = set(plan.device_classes[survivor])
-                    extra = sum(
-                        block_bytes[c] for c in sorted(needed - already)
-                    )
-                    with maybe_span(
-                        tracer,
-                        "cluster_wave",
-                        clock=master.clock,
-                        device=survivor,
-                        n_svms=len(indices),
-                        resident_bytes=extra,
-                        recovery=True,
-                    ) as recovery_span:
-                        if extra:
-                            pool.host_to_device(survivor, extra)
-                        restore_bytes = sum(
-                            snapshots[index].nbytes
-                            for index in indices
-                            if index in snapshots
-                        )
-                        if restore_bytes:
-                            pool.host_to_device(
-                                survivor, restore_bytes, category="checkpoint"
-                            )
-                        shared, shared_computer = _make_shared_store(
-                            config, master, kernel, data, classes, partition
-                        )
-                        recovered = [
-                            _make_pair_member(
-                                config,
-                                classes,
-                                index,
-                                problems[index],
-                                penalty,
-                                data,
-                                kernel,
-                                shared=shared,
-                                shared_computer=shared_computer,
-                                counters=master.counters,
-                            )
-                            for index in indices
-                        ]
-                        rate = injector.straggler_rate(survivor)
-                        if rate != 1.0:
-                            for member in recovered:
-                                member.engine.clock.rate = rate
-                        for member in recovered:
-                            snapshot = snapshots.get(member.index)
-                            if snapshot is not None:
-                                member.session.restore_state(
-                                    {
-                                        "alpha": snapshot.alpha,
-                                        "f": snapshot.f,
-                                        "rounds": snapshot.rounds,
-                                        "inner_total": snapshot.inner_total,
-                                        "ws_order": list(snapshot.ws_order),
-                                        "stalled": snapshot.stalled,
-                                        "converged": snapshot.converged,
-                                        "finished": snapshot.finished,
-                                    }
-                                )
-                        limits = _interleave_limits(
-                            config, stats["resident_bytes"] + extra
-                        )
-                        outcome = run_interleaved(
-                            recovered,
-                            limits,
-                            shared=shared,
-                            tracer=tracer,
-                            span_clock=master.clock,
-                        )
-                        max_concurrency = max(
-                            max_concurrency, outcome.max_concurrency
-                        )
-                        finalize_clock = SimClock()
-                        for member in recovered:
-                            finals[member.index] = _finalize_member(
-                                config,
-                                classes,
-                                member,
-                                data,
-                                kernel,
-                                penalty,
-                                tracer,
-                            )
-                            finalize_clock.merge(finals[member.index][3])
-                            stats["iterations"] += member.result.iterations
-                            stats["kernel_rows"] += (
-                                member.result.kernel_rows_computed
-                            )
-                            owner[member.index] = survivor
-                        member_clocks[survivor].merge(outcome.timeline)
-                        member_clocks[survivor].merge(finalize_clock)
-                        stats["resident_bytes"] += extra
-                        stats["max_concurrency"] = max(
-                            int(stats["max_concurrency"]),
-                            outcome.max_concurrency,
-                        )
-                        if stats["wave_trace"] is None:
-                            stats["wave_trace"] = list(outcome.wave_trace)
-                        else:
-                            stats["wave_trace"].extend(outcome.wave_trace)
-                        recovery_span.set(
-                            simulated_seconds=(
-                                master.clock.elapsed_s
-                                + member_clocks[survivor].elapsed_s
-                            ),
-                            iterations=stats["iterations"],
-                        )
-                    if tracer is not None:
-                        tracer.bind_clock(None)
-            recovery = {
-                "devices_lost": {
-                    int(device): float(lost_devices[device])
-                    for device in sorted(lost_devices)
-                },
-                "survivors": [int(d) for d in survivors],
-                "recovered_problems": len(lost_indices),
-                "resumed_from_checkpoint": sum(
-                    1 for index in lost_indices if index in snapshots
-                ),
+                "max_concurrency": outcome.max_concurrency,
+                "iterations": stats["iterations"],
             }
+
+        waves = run_device_waves(
+            pool,
+            groups,
+            config=config,
+            build=build,
+            regroup=regroup,
+            on_done=on_done,
+            span_name="cluster_wave",
+            recovery_span_name="fault_recovery",
+            count_key="n_svms",
+            store=store,
+            checkpoint_every=checkpoint_every,
+        )
+        lost_devices = waves.lost
 
         # --------------------------------------------------------------
         # Cross-device SV merge: gather every shard's binary models to
@@ -826,7 +500,7 @@ def train_multiclass_sharded(
                     ),
                     "transfer_bytes": pool.device_transfer_bytes(device),
                     "max_concurrency": int(stats["max_concurrency"]),
-                    "lost": bool(stats["lost"]),
+                    "lost": device in lost_devices,
                     "wave_trace": stats["wave_trace"],
                 }
             )
@@ -848,14 +522,6 @@ def train_multiclass_sharded(
                 "placement": placement,
             },
         )
-
-        faults: dict = {}
-        if injector is not None:
-            faults = injector.summary()
-            faults["checkpoints_written"] = store.n_written if store else 0
-            faults["recovery"] = recovery
-        elif store is not None and store.n_written:
-            faults = {"checkpoints_written": store.n_written}
 
         combined = SimClock()
         counters = OpCounters()
@@ -881,14 +547,18 @@ def train_multiclass_sharded(
             kernel_rows_computed=sum(
                 stats["kernel_rows"] for stats in device_stats
             ),
-            max_concurrency=max_concurrency,
+            max_concurrency=max(
+                int(stats["max_concurrency"]) for stats in device_stats
+            ),
             cluster_speedup=(busy_total / makespan if makespan > 0 else 1.0),
             transfer_bytes_total=pool.total_transfer_bytes,
             merge_bytes=merge_bytes,
             placement=placement_summary,
             per_device=per_device,
             per_svm=per_svm_stats,
-            faults=faults,
+            faults=fault_summary(
+                pool, store, waves.summary("recovered_problems")
+            ),
             cascade=cascade_entries,
             transfer_tier_bytes=dict(pool.tier_bytes),
         )

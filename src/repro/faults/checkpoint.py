@@ -73,6 +73,37 @@ class SessionSnapshot:
     converged: bool
     finished: bool
 
+    @classmethod
+    def capture(cls, index: int, session) -> "SessionSnapshot":
+        """Snapshot ``session`` (a ``BatchSMOSession``) under ``index``."""
+        state = session.snapshot_state()
+        return cls(
+            problem_index=index,
+            alpha=state["alpha"],
+            f=state["f"],
+            rounds=state["rounds"],
+            inner_total=state["inner_total"],
+            ws_order=tuple(state["ws_order"]),
+            stalled=state["stalled"],
+            converged=state["converged"],
+            finished=state["finished"],
+        )
+
+    def restore(self, session) -> None:
+        """Put ``session`` back into the captured state."""
+        session.restore_state(
+            {
+                "alpha": self.alpha,
+                "f": self.f,
+                "rounds": self.rounds,
+                "inner_total": self.inner_total,
+                "ws_order": list(self.ws_order),
+                "stalled": self.stalled,
+                "converged": self.converged,
+                "finished": self.finished,
+            }
+        )
+
     @property
     def n(self) -> int:
         """Instance count of the binary problem."""

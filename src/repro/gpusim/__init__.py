@@ -12,8 +12,8 @@ launch overhead, PCIe bandwidth).  The pieces:
 - :class:`OpCounters` — FLOPs, bytes moved, launches, PCIe traffic;
 - :class:`DeviceAllocator` — global-memory accounting with OOM;
 - :class:`Engine` — the op layer every solver charges through;
-- :class:`ConcurrentScheduler` — packs independent tasks onto the device
-  (the MP-SVM-level concurrency model).
+- :class:`WaveLimits` — the SM/memory/concurrency bounds of one concurrent
+  wave of binary SVMs (the MP-SVM-level concurrency model).
 """
 
 from repro.gpusim.clock import SimClock, TimeCharge
@@ -28,21 +28,19 @@ from repro.gpusim.device import (
 )
 from repro.gpusim.engine import CPUEngine, Engine, GPUEngine, make_engine
 from repro.gpusim.memory import DeviceAllocator, DeviceBuffer
-from repro.gpusim.scheduler import ConcurrentScheduler, ScheduledTask, TaskCost
+from repro.gpusim.scheduler import WaveLimits
 
 __all__ = [
     "CPUEngine",
-    "ConcurrentScheduler",
     "DeviceAllocator",
     "DeviceBuffer",
     "DeviceSpec",
     "Engine",
     "GPUEngine",
     "OpCounters",
-    "ScheduledTask",
     "SimClock",
-    "TaskCost",
     "TimeCharge",
+    "WaveLimits",
     "make_engine",
     "scaled_tesla_p100",
     "scaled_tesla_v100",

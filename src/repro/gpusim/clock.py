@@ -13,7 +13,8 @@ Each charge is split into two parts:
   bandwidth).  Throughput is a shared resource, so concurrent tasks' compute
   parts add up.
 
-The :class:`~repro.gpusim.scheduler.ConcurrentScheduler` consumes this split.
+The interleaved wave driver (:mod:`repro.core.interleave`) consumes this
+split.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class SimClock:
     def merge_scaled(self, other: "SimClock", factor: float) -> None:
         """Merge ``other`` with every charge multiplied by ``factor``.
 
-        Used by the scheduler to account concurrency: overlapped latency
+        Used by the wave driver to account concurrency: overlapped latency
         merges with a factor < 1.
         """
         if factor < 0:

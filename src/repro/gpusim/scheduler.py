@@ -1,4 +1,4 @@
-"""Concurrent-task scheduling on the simulated device.
+"""Wave packing rules for concurrent binary SVMs on one device.
 
 The MP-SVM level trains k(k-1)/2 independent binary SVMs.  Running them
 one at a time leaves the device idle during every kernel-launch gap; running
@@ -6,47 +6,25 @@ too many at once exceeds device memory (the paper's challenge (ii)).  The
 paper's resolution is to cap each SVM's streaming-multiprocessor footprint
 so several fit, and to bound concurrency by memory.
 
-This module models that with a wave-based schedule:
-
-- Tasks declare their serial cost split into *latency* (launch-overhead
-  chains, overlappable across tasks) and *compute* (throughput-bound work,
-  a shared resource), plus their device-memory footprint and SM-block count.
-- Tasks are packed into waves subject to memory capacity, SM capacity and
-  an optional concurrency cap.
-- A wave's makespan is ``max(max_i(latency_i + compute_i), sum_i compute_i)``:
-  each task still pays its own serial chain, the device throughput bounds
-  the total, and launch gaps are hidden by other tasks' kernels.  With a
-  single task per wave this degrades exactly to serial execution.
+:class:`WaveLimits` holds those bounds: SM capacity, a device-memory budget
+and an optional concurrency cap.  The interleaved wave driver
+(:mod:`repro.core.interleave`) admits solvers into each lockstep wave under
+them and reads the wave's makespan off the rounds that actually ran.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.exceptions import ValidationError
-from repro.gpusim.clock import SimClock
-from repro.gpusim.device import DeviceSpec
-from repro.telemetry.tracer import Tracer, maybe_span
 
-__all__ = [
-    "TaskCost",
-    "ScheduledTask",
-    "SchedulePlan",
-    "Wave",
-    "WaveLimits",
-    "ConcurrentScheduler",
-]
+__all__ = ["WaveLimits"]
 
 
 @dataclass(frozen=True)
 class WaveLimits:
-    """The packing rules bounding one concurrent wave.
-
-    Shared by the post-hoc :class:`ConcurrentScheduler` and the
-    execution-level interleaved driver (:mod:`repro.core.interleave`) so
-    both enforce identical SM/memory/concurrency bounds.
-    """
+    """The packing rules bounding one concurrent wave."""
 
     num_sms: int
     mem_budget_bytes: int
@@ -60,16 +38,8 @@ class WaveLimits:
         if self.max_concurrent is not None and self.max_concurrent < 1:
             raise ValidationError("max_concurrent must be >= 1")
 
-    def validate_task(
-        self, name: str, *, blocks: int, mem_bytes: int
-    ) -> None:
-        """Reject a task that cannot run on this device even alone.
-
-        A task whose SM-block count or memory footprint exceeds the device
-        capacity would previously underpack silently (a solo wave whose
-        simulated memory use exceeded the ledger).  Raise up front, naming
-        the task, so misconfigured footprints are diagnosable.
-        """
+    def validate_task(self, name: str, *, blocks: int, mem_bytes: int) -> None:
+        """Reject, by name, a task that cannot run on this device even alone."""
         if blocks > self.num_sms:
             raise ValidationError(
                 f"task {name!r} needs {blocks} SM blocks but the device "
@@ -105,208 +75,3 @@ class WaveLimits:
         if mem_bytes + task_mem_bytes > self.mem_budget_bytes:
             return False
         return True
-
-
-@dataclass(frozen=True)
-class TaskCost:
-    """Serial resource demands of one independent task."""
-
-    latency_s: float
-    compute_s: float
-    mem_bytes: int = 0
-    blocks: int = 1
-
-    def __post_init__(self) -> None:
-        if self.latency_s < 0 or self.compute_s < 0:
-            raise ValidationError("task times must be non-negative")
-        if self.mem_bytes < 0:
-            raise ValidationError("mem_bytes must be non-negative")
-        if self.blocks < 1:
-            raise ValidationError("blocks must be >= 1")
-
-    @property
-    def serial_s(self) -> float:
-        """Wall time of this task when run alone."""
-        return self.latency_s + self.compute_s
-
-
-@dataclass
-class ScheduledTask:
-    """A task submitted to the scheduler.
-
-    ``clock`` optionally carries the task's per-category breakdown so the
-    plan can produce an aggregate breakdown consistent with the makespan.
-    """
-
-    name: str
-    cost: TaskCost
-    clock: Optional[SimClock] = None
-
-    @classmethod
-    def from_clock(
-        cls,
-        name: str,
-        clock: SimClock,
-        *,
-        mem_bytes: int = 0,
-        blocks: int = 1,
-    ) -> "ScheduledTask":
-        """Build a task whose cost is exactly what a solver's clock recorded."""
-        cost = TaskCost(
-            latency_s=clock.latency_s,
-            compute_s=clock.compute_s,
-            mem_bytes=mem_bytes,
-            blocks=blocks,
-        )
-        return cls(name=name, cost=cost, clock=clock)
-
-
-@dataclass
-class Wave:
-    """One group of tasks executed concurrently."""
-
-    tasks: list[ScheduledTask] = field(default_factory=list)
-
-    @property
-    def mem_bytes(self) -> int:
-        """Device memory the wave keeps resident."""
-        return sum(t.cost.mem_bytes for t in self.tasks)
-
-    @property
-    def blocks(self) -> int:
-        """SM blocks the wave occupies."""
-        return sum(t.cost.blocks for t in self.tasks)
-
-    @property
-    def makespan_s(self) -> float:
-        """Concurrent wall time of the wave (see the module docstring)."""
-        if not self.tasks:
-            return 0.0
-        longest_chain = max(t.cost.serial_s for t in self.tasks)
-        total_compute = sum(t.cost.compute_s for t in self.tasks)
-        return max(longest_chain, total_compute)
-
-
-@dataclass
-class SchedulePlan:
-    """The scheduler's output: waves plus derived totals."""
-
-    waves: list[Wave]
-
-    @property
-    def makespan_s(self) -> float:
-        """Total wall time: waves execute back to back."""
-        return sum(wave.makespan_s for wave in self.waves)
-
-    @property
-    def serial_s(self) -> float:
-        """Wall time had every task run one after another."""
-        return sum(t.cost.serial_s for wave in self.waves for t in wave.tasks)
-
-    @property
-    def speedup(self) -> float:
-        """Serial time over concurrent makespan (>= 1 up to rounding)."""
-        makespan = self.makespan_s
-        return self.serial_s / makespan if makespan > 0 else 1.0
-
-    @property
-    def max_concurrency(self) -> int:
-        """Largest number of tasks co-resident in one wave."""
-        return max((len(wave.tasks) for wave in self.waves), default=0)
-
-    def aggregate_clock(self) -> SimClock:
-        """Per-category breakdown rescaled so its total equals the makespan.
-
-        Category *fractions* are those of the summed task clocks; the
-        overall magnitude reflects the concurrent schedule.  Tasks without
-        clocks contribute only to the magnitude correction.
-        """
-        combined = SimClock()
-        for wave in self.waves:
-            for task in wave.tasks:
-                if task.clock is not None:
-                    combined.merge(task.clock)
-        total = combined.elapsed_s
-        result = SimClock()
-        if total > 0:
-            result.merge_scaled(combined, self.makespan_s / total)
-        return result
-
-
-class ConcurrentScheduler:
-    """Packs independent tasks into concurrent waves on one device."""
-
-    def __init__(
-        self,
-        device: DeviceSpec,
-        *,
-        max_concurrent: Optional[int] = None,
-        mem_budget_bytes: Optional[int] = None,
-    ) -> None:
-        self.device = device
-        budget = (
-            mem_budget_bytes
-            if mem_budget_bytes is not None
-            else device.global_mem_bytes
-        )
-        self.limits = WaveLimits(
-            num_sms=device.num_sms,
-            mem_budget_bytes=int(budget),
-            max_concurrent=max_concurrent,
-        )
-        self.max_concurrent = max_concurrent
-        self.mem_budget_bytes = self.limits.mem_budget_bytes
-
-    def plan(
-        self,
-        tasks: Sequence[ScheduledTask],
-        *,
-        tracer: Optional[Tracer] = None,
-    ) -> SchedulePlan:
-        """First-fit-decreasing packing by serial time.
-
-        Every task is validated against the device capacity first: a task
-        whose SM-block count or memory footprint exceeds what the device
-        can hold even alone raises :class:`ValidationError` naming the
-        task (it used to underpack silently as a solo wave).
-
-        With ``tracer`` set, the packing is recorded as a
-        ``scheduler.plan`` span carrying wave count, concurrency and
-        speedup attributes.
-        """
-        with maybe_span(tracer, "scheduler.plan", n_tasks=len(tasks)) as span:
-            for task in tasks:
-                self.limits.validate_task(
-                    task.name,
-                    blocks=task.cost.blocks,
-                    mem_bytes=task.cost.mem_bytes,
-                )
-            pending = sorted(tasks, key=lambda t: t.cost.serial_s, reverse=True)
-            waves: list[Wave] = []
-            for task in pending:
-                placed = False
-                for wave in waves:
-                    if self._fits(wave, task):
-                        wave.tasks.append(task)
-                        placed = True
-                        break
-                if not placed:
-                    waves.append(Wave(tasks=[task]))
-            plan = SchedulePlan(waves=waves)
-            span.set(
-                waves=len(plan.waves),
-                max_concurrency=plan.max_concurrency,
-                speedup=plan.speedup,
-                makespan_s=plan.makespan_s,
-                serial_s=plan.serial_s,
-            )
-            return plan
-
-    def _fits(self, wave: Wave, task: ScheduledTask) -> bool:
-        return self.limits.admits(
-            count=len(wave.tasks),
-            blocks=wave.blocks,
-            mem_bytes=wave.mem_bytes,
-            task_blocks=task.cost.blocks,
-            task_mem_bytes=task.cost.mem_bytes,
-        )

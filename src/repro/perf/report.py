@@ -43,8 +43,8 @@ class TrainingReport:
     peak_task_memory_bytes: int = 0
     per_svm: list[dict] = field(default_factory=list)
     # Where the concurrency numbers came from: "wave_trace" (measured by
-    # the interleaved driver's executed waves), "posthoc" (repacked serial
-    # clocks via ConcurrentScheduler.plan) or "serial" (no concurrency).
+    # the interleaved driver's executed waves) or "serial" (no concurrency:
+    # concurrent=False, the classic solver, or a single pair).
     schedule_source: str = "serial"
     # Per-wave execution record from the interleaved driver (None for the
     # other schedule sources).

@@ -6,15 +6,12 @@
 - :mod:`repro.probability.pairwise` — Wu-Lin-Weng pairwise coupling
   (Problem 14 / Eq. 15) solved by Gaussian elimination, plus LibSVM's
   iterative method as a cross-check.
-- :mod:`repro.probability.linalg` — the from-scratch dense linear-algebra
-  kernels (Gaussian elimination with partial pivoting, scalar and batched)
-  the coupling uses.
+- :mod:`repro.probability.linalg` — the scalar Gaussian elimination with
+  partial pivoting; the batched solve the coupling uses is a compute-backend
+  primitive (:mod:`repro.backends`).
 """
 
-from repro.probability.linalg import (
-    gaussian_elimination,
-    gaussian_elimination_batch,
-)
+from repro.probability.linalg import gaussian_elimination
 from repro.probability.pairwise import (
     couple_batch,
     couple_probabilities,
@@ -28,7 +25,6 @@ __all__ = [
     "couple_probabilities",
     "fit_sigmoid",
     "gaussian_elimination",
-    "gaussian_elimination_batch",
     "pairwise_matrix_from_estimates",
     "sigmoid_predict",
 ]

@@ -4,46 +4,12 @@ The partial-pivot Gaussian elimination this module used to implement is
 now a compute-backend primitive — the batched solve is dispatched through
 :meth:`repro.backends.ComputeBackend.gaussian_elimination_batch`, and the
 float64 reference implementation lives in
-:mod:`repro.backends.reference`.  The old entry points here keep working:
-:func:`gaussian_elimination` is a plain alias (it remains the documented
-scalar solve), while :func:`gaussian_elimination_batch` is a deprecation
-shim pointing callers at the backend API.
+:mod:`repro.backends.reference`.  :func:`gaussian_elimination` stays here
+as a plain alias: it remains the documented scalar solve.
 """
 
 from __future__ import annotations
 
-import warnings
-
-import numpy as np
-
 from repro.backends.reference import gaussian_elimination
 
-__all__ = ["gaussian_elimination", "gaussian_elimination_batch"]
-
-
-def gaussian_elimination_batch(
-    matrices: np.ndarray,
-    rhs: np.ndarray,
-    *,
-    pivot_tolerance: float = 1e-12,
-    on_singular: str = "raise",
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Deprecated alias for the backend batched-elimination primitive.
-
-    Delegates to :func:`repro.backends.reference.gaussian_elimination_batch`
-    (same bits, same errors); call it there — or through a
-    :class:`~repro.backends.ComputeBackend` — instead.  This alias will be
-    removed in a future release.
-    """
-    warnings.warn(
-        "repro.probability.linalg.gaussian_elimination_batch moved to "
-        "repro.backends (repro.backends.gaussian_elimination_batch, or use "
-        "a ComputeBackend); this alias will be removed in a future release",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.backends.reference import gaussian_elimination_batch as _impl
-
-    return _impl(
-        matrices, rhs, pivot_tolerance=pivot_tolerance, on_singular=on_singular
-    )
+__all__ = ["gaussian_elimination"]

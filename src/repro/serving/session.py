@@ -27,7 +27,7 @@ Every serve call then runs only the per-request math, through exactly the
 same numeric tail as the one-shot path
 (:func:`~repro.core.predictor.probabilities_from_decisions`), which —
 together with the fixed-shape tiled products underneath
-(``repro.sparse.ops.MATMUL_TILE_ROWS``) — keeps session outputs bitwise
+(``repro.backends.reference.MATMUL_TILE_ROWS``) — keeps session outputs bitwise
 identical to one-shot predictions, batch composition notwithstanding.
 """
 

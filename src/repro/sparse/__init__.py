@@ -11,7 +11,6 @@ from repro.sparse.csr import CSRMatrix
 from repro.sparse.io import dump_libsvm, load_libsvm
 from repro.sparse.ops import (
     as_supported_matrix,
-    matmul_transpose,
     matrix_nbytes,
     n_cols,
     n_rows,
@@ -25,7 +24,6 @@ __all__ = [
     "as_supported_matrix",
     "dump_libsvm",
     "load_libsvm",
-    "matmul_transpose",
     "matrix_nbytes",
     "n_cols",
     "n_rows",

@@ -8,7 +8,6 @@ themselves.
 
 from __future__ import annotations
 
-import warnings
 from typing import Union
 
 import numpy as np
@@ -22,7 +21,6 @@ __all__ = [
     "MatrixLike",
     "as_supported_matrix",
     "is_sparse",
-    "matmul_transpose",
     "matrix_nbytes",
     "n_cols",
     "n_rows",
@@ -93,30 +91,3 @@ def row_norms_sq(matrix: MatrixLike) -> np.ndarray:
     if isinstance(matrix, CSRMatrix):
         return matrix.row_norms_sq()
     return np.einsum("ij,ij->i", matrix, matrix)
-
-
-# Mirrors of repro.backends.reference.MATMUL_TILE_ROWS/COLS, kept here for
-# importers of the old location.  Literal copies rather than re-imports:
-# repro.backends loads repro.core.validation, which loads this module, so a
-# module-level import of the backends package from here would cycle.
-MATMUL_TILE_ROWS = 256
-MATMUL_TILE_COLS = 256
-
-
-def matmul_transpose(a: MatrixLike, b: MatrixLike) -> np.ndarray:
-    """Deprecated alias for :func:`repro.backends.reference.matmul_transpose`.
-
-    The implementation moved to :mod:`repro.backends` when the compute
-    backends were introduced; this shim delegates (same bits, same errors)
-    and will be removed in a future release.
-    """
-    warnings.warn(
-        "repro.sparse.ops.matmul_transpose moved to repro.backends "
-        "(repro.backends.matmul_transpose, or use a ComputeBackend); "
-        "this alias will be removed in a future release",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.backends.reference import matmul_transpose as _impl
-
-    return _impl(a, b)

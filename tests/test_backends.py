@@ -343,35 +343,6 @@ class TestCostModelScaling:
         assert e32.counters.pcie_bytes == self.CHARGE["pcie_bytes"]
 
 
-class TestDeprecationShims:
-    def test_sparse_ops_matmul_transpose_shim(self):
-        a, b = _random_operands(seed=6)
-        with pytest.warns(DeprecationWarning, match="repro.backends"):
-            got = mops.matmul_transpose(a, b)
-        assert np.array_equal(got, reference.matmul_transpose(a, b))
-
-    def test_linalg_elimination_shim(self):
-        from repro.probability import linalg
-
-        matrices, rhs = _random_systems(seed=7)
-        with pytest.warns(DeprecationWarning, match="repro.backends"):
-            got = linalg.gaussian_elimination_batch(matrices, rhs)
-        assert np.array_equal(
-            got, reference.gaussian_elimination_batch(matrices, rhs)
-        )
-
-    def test_shims_forward_keyword_arguments(self):
-        from repro.probability import linalg
-
-        matrices, rhs = _random_systems(seed=8, batch=3)
-        matrices[2] = 0.0
-        with pytest.warns(DeprecationWarning):
-            solved, singular = linalg.gaussian_elimination_batch(
-                matrices, rhs, on_singular="mask"
-            )
-        assert list(singular) == [False, False, True]
-
-
 class TestPersistenceBackendHeader:
     def _save_text(self, model):
         buffer = io.StringIO()

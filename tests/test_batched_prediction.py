@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.backends import gaussian_elimination_batch
 from repro.core import predictor as predictor_mod
 from repro.core.predictor import PredictorConfig, _resolve_batch
 from repro.exceptions import ConvergenceWarning, SolverError, ValidationError
@@ -24,7 +25,6 @@ from repro.probability import (
     couple_probabilities,
     fit_sigmoid,
     gaussian_elimination,
-    gaussian_elimination_batch,
     pairwise_matrix_from_estimates,
     sigmoid_predict,
 )

@@ -449,13 +449,12 @@ class TestMulticlassRouting:
 
     def test_sharded_trainer_reports_cascade(self, workload):
         x, y, kernel = workload
-        config = _config()
+        config = _config(cascade=CascadeConfig(n_shards=4, threshold=150))
         cluster = ClusterSpec(
             device=config.device, n_devices=4, n_nodes=2
         )
         model, report = train_multiclass_sharded(
-            config, cluster, x, y, kernel, 1.0,
-            cascade=CascadeConfig(n_shards=4, threshold=150),
+            config, cluster, x, y, kernel, 1.0
         )
         assert len(report.cascade) == 3
         for entry in report.cascade:
@@ -467,14 +466,38 @@ class TestMulticlassRouting:
         payload = json.loads(report.to_json())
         assert payload["cascade"][0]["report"]["kind"] == "cascade_report"
 
+    def test_cascade_pair_seconds_match_across_trainers(self, workload):
+        # A routed pair's per-SVM time is its busy time summed over the
+        # devices (shards, merges, feedback, finalize) on both trainers,
+        # not just the finalize charge.
+        x, y, kernel = workload
+        config = _config(cascade=CascadeConfig(n_shards=4, threshold=150))
+        _, single = train_multiclass(config, x, y, kernel, 1.0)
+        _, sharded = train_multiclass_sharded(
+            config, ClusterSpec(device=config.device, n_devices=1),
+            x, y, kernel, 1.0,
+        )
+        assert len(single.per_svm) == len(sharded.per_svm) == 3
+        for a, b in zip(single.per_svm, sharded.per_svm):
+            assert set(a) == set(b)
+            assert "cascade" in a
+            assert b["simulated_seconds"] == pytest.approx(
+                a["simulated_seconds"], rel=1e-12
+            )
+        # The pairs train one after another on the only device, so their
+        # busy times account for the whole cascade timeline.
+        assert sum(s["simulated_seconds"] for s in sharded.per_svm) <= (
+            sharded.simulated_seconds
+        )
+
     def test_sharded_no_route_stays_bitwise(self, workload):
         x, y, kernel = workload
         config = _config()
         single_model, _ = train_multiclass(config, x, y, kernel, 1.0)
         cluster = ClusterSpec(device=config.device, n_devices=2)
         sharded_model, report = train_multiclass_sharded(
-            config, cluster, x, y, kernel, 1.0,
-            cascade=CascadeConfig(n_shards=4, threshold=100_000),
+            _config(cascade=CascadeConfig(n_shards=4, threshold=100_000)),
+            cluster, x, y, kernel, 1.0,
         )
         assert report.cascade == []
         for a, b in zip(single_model.records, sharded_model.records):
@@ -489,8 +512,8 @@ class TestMulticlassRouting:
         cluster = ClusterSpec(device=config.device, n_devices=2)
         with pytest.raises(ValidationError, match="train_cascade"):
             train_multiclass_sharded(
-                config, cluster, x, y, kernel, 1.0,
-                cascade=CascadeConfig(n_shards=2, threshold=100),
+                _config(cascade=CascadeConfig(n_shards=2, threshold=100)),
+                cluster, x, y, kernel, 1.0,
                 fault_plan=FaultPlan(
                     losses=[DeviceLoss(device=1, at_s=0.0)]
                 ),

@@ -1,172 +1,199 @@
-"""Unit tests for the concurrency scheduler."""
+"""Wave packing rules and the overlap law of one concurrent wave.
 
+:class:`~repro.gpusim.scheduler.WaveLimits` bounds which binary SVMs
+share a wave; the interleaved wave driver
+(:func:`~repro.core.interleave.run_interleaved`) executes the waves and
+charges each one ``max(max_i(latency_i + compute_i), sum_i compute_i)``.
+The driver tests below step scripted stub sessions, so every member's
+round costs are exact, known time charges.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
+from repro.core.interleave import PairMember, run_interleaved
 from repro.exceptions import ValidationError
-from repro.gpusim import (
-    ConcurrentScheduler,
-    ScheduledTask,
-    SimClock,
-    TaskCost,
-    TimeCharge,
-    scaled_tesla_p100,
-)
+from repro.gpusim import SimClock, TimeCharge, WaveLimits, scaled_tesla_p100
 
 
-def task(name, latency=0.0, compute=0.0, mem=0, blocks=1):
-    return ScheduledTask(name, TaskCost(latency, compute, mem, blocks))
+class _ScriptedSession:
+    """A resumable session whose rounds charge scripted times."""
+
+    def __init__(self, clock, rounds):
+        self._clock = clock
+        self._rounds = list(rounds)
+
+    def begin_round(self):
+        if not self._rounds:
+            return None
+        return SimpleNamespace(missing=np.empty(0, dtype=np.int64))
+
+    def complete_round(self):
+        for category, charge in self._rounds.pop(0).items():
+            self._clock.charge(category, charge)
+
+    def finish(self):
+        return "done"
 
 
-class TestTaskCost:
-    def test_serial_time(self):
-        assert TaskCost(1.0, 2.0).serial_s == 3.0
+def member(index, latency=0.0, compute=0.0, *, mem=0, blocks=1, rounds=None):
+    """One wave member; by default a single round of ``(latency, compute)``."""
+    clock = SimClock()
+    if rounds is None:
+        rounds = [{"round": TimeCharge(latency, compute)}]
+    return PairMember(
+        index=index,
+        problem=SimpleNamespace(s=index, t=index),
+        engine=SimpleNamespace(clock=clock),
+        session=_ScriptedSession(clock, rounds),
+        mem_bytes=mem,
+        blocks=blocks,
+    )
 
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            TaskCost(-1.0, 0.0)
-        with pytest.raises(ValidationError):
-            TaskCost(0.0, 0.0, mem_bytes=-1)
-        with pytest.raises(ValidationError):
-            TaskCost(0.0, 0.0, blocks=0)
 
-    def test_from_clock(self):
-        clock = SimClock()
-        clock.charge("a", TimeCharge(1.0, 2.0))
-        scheduled = ScheduledTask.from_clock("t", clock, mem_bytes=10, blocks=2)
-        assert scheduled.cost.latency_s == 1.0
-        assert scheduled.cost.compute_s == 2.0
-        assert scheduled.cost.mem_bytes == 10
+def limits(*, mem_budget_bytes=None, max_concurrent=None, num_sms=None):
+    device = scaled_tesla_p100()
+    return WaveLimits(
+        num_sms=num_sms if num_sms is not None else device.num_sms,
+        mem_budget_bytes=(
+            mem_budget_bytes
+            if mem_budget_bytes is not None
+            else device.global_mem_bytes
+        ),
+        max_concurrent=max_concurrent,
+    )
 
 
 class TestWaveMakespan:
     def test_single_task_is_serial(self):
-        scheduler = ConcurrentScheduler(scaled_tesla_p100())
-        plan = scheduler.plan([task("a", latency=1.0, compute=0.5)])
-        assert plan.makespan_s == pytest.approx(1.5)
-        assert plan.speedup == pytest.approx(1.0)
+        outcome = run_interleaved([member(0, latency=1.0, compute=0.5)], limits())
+        assert outcome.concurrent_seconds == pytest.approx(1.5)
+        assert outcome.concurrency_speedup == pytest.approx(1.0)
 
     def test_latency_bound_tasks_overlap(self):
-        scheduler = ConcurrentScheduler(scaled_tesla_p100())
-        tasks = [task(f"t{i}", latency=1.0, compute=0.01) for i in range(8)]
-        plan = scheduler.plan(tasks)
+        members = [member(i, latency=1.0, compute=0.01) for i in range(8)]
+        outcome = run_interleaved(members, limits())
         # Eight latency chains overlap: makespan ~ one chain, not eight.
-        assert plan.makespan_s < 1.5
-        assert plan.speedup > 5.0
+        assert outcome.concurrent_seconds < 1.5
+        assert outcome.concurrency_speedup > 5.0
 
     def test_compute_bound_tasks_do_not_overlap(self):
-        scheduler = ConcurrentScheduler(scaled_tesla_p100())
-        tasks = [task(f"t{i}", latency=0.0, compute=1.0) for i in range(4)]
-        plan = scheduler.plan(tasks)
+        members = [member(i, latency=0.0, compute=1.0) for i in range(4)]
+        outcome = run_interleaved(members, limits())
         # Throughput is shared: total compute cannot shrink.
-        assert plan.makespan_s == pytest.approx(4.0)
+        assert outcome.concurrent_seconds == pytest.approx(4.0)
 
     def test_mixed_wave(self):
-        scheduler = ConcurrentScheduler(scaled_tesla_p100())
-        tasks = [task("big", latency=2.0, compute=1.0), task("small", 0.1, 0.1)]
-        plan = scheduler.plan(tasks)
-        assert plan.makespan_s == pytest.approx(3.0)  # longest chain dominates
+        members = [member(0, latency=2.0, compute=1.0), member(1, 0.1, 0.1)]
+        outcome = run_interleaved(members, limits())
+        assert outcome.concurrent_seconds == pytest.approx(3.0)  # longest chain
 
     def test_zero_latency_tasks_serialise_on_compute(self):
-        # Pure-compute tasks have nothing to overlap: the wave makespan is
-        # exactly the compute sum and the speedup stays at 1.
-        scheduler = ConcurrentScheduler(scaled_tesla_p100())
-        tasks = [task(f"t{i}", latency=0.0, compute=0.25) for i in range(6)]
-        plan = scheduler.plan(tasks)
-        assert plan.makespan_s == pytest.approx(1.5)
-        assert plan.speedup == pytest.approx(1.0)
+        # Pure-compute members have nothing to overlap: the wave makespan
+        # is exactly the compute sum and the speedup stays at 1.
+        members = [member(i, latency=0.0, compute=0.25) for i in range(6)]
+        outcome = run_interleaved(members, limits())
+        assert outcome.concurrent_seconds == pytest.approx(1.5)
+        assert outcome.concurrency_speedup == pytest.approx(1.0)
 
     def test_single_task_waves_degrade_to_serial_makespan(self):
-        # With max_concurrent=1 every wave holds one task, so the plan's
+        # With max_concurrent=1 every wave holds one member, so the
         # makespan must equal the serial sum exactly.
-        scheduler = ConcurrentScheduler(scaled_tesla_p100(), max_concurrent=1)
-        tasks = [task(f"t{i}", latency=0.3, compute=0.7) for i in range(5)]
-        plan = scheduler.plan(tasks)
-        assert plan.max_concurrency == 1
-        assert plan.makespan_s == pytest.approx(plan.serial_s)
-        assert plan.speedup == pytest.approx(1.0)
+        members = [member(i, latency=0.3, compute=0.7) for i in range(5)]
+        outcome = run_interleaved(members, limits(max_concurrent=1))
+        assert outcome.max_concurrency == 1
+        assert outcome.concurrent_seconds == pytest.approx(outcome.serial_seconds)
+        assert outcome.concurrency_speedup == pytest.approx(1.0)
+
+    def test_each_round_is_its_own_wave(self):
+        # Two members of two rounds each: the overlap law applies per
+        # executed round, not to the members' whole serial clocks.
+        rounds_a = [{"round": TimeCharge(1.0, 0.0)}, {"round": TimeCharge(0.0, 1.0)}]
+        rounds_b = [{"round": TimeCharge(0.0, 1.0)}, {"round": TimeCharge(1.0, 0.0)}]
+        outcome = run_interleaved(
+            [member(0, rounds=rounds_a), member(1, rounds=rounds_b)], limits()
+        )
+        assert [w["concurrent_seconds"] for w in outcome.wave_trace] == [
+            1.0, 1.0, 0.0
+        ]
+        assert outcome.concurrent_seconds == pytest.approx(2.0)
+        assert outcome.serial_seconds == pytest.approx(4.0)
 
 
 class TestPackingConstraints:
     def test_memory_cap_forces_waves(self):
-        scheduler = ConcurrentScheduler(
-            scaled_tesla_p100(), mem_budget_bytes=100
-        )
-        tasks = [task(f"t{i}", latency=1.0, mem=60) for i in range(4)]
-        plan = scheduler.plan(tasks)
-        assert plan.max_concurrency == 1
-        assert len(plan.waves) == 4
+        members = [member(i, latency=1.0, mem=60) for i in range(4)]
+        outcome = run_interleaved(members, limits(mem_budget_bytes=100))
+        assert outcome.max_concurrency == 1
+        assert all(wave["n_members"] == 1 for wave in outcome.wave_trace)
 
     def test_sm_cap_forces_waves(self):
-        device = scaled_tesla_p100()  # 56 SMs
-        scheduler = ConcurrentScheduler(device)
-        tasks = [task(f"t{i}", latency=1.0, blocks=28) for i in range(4)]
-        plan = scheduler.plan(tasks)
-        assert plan.max_concurrency == 2
+        members = [member(i, latency=1.0, blocks=28) for i in range(4)]  # 56 SMs
+        outcome = run_interleaved(members, limits())
+        assert outcome.max_concurrency == 2
 
     def test_max_concurrent_cap(self):
-        scheduler = ConcurrentScheduler(scaled_tesla_p100(), max_concurrent=3)
-        tasks = [task(f"t{i}", latency=1.0) for i in range(7)]
-        plan = scheduler.plan(tasks)
-        assert plan.max_concurrency == 3
+        members = [member(i, latency=1.0) for i in range(7)]
+        outcome = run_interleaved(members, limits(max_concurrent=3))
+        assert outcome.max_concurrency == 3
 
     def test_oversized_memory_task_is_rejected_by_name(self):
-        scheduler = ConcurrentScheduler(scaled_tesla_p100(), mem_budget_bytes=10)
-        with pytest.raises(ValidationError, match="huge"):
-            scheduler.plan([task("huge", latency=1.0, mem=1000)])
+        with pytest.raises(ValidationError, match="svm_9_9"):
+            run_interleaved(
+                [member(9, latency=1.0, mem=1000)], limits(mem_budget_bytes=10)
+            )
 
     def test_oversized_block_task_is_rejected_by_name(self):
-        device = scaled_tesla_p100()  # 56 SMs
-        scheduler = ConcurrentScheduler(device)
-        with pytest.raises(ValidationError, match="wide"):
-            scheduler.plan([task("wide", latency=1.0, blocks=device.num_sms + 1)])
+        device = scaled_tesla_p100()
+        with pytest.raises(ValidationError, match="svm_4_4"):
+            run_interleaved(
+                [member(4, latency=1.0, blocks=device.num_sms + 1)], limits()
+            )
 
     def test_task_exactly_at_capacity_is_admitted(self):
         device = scaled_tesla_p100()
-        scheduler = ConcurrentScheduler(device, mem_budget_bytes=1000)
-        plan = scheduler.plan(
-            [task("full", latency=1.0, mem=1000, blocks=device.num_sms)]
-        )
-        assert len(plan.waves) == 1
-        assert plan.makespan_s == pytest.approx(1.0)
+        full = member(0, latency=1.0, mem=1000, blocks=device.num_sms)
+        outcome = run_interleaved([full], limits(mem_budget_bytes=1000))
+        assert outcome.max_concurrency == 1
+        assert outcome.concurrent_seconds == pytest.approx(1.0)
 
     def test_bad_parameters(self):
         with pytest.raises(ValidationError):
-            ConcurrentScheduler(scaled_tesla_p100(), max_concurrent=0)
+            limits(max_concurrent=0)
         with pytest.raises(ValidationError):
-            ConcurrentScheduler(scaled_tesla_p100(), mem_budget_bytes=0)
+            limits(mem_budget_bytes=0)
 
 
 class TestAggregateClock:
     def test_fractions_preserved_and_total_matches_makespan(self):
-        scheduler = ConcurrentScheduler(scaled_tesla_p100())
-        clocks = []
-        for i in range(3):
-            clock = SimClock()
-            clock.charge("kernel_values", TimeCharge(0.5, 0.25))
-            clock.charge("subproblem", TimeCharge(0.25, 0.0))
-            clocks.append(clock)
-        tasks = [
-            ScheduledTask.from_clock(f"t{i}", clock) for i, clock in enumerate(clocks)
+        rounds = [
+            {
+                "kernel_values": TimeCharge(0.5, 0.25),
+                "subproblem": TimeCharge(0.25, 0.0),
+            }
         ]
-        plan = scheduler.plan(tasks)
-        aggregate = plan.aggregate_clock()
-        assert aggregate.elapsed_s == pytest.approx(plan.makespan_s)
-        fractions = aggregate.fraction_breakdown()
+        members = [member(i, rounds=list(rounds)) for i in range(3)]
+        outcome = run_interleaved(members, limits())
+        assert outcome.timeline.elapsed_s == pytest.approx(
+            outcome.concurrent_seconds
+        )
+        fractions = outcome.timeline.fraction_breakdown()
         assert fractions["kernel_values"] == pytest.approx(0.75)
         assert fractions["subproblem"] == pytest.approx(0.25)
 
     def test_empty_plan(self):
-        plan = ConcurrentScheduler(scaled_tesla_p100()).plan([])
-        assert plan.makespan_s == 0.0
-        assert plan.aggregate_clock().elapsed_s == 0.0
+        outcome = run_interleaved([], limits())
+        assert outcome.concurrent_seconds == 0.0
+        assert outcome.timeline.elapsed_s == 0.0
+        assert outcome.wave_trace == []
 
 
 class TestWaveLimits:
-    """The packing rules shared by the post-hoc and interleaved drivers."""
+    """The packing rules the interleaved driver admits members under."""
 
     def _limits(self, **kwargs):
-        from repro.gpusim.scheduler import WaveLimits
-
         kwargs.setdefault("num_sms", 8)
         kwargs.setdefault("mem_budget_bytes", 1000)
         return WaveLimits(**kwargs)
@@ -224,9 +251,13 @@ class TestWaveLimits:
             self._limits(max_concurrent=0)
 
     def test_scheduler_exposes_its_limits(self):
-        scheduler = ConcurrentScheduler(
-            scaled_tesla_p100(), max_concurrent=3, mem_budget_bytes=500
-        )
-        assert scheduler.limits.max_concurrent == 3
-        assert scheduler.limits.mem_budget_bytes == 500
-        assert scheduler.limits.num_sms == scaled_tesla_p100().num_sms
+        # The trainer derives each device's wave limits from its config
+        # and the bytes the device already holds.
+        from repro.core.trainer import TrainerConfig, _interleave_limits
+
+        device = scaled_tesla_p100()
+        config = TrainerConfig(device=device, max_concurrent_svms=3)
+        limits = _interleave_limits(config, 500)
+        assert limits.max_concurrent == 3
+        assert limits.mem_budget_bytes == device.global_mem_bytes - 500
+        assert limits.num_sms == device.num_sms

@@ -37,7 +37,6 @@ def train(
     y,
     *,
     concurrent=True,
-    mode="interleaved",
     share=True,
     max_concurrent=None,
     probability=True,
@@ -47,7 +46,6 @@ def train(
         device=scaled_tesla_p100(),
         solver="batched",
         concurrent=concurrent,
-        concurrency_mode=mode,
         share_kernel_values=share,
         probability=probability,
         probability_cv_folds=cv_folds,
@@ -83,48 +81,42 @@ class TestBitwiseParity:
     @pytest.mark.parametrize("n_classes", [2, 3, 5, 10])
     def test_dense_parity_across_class_counts(self, n_classes):
         x, y = make_problem(n_classes, n_per_class=24)
-        model_i, _ = train(x, y, mode="interleaved")
+        model_i, _ = train(x, y)
         model_s, _ = train(x, y, concurrent=False)
         assert_models_bitwise_equal(model_i, model_s)
 
     @pytest.mark.parametrize("n_classes", [3, 5])
     def test_sparse_parity(self, n_classes):
         x, y = make_problem(n_classes, sparse=True)
-        model_i, _ = train(x, y, mode="interleaved")
+        model_i, _ = train(x, y)
         model_s, _ = train(x, y, concurrent=False)
         assert_models_bitwise_equal(model_i, model_s)
 
     @pytest.mark.parametrize("share", [True, False])
     def test_parity_with_and_without_sharing(self, share):
         x, y = make_problem(4)
-        model_i, report = train(x, y, mode="interleaved", share=share)
+        model_i, report = train(x, y, share=share)
         model_s, _ = train(x, y, concurrent=False, share=share)
         assert_models_bitwise_equal(model_i, model_s)
         assert report.schedule_source == "wave_trace"
 
-    def test_parity_against_posthoc_mode(self):
-        x, y = make_problem(3)
-        model_i, _ = train(x, y, mode="interleaved")
-        model_p, _ = train(x, y, mode="posthoc")
-        assert_models_bitwise_equal(model_i, model_p)
-
     def test_parity_under_concurrency_cap(self):
         x, y = make_problem(4)
-        model_i, report = train(x, y, mode="interleaved", max_concurrent=2)
+        model_i, report = train(x, y, max_concurrent=2)
         model_s, _ = train(x, y, concurrent=False)
         assert_models_bitwise_equal(model_i, model_s)
         assert report.max_concurrency <= 2
 
     def test_parity_with_cv_sigmoids(self):
         x, y = make_problem(3)
-        model_i, _ = train(x, y, mode="interleaved", cv_folds=3)
+        model_i, _ = train(x, y, cv_folds=3)
         model_s, _ = train(x, y, concurrent=False, cv_folds=3)
         assert_models_bitwise_equal(model_i, model_s)
 
     def test_sharing_stats_match_sequential(self):
         """Fused prefetching must not change the sharing economics."""
         x, y = make_problem(3)
-        _, report_i = train(x, y, mode="interleaved")
+        _, report_i = train(x, y)
         _, report_s = train(x, y, concurrent=False)
         assert report_i.sharing_hit_rate == report_s.sharing_hit_rate
         assert report_i.kernel_rows_computed == report_s.kernel_rows_computed
@@ -135,18 +127,35 @@ class TestWaveTrace:
 
     def test_schedule_source_labels(self):
         x, y = make_problem(3)
-        _, report_i = train(x, y, mode="interleaved")
-        _, report_p = train(x, y, mode="posthoc")
+        _, report_i = train(x, y)
         _, report_s = train(x, y, concurrent=False)
         assert report_i.schedule_source == "wave_trace"
-        assert report_p.schedule_source == "posthoc"
         assert report_s.schedule_source == "serial"
-        assert report_p.wave_trace is None
         assert report_s.wave_trace is None
+
+    def test_classic_solver_trains_serially(self):
+        # The classic solver has no resumable stepper to interleave, so
+        # a concurrent config still trains (and reports) serially.
+        x, y = make_problem(3)
+        config = TrainerConfig(
+            device=scaled_tesla_p100(),
+            solver="classic",
+            concurrent=True,
+            share_kernel_values=False,
+        )
+        kernel = kernel_from_name("gaussian", gamma=0.4)
+        _, report = train_multiclass(config, x, y, kernel, 10.0)
+        assert report.schedule_source == "serial"
+        assert report.max_concurrency == 1
+        assert report.concurrency_speedup == 1.0
+        assert report.simulated_seconds == pytest.approx(
+            sum(s["simulated_seconds"] for s in report.per_svm)
+            + report.breakdown().get("transfer", 0.0)
+        )
 
     def test_concurrency_numbers_derive_from_trace(self):
         x, y = make_problem(3)
-        _, report = train(x, y, mode="interleaved")
+        _, report = train(x, y)
         trace = report.wave_trace
         assert trace, "interleaved run must record its waves"
         assert report.max_concurrency == max(w["n_members"] for w in trace)
@@ -162,7 +171,7 @@ class TestWaveTrace:
 
     def test_waves_shrink_as_solvers_finish(self):
         x, y = make_problem(3)
-        _, report = train(x, y, mode="interleaved")
+        _, report = train(x, y)
         trace = report.wave_trace
         finished = [name for wave in trace for name in wave["finished"]]
         assert sorted(finished) == sorted(
@@ -172,18 +181,18 @@ class TestWaveTrace:
 
     def test_interleaving_reduces_simulated_time(self):
         x, y = make_problem(3)
-        _, report_i = train(x, y, mode="interleaved")
+        _, report_i = train(x, y)
         _, report_s = train(x, y, concurrent=False)
         assert report_i.simulated_seconds < report_s.simulated_seconds
 
     def test_fused_prefetch_appears_in_trace(self):
         x, y = make_problem(3)
-        _, report = train(x, y, mode="interleaved", share=True)
+        _, report = train(x, y, share=True)
         assert sum(w["prefetch_segments"] for w in report.wave_trace) > 0
 
     def test_report_dict_round_trips_trace(self):
         x, y = make_problem(3)
-        _, report = train(x, y, mode="interleaved")
+        _, report = train(x, y)
         snapshot = report.to_dict()
         assert snapshot["schedule_source"] == "wave_trace"
         assert snapshot["max_concurrency"] == report.max_concurrency
@@ -191,7 +200,7 @@ class TestWaveTrace:
 
     def test_single_pair_falls_back_to_serial(self):
         x, y = make_problem(2)
-        _, report = train(x, y, mode="interleaved")
+        _, report = train(x, y)
         assert report.schedule_source == "serial"
         assert report.max_concurrency == 1
 
@@ -206,7 +215,6 @@ class TestWaveTrace:
         config = TrainerConfig(
             device=scaled_tesla_p100(),
             solver="batched",
-            concurrency_mode="interleaved",
             probability=False,
             tracer=tracer,
         )
@@ -250,9 +258,12 @@ class TestConfigValidation:
             self._config(share_budget_bytes=0)
 
     def test_unknown_concurrency_mode_rejected(self):
-        with pytest.raises(ValidationError, match="concurrency_mode"):
-            self._config(concurrency_mode="speculative")
+        # Concurrency is always the executed wave schedule; the old
+        # concurrency_mode option is an unknown key like any other.
+        for mode in ("speculative", "posthoc", "interleaved"):
+            with pytest.raises(ValidationError, match="concurrency_mode"):
+                self._config(concurrency_mode=mode)
 
     def test_valid_configs_accepted(self):
         self._config(blocks_per_svm=1, max_concurrent_svms=1)
-        self._config(concurrency_mode="posthoc", share_budget_bytes=1 << 20)
+        self._config(concurrent=False, share_budget_bytes=1 << 20)

@@ -199,7 +199,6 @@ class TestSignatures:
             "fault_plan",
             "checkpoint_every",
             "checkpoint_dir",
-            "cascade",
         ]
 
     def test_cascade_surface(self):

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.backends import matmul_transpose
 from repro.exceptions import ValidationError
 from repro.sparse import (
     CSRMatrix,
     as_supported_matrix,
-    matmul_transpose,
     matrix_nbytes,
     n_cols,
     n_rows,

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.sparse import CSRMatrix, dump_libsvm, load_libsvm, matmul_transpose
+from repro.backends import matmul_transpose
+from repro.sparse import CSRMatrix, dump_libsvm, load_libsvm
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False, width=64
