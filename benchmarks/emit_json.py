@@ -240,9 +240,10 @@ def run_serving(m: int = 2000, max_batch: int = 32) -> dict[str, float]:
     Replays ``m`` single-instance probability requests two ways: cold —
     every request runs the full one-shot pipeline (fresh engine, pool
     norms, sigmoid stacking); warm — one sealed
-    :class:`~repro.serving.InferenceSession` behind a
-    :class:`~repro.serving.MicroBatcher` fusing up to ``max_batch``
-    requests per dispatch.  Both paths see the identical request stream
+    :class:`~repro.serving.InferenceSession` behind a one-lane
+    :class:`~repro.server.Dispatcher`: the first request dispatches
+    alone on the idle lane, and the rest, queued behind it, fuse up to
+    ``max_batch`` per dispatch.  Both paths see the identical request stream
     and the results are held to *bitwise* parity.  The simulated
     timings, latency percentiles, batch shape and the parity flag are
     deterministic and gated by the CI baseline; wall-clock throughput is
@@ -252,10 +253,11 @@ def run_serving(m: int = 2000, max_batch: int = 32) -> dict[str, float]:
 
     import numpy as np
 
-    from repro import GMPSVC, InferenceSession, MicroBatcher
+    from repro import GMPSVC, InferenceSession
     from repro.core.predictor import PredictorConfig, predict_proba_model
     from repro.data import gaussian_blobs
     from repro.gpusim import scaled_tesla_p100
+    from repro.server import AdmissionController, Dispatcher, TenantPolicy
 
     x, y = gaussian_blobs(n=300, n_features=8, n_classes=3, seed=11)
     with warnings.catch_warnings():
@@ -276,17 +278,26 @@ def run_serving(m: int = 2000, max_batch: int = 32) -> dict[str, float]:
     cold_wall = time.perf_counter() - start
     cold_result = np.vstack(cold_rows)
 
-    # Warm: seal once, micro-batch everything.
+    # Warm: seal once, micro-batch everything.  The same-instant replay
+    # gets an admission controller sized to it, so nothing sheds.
     session = InferenceSession(model, PredictorConfig(device=scaled_tesla_p100()))
-    batcher = MicroBatcher(session, max_batch=max_batch)
+    dispatcher = Dispatcher(
+        session,
+        n_workers=1,
+        max_batch=max_batch,
+        admission=AdmissionController(
+            default_policy=TenantPolicy(burst=m, max_queue=m),
+            max_queue_global=m,
+        ),
+    )
     start = time.perf_counter()
-    handles = [batcher.submit(row) for row in requests]
-    batcher.drain()
+    handles = [dispatcher.submit(row) for row in requests]
+    dispatcher.drain()
     warm_wall = time.perf_counter() - start
     warm_result = np.vstack([handle.result for handle in handles])
     warm_simulated = session.stats.serve_simulated_s
 
-    stats = batcher.stats
+    stats = dispatcher.stats
     return {
         "m": float(m),
         "max_batch": float(max_batch),
@@ -299,7 +310,7 @@ def run_serving(m: int = 2000, max_batch: int = 32) -> dict[str, float]:
         "warm_simulated_seconds": warm_simulated,
         "simulated_speedup": cold_simulated / warm_simulated,
         "seal_simulated_seconds": session.stats.seal_simulated_s,
-        "n_batches": float(stats.n_batches),
+        "n_batches": float(stats.n_dispatches),
         "mean_batch_size": stats.mean_batch_size,
         "latency_p50_simulated_s": stats.latency_percentile(50.0),
         "latency_p99_simulated_s": stats.latency_percentile(99.0),

@@ -4,16 +4,18 @@ A trained model answering single-instance requests one at a time pays
 the whole prediction pipeline — engine setup, pool norms, sigmoid
 stacking — per request.  The serving layer amortizes all of it:
 ``InferenceSession`` seals the fitted model into warm device state, and
-``MicroBatcher`` fuses queued requests into batched dispatches whose
-per-request results are *bitwise* what one-shot calls would return.
+``repro.server.Dispatcher`` fuses queued requests into batched
+dispatches whose per-request results are *bitwise* what one-shot calls
+would return.
 
 Run:  python examples/serving.py
 """
 
 import numpy as np
 
-from repro import GMPSVC, InferenceSession, MicroBatcher
+from repro import GMPSVC, InferenceSession
 from repro.data import gaussian_blobs, train_test_split
+from repro.server import AdmissionController, Dispatcher, TenantPolicy
 
 
 def main() -> None:
@@ -37,19 +39,29 @@ def main() -> None:
     print(f"session vs one-shot bitwise equal: "
           f"{np.array_equal(served, one_shot)}")
 
-    # Micro-batching: single-instance requests fused into one dispatch.
-    batcher = MicroBatcher(session, max_batch=32, max_wait_s=1e-5)
+    # Micro-batching: the first request takes the idle lane alone; the
+    # rest queue behind it and fuse up to max_batch per dispatch.  The
+    # admission controller lets all 64 same-instant requests in.
+    dispatcher = Dispatcher(
+        session,
+        n_workers=1,
+        max_batch=32,
+        admission=AdmissionController(
+            default_policy=TenantPolicy(burst=64, max_queue=64),
+            max_queue_global=64,
+        ),
+    )
     handles = [
-        batcher.submit(x_test[i : i + 1], kind="predict_proba")
+        dispatcher.submit(x_test[i : i + 1], kind="predict_proba")
         for i in range(64)
     ]
-    batcher.drain()
+    dispatcher.drain()
     fused = np.vstack([handle.result for handle in handles])
     print(f"micro-batched vs one-shot bitwise equal: "
           f"{np.array_equal(fused, one_shot[:64])}")
 
-    stats = batcher.stats
-    print(f"\nserved {stats.n_requests} requests in {stats.n_batches} "
+    stats = dispatcher.stats
+    print(f"\nserved {stats.n_admitted} requests in {stats.n_dispatches} "
           f"fused batches (mean {stats.mean_batch_size:.1f} req/batch)")
     print(f"simulated latency p50/p99: "
           f"{stats.latency_percentile(50.0) * 1e6:.3f} / "

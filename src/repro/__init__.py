@@ -17,9 +17,9 @@ Public entry points:
 - :class:`SVC` — the binary special case;
 - :class:`SVR` / :class:`OneClassSVM` — the regression and novelty-
   detection surfaces ThunderSVM (the paper's host project) also ships;
-- :class:`InferenceSession` / :class:`MicroBatcher` — the serving layer:
-  seal a fitted model once, serve micro-batched requests against the warm
-  state (DESIGN.md §11);
+- :class:`InferenceSession` — the serving layer: seal a fitted model
+  once, serve requests against the warm state; ``repro.server.Dispatcher``
+  micro-batches many small requests through it (DESIGN.md §11);
 - :class:`ClusterSpec` / :func:`train_multiclass_sharded` /
   :class:`ShardedInferenceRouter` — multi-device sharding over a simulated
   GPU cluster; models and probabilities stay bitwise identical to the
@@ -88,11 +88,11 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.model.persistence import load_model, save_model
 from repro.registry import ModelRegistry, RegistryWatcher
 from repro.server import ServerApp, TenantPolicy
-from repro.serving import InferenceSession, MicroBatcher
+from repro.serving import InferenceSession
 from repro.sparse import CSRMatrix, dump_libsvm, load_libsvm
 from repro.telemetry import Tracer
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "BackendSpec",
@@ -108,7 +108,6 @@ __all__ = [
     "FaultPlan",
     "GMPSVC",
     "InferenceSession",
-    "MicroBatcher",
     "ModelFormatError",
     "ModelRegistry",
     "NotFittedError",

@@ -17,9 +17,9 @@ span trace of the run (see :mod:`repro.telemetry`).
 
 ``repro-serve-bench`` exercises the serving layer: it seals the model
 into an :class:`~repro.serving.InferenceSession`, replays the test file
-as single-instance requests through a :class:`~repro.serving.MicroBatcher`
-and prints simulated throughput plus p50/p99 latency, next to the cold
-per-request baseline.
+as single-instance requests through a one-lane
+:class:`~repro.server.Dispatcher` and prints simulated throughput plus
+p50/p99 latency, next to the cold per-request baseline.
 
 ``repro-serve`` puts the same sealed session behind a real TCP socket
 (DESIGN.md §13): stdlib HTTP front-end with per-tenant admission
@@ -501,11 +501,9 @@ def _serve_bench_parser() -> argparse.ArgumentParser:
     parser.add_argument("--kind", default="predict_proba",
                         choices=("predict_proba", "predict",
                                  "decision_function"),
-                        help="request kind submitted to the batcher")
+                        help="request kind submitted to the dispatcher")
     parser.add_argument("--max-batch", type=int, default=64,
                         help="max requests fused per dispatch")
-    parser.add_argument("--max-wait", type=float, default=0.0, metavar="S",
-                        help="simulated seconds a batch waits for company")
     parser.add_argument("--arrival-gap", type=float, default=0.0, metavar="S",
                         help="simulated seconds between request arrivals")
     parser.add_argument("--tile-cache", type=int, default=0, metavar="N",
@@ -522,7 +520,8 @@ def serve_bench_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``repro-serve-bench``; returns a process exit code."""
     import json
 
-    from repro.serving import InferenceSession, MicroBatcher
+    from repro.server import AdmissionController, Dispatcher, TenantPolicy
+    from repro.serving import InferenceSession
 
     args = _serve_bench_parser().parse_args(argv)
     tracer = Tracer() if args.trace else None
@@ -554,31 +553,39 @@ def serve_bench_main(argv: Optional[Sequence[str]] = None) -> int:
             cold_s += report.simulated_seconds
         cold_s *= n_requests / probe
 
-        # Warm serving: sealed session + micro-batched dispatch.
+        # Warm serving: sealed session + micro-batched dispatch.  The
+        # admission controller is sized to the replay, so nothing sheds.
         session = InferenceSession(
             model,
             PredictorConfig(device=scaled_tesla_p100(), tracer=tracer),
             tile_cache_entries=args.tile_cache,
         )
-        batcher = MicroBatcher(
-            session, max_batch=args.max_batch, max_wait_s=args.max_wait
+        dispatcher = Dispatcher(
+            session,
+            n_workers=1,
+            max_batch=args.max_batch,
+            admission=AdmissionController(
+                default_policy=TenantPolicy(burst=n_requests, max_queue=n_requests),
+                max_queue_global=n_requests,
+            ),
         )
         arrival = 0.0
         for i in range(n_requests):
-            batcher.submit(request_row(i), kind=args.kind, arrival_s=arrival)
+            dispatcher.submit(request_row(i), kind=args.kind, arrival_s=arrival)
             arrival += args.arrival_gap
-        batcher.drain()
+        dispatcher.drain()
         if tracer is not None:
             tracer.write_jsonl(args.trace)
     except (ReproError, OSError) as exc:
         print(f"repro-serve-bench: error: {exc}", file=sys.stderr)
         return 1
 
-    stats = batcher.stats
+    stats = dispatcher.stats
+    assert stats.n_shed == 0, "the replay's admission policy never sheds"
     warm_s = session.stats.serve_simulated_s
     metrics = {
-        "n_requests": stats.n_requests,
-        "n_batches": stats.n_batches,
+        "n_requests": stats.n_admitted,
+        "n_batches": stats.n_dispatches,
         "mean_batch_size": stats.mean_batch_size,
         "seal_simulated_s": session.stats.seal_simulated_s,
         "warm_simulated_s": warm_s,
@@ -594,7 +601,7 @@ def serve_bench_main(argv: Optional[Sequence[str]] = None) -> int:
             json.dump(metrics, handle, indent=2)
             handle.write("\n")
     if not args.quiet:
-        print(f"served {stats.n_requests} requests in {stats.n_batches} "
+        print(f"served {stats.n_admitted} requests in {stats.n_dispatches} "
               f"fused batches (mean {stats.mean_batch_size:.1f} req/batch)")
         print(f"simulated warm serving time: {warm_s * 1e3:.3f} ms "
               f"({metrics['warm_requests_per_s']:.0f} req/s)")

@@ -4,11 +4,11 @@ Two ways to spread a sealed model across devices, trading throughput
 against per-device memory:
 
 - ``replicated`` — every device seals the *full* model (one
-  :class:`~repro.serving.session.InferenceSession` each) and requests are
-  routed round-robin across per-device
-  :class:`~repro.serving.batcher.MicroBatcher` queues.  Memory per device
-  is the whole pool; throughput scales with devices because independent
-  requests serve concurrently.
+  :class:`~repro.serving.session.InferenceSession` each) and calls are
+  routed round-robin across the healthy replicas.  Memory per device is
+  the whole pool; throughput scales with devices because independent
+  requests serve concurrently — a :class:`~repro.server.Dispatcher`
+  over the router queues and fuses requests with one lane per device.
 - ``pair_partitioned`` — the k(k-1)/2 binary SVMs are placed onto devices
   with the same planner training uses; each device holds only the pool
   rows *its* SVMs reference.  A request fans out to every shard, each
@@ -54,7 +54,6 @@ from repro.model.multiclass import MPSVMModel
 from repro.multiclass.ova import ova_positions
 from repro.multiclass.sv_sharing import PooledSVM, SupportVectorPool
 from repro.multiclass.voting import ovo_vote
-from repro.serving.batcher import MicroBatcher, ServedRequest
 from repro.serving.session import InferenceSession
 from repro.sparse import ops as mops
 from repro.telemetry.tracer import maybe_span
@@ -96,8 +95,6 @@ class ShardedInferenceRouter:
     placement:
         Pair-to-device strategy for ``pair_partitioned`` (same planner as
         sharded training; weight = each SVM's support count).
-    max_batch / max_wait_s:
-        Per-device :class:`MicroBatcher` knobs (``replicated`` only).
 
     ``predict_proba`` / ``predict`` / ``decision_function`` return results
     bitwise equal to a single-device :class:`InferenceSession`.
@@ -111,8 +108,6 @@ class ShardedInferenceRouter:
         strategy: str = "replicated",
         config: Optional[PredictorConfig] = None,
         placement: str = "affinity",
-        max_batch: int = 64,
-        max_wait_s: float = 0.0,
     ) -> None:
         if not isinstance(model, MPSVMModel):
             raise NotFittedError(
@@ -144,35 +139,27 @@ class ShardedInferenceRouter:
         self._budget_rows = batch_budget_rows(config, self.model)
         self.n_calls = 0
         self._sessions: list[InferenceSession] = []
-        self._batchers: list[MicroBatcher] = []
         self._shards: list[ModelShard] = []
         self._round_robin = 0
-        self._submissions: list[ServedRequest] = []
         # Replica health (replicated only): round-robin skips unhealthy
         # devices, so a lost replica degrades capacity without ever
         # serving from dead state.
         self._healthy = [True] * cluster.n_devices
         if strategy == "replicated":
-            self._seal_replicated(max_batch, max_wait_s)
+            self._seal_replicated()
         else:
             self._seal_partitioned(placement)
 
     # ------------------------------------------------------------------
     # Sealing
     # ------------------------------------------------------------------
-    def _seal_replicated(self, max_batch: int, max_wait_s: float) -> None:
-        """Seal the full model once per device, with a batcher each."""
+    def _seal_replicated(self) -> None:
+        """Seal the full model once per device."""
         for device in range(self.cluster.n_devices):
             # The interconnect cost of replicating the pool; the session
             # then charges its own (device-local) seal work.
             self.pool.host_to_device(device, self.model.sv_pool.pool_nbytes)
-            session = InferenceSession(self.model, self.config)
-            self._sessions.append(session)
-            self._batchers.append(
-                MicroBatcher(
-                    session, max_batch=max_batch, max_wait_s=max_wait_s
-                )
-            )
+            self._sessions.append(InferenceSession(self.model, self.config))
 
     def _seal_partitioned(self, placement: str) -> None:
         """Place the SVMs on devices and seal each device's sub-pool."""
@@ -329,36 +316,6 @@ class ShardedInferenceRouter:
         return self._reduce_decisions(data)
 
     # ------------------------------------------------------------------
-    # Micro-batched serving (replicated)
-    # ------------------------------------------------------------------
-    def submit(
-        self,
-        X: object,
-        *,
-        kind: str = "predict_proba",
-        arrival_s: Optional[float] = None,
-    ) -> ServedRequest:
-        """Queue one request on the next device's micro-batcher.
-
-        Requests spread round-robin across the replicas; each device's
-        queue fuses and dispatches independently on :meth:`drain`.
-        """
-        self._require("replicated")
-        batcher = self._batchers[self._next_healthy()]
-        request = batcher.submit(X, kind=kind, arrival_s=arrival_s)
-        self._submissions.append(request)
-        return request
-
-    def drain(self) -> list[ServedRequest]:
-        """Dispatch every queued request; returns them in submission order."""
-        self._require("replicated")
-        for batcher in self._batchers:
-            batcher.drain()
-        drained = self._submissions
-        self._submissions = []
-        return drained
-
-    # ------------------------------------------------------------------
     # Replica health (replicated)
     # ------------------------------------------------------------------
     @property
@@ -392,14 +349,7 @@ class ShardedInferenceRouter:
         self.pool._check_device(device)
         if reseal:
             self.pool.host_to_device(device, self.model.sv_pool.pool_nbytes)
-            session = InferenceSession(self.model, self.config)
-            batcher = self._batchers[device]
-            self._sessions[device] = session
-            self._batchers[device] = MicroBatcher(
-                session,
-                max_batch=batcher.max_batch,
-                max_wait_s=batcher.max_wait_s,
-            )
+            self._sessions[device] = InferenceSession(self.model, self.config)
         self._healthy[device] = True
 
     # ------------------------------------------------------------------
@@ -413,18 +363,14 @@ class ShardedInferenceRouter:
             )
 
     def _next_session(self) -> InferenceSession:
+        """Advance the round-robin pointer to the next healthy replica."""
         self.n_calls += 1
-        device = self._next_healthy()
-        return self._sessions[device]
-
-    def _next_healthy(self) -> int:
-        """Advance the round-robin pointer to the next healthy device."""
-        n = len(self._sessions) if self._sessions else len(self._batchers)
+        n = len(self._sessions)
         for _ in range(n):
             device = self._round_robin
             self._round_robin = (self._round_robin + 1) % n
             if self._healthy[device]:
-                return device
+                return self._sessions[device]
         raise DeviceError(
             "every replica is marked unhealthy; restore one with "
             "mark_healthy() before serving"

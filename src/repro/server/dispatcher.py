@@ -8,7 +8,9 @@ lowest latency); under contention the queue grows and a freed worker
 fuses up to ``max_batch`` compatible requests into one session call, so
 batches widen exactly when amortization pays.  This mirrors the
 training-side wave driver's philosophy: concurrency is *executed* on a
-virtual timeline, not assumed.
+virtual timeline, not assumed.  It is the package's only request
+queue: ``repro-serve``, ``repro-serve-bench`` and the serving benchmark
+all go through it.
 
 Events are processed in arrival order: ``submit(arrival_s)`` first
 advances the pool to ``arrival_s`` (freeing workers, draining the queue
@@ -45,7 +47,6 @@ import numpy as np
 from repro.core.validation import check_predict_inputs
 from repro.distributed.inference import ShardedInferenceRouter
 from repro.exceptions import ValidationError
-from repro.serving.batcher import REQUEST_KINDS, compute_group, fuse_matrices
 from repro.serving.session import InferenceSession
 from repro.server.admission import AdmissionController, AdmissionDecision
 from repro.sparse import CSRMatrix
@@ -55,6 +56,26 @@ from repro.telemetry.tracer import Tracer, maybe_span
 __all__ = ["Dispatcher", "DispatcherStats", "ServerRequest", "SwapReport"]
 
 Backend = Union[InferenceSession, ShardedInferenceRouter]
+
+REQUEST_KINDS = ("predict_proba", "predict", "decision_function")
+
+
+def compute_group(backend: Backend, kind: str) -> str:
+    """Which fused computation a request needs (requests fuse per group)."""
+    if kind == "decision_function":
+        return "decision"
+    if kind == "predict" and not backend.model.probability:
+        return "vote"
+    return "proba"  # predict_proba, and predict via argmax-probability
+
+
+def fuse_matrices(matrices: list) -> mops.MatrixLike:
+    """Vertically stack request matrices (dense or CSR) into one dispatch."""
+    if len(matrices) == 1:
+        return matrices[0]
+    if isinstance(matrices[0], CSRMatrix):
+        return CSRMatrix.vstack(matrices)
+    return np.vstack(matrices)
 
 
 @dataclass
@@ -163,42 +184,26 @@ class SwapReport:
 
 
 class _Lane:
-    """One worker lane: a concurrency slot bound to a serving callable."""
+    """One worker lane: a concurrency slot bound to a serving backend."""
 
-    __slots__ = (
-        "index", "free_at_s", "busy_s", "session", "router",
-        "failed_at_s", "detected",
-    )
+    __slots__ = ("index", "free_at_s", "target", "failed_at_s", "detected")
 
-    def __init__(
-        self,
-        index: int,
-        session: Optional[InferenceSession],
-        router: Optional[ShardedInferenceRouter],
-    ) -> None:
+    def __init__(self, index: int, target: Backend) -> None:
         self.index = index
         self.free_at_s = 0.0
-        self.busy_s = 0.0
-        self.session = session
-        self.router = router
+        self.target = target
         # Fail-stop state: failed_at_s is the simulated instant the
         # lane's replica died; detected flips on the first dispatch that
         # observes the failure, after which routing excludes the lane.
         self.failed_at_s: Optional[float] = None
         self.detected = False
 
-    def clock_s(self) -> float:
-        if self.session is not None:
-            return self.session.simulated_seconds
-        return self.router.simulated_seconds
-
     def call(self, group: str, fused: object) -> np.ndarray:
-        target = self.session if self.session is not None else self.router
         if group == "proba":
-            return target.predict_proba(fused)
+            return self.target.predict_proba(fused)
         if group == "decision":
-            return target.decision_function(fused)
-        return target.predict(fused)  # "vote": non-probabilistic labels
+            return self.target.decision_function(fused)
+        return self.target.predict(fused)  # "vote": non-probabilistic labels
 
 
 class Dispatcher:
@@ -231,23 +236,10 @@ class Dispatcher:
         if isinstance(backend, InferenceSession):
             if n_workers < 1:
                 raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
-            self._lanes = [
-                _Lane(i, backend, None) for i in range(int(n_workers))
-            ]
-            self._probe_session = backend
+            targets = [backend] * int(n_workers)
         elif isinstance(backend, ShardedInferenceRouter):
-            if backend.strategy == "replicated":
-                sessions = backend.sessions
-                self._lanes = [
-                    _Lane(i, session, None)
-                    for i, session in enumerate(sessions)
-                ]
-                self._probe_session = sessions[0]
-            else:
-                self._lanes = [_Lane(0, None, backend)]
-                # Group resolution needs a session-shaped object exposing
-                # .model; the router itself carries the warm model.
-                self._probe_session = backend
+            replicated = backend.strategy == "replicated"
+            targets = backend.sessions if replicated else [backend]
         else:
             raise ValidationError(
                 "Dispatcher backend must be an InferenceSession or "
@@ -255,6 +247,7 @@ class Dispatcher:
             )
         if max_batch < 1:
             raise ValidationError(f"max_batch must be >= 1, got {max_batch}")
+        self._lanes = [_Lane(i, target) for i, target in enumerate(targets)]
         self.backend = backend
         self.max_batch = int(max_batch)
         self.admission = admission or AdmissionController()
@@ -292,7 +285,7 @@ class Dispatcher:
     @property
     def n_features(self) -> int:
         """Feature count requests must match."""
-        return self._probe_session.n_features
+        return self.backend.n_features
 
     # ------------------------------------------------------------------
     # Event intake
@@ -368,7 +361,7 @@ class Dispatcher:
         self._next_seq += 1
         self._queue.append(request)
         admission.note_enqueued(tenant)
-        self._pump(request.arrival_s)
+        self.advance_to(self.now_s)
 
     def _eviction_victim(
         self, incoming: ServerRequest
@@ -437,14 +430,14 @@ class Dispatcher:
         self.now_s = max(self.now_s, t_s)
 
     def drain(self) -> float:
-        """Dispatch everything queued; returns the final virtual time."""
+        """Dispatch everything queued; returns the final virtual time.
+
+        Virtual time never moves backwards: the result is the later of
+        the current instant and the last completion.
+        """
+        now_s = self.now_s
         self.advance_to(math.inf)
-        self.now_s = max(
-            self.now_s if self.now_s != math.inf else 0.0,
-            self.stats.last_completion_s,
-        )
-        if self.now_s == math.inf:  # pragma: no cover - defensive
-            self.now_s = self.stats.last_completion_s
+        self.now_s = max(now_s, self.stats.last_completion_s)
         return self.now_s
 
     def shutdown(self, *, drain: bool = True) -> None:
@@ -502,9 +495,8 @@ class Dispatcher:
         self.drain()
         completed_s = self.now_s
         for lane in self._lanes:
-            lane.session = backend
+            lane.target = backend
         self.backend = backend
-        self._probe_session = backend
         report = SwapReport(
             label=label,
             requested_s=requested_s,
@@ -588,12 +580,12 @@ class Dispatcher:
                     f"replacement model expects {session.n_features} "
                     f"features, the live route serves {self.n_features}"
                 )
-            if lane.session is None:
+            if not isinstance(lane.target, InferenceSession):
                 raise ValidationError(
                     "router-backed lanes re-bind their router; restore "
                     "without a session"
                 )
-            lane.session = session
+            lane.target = session
         lane.failed_at_s = None
         lane.detected = False
         lane.free_at_s = max(lane.free_at_s, t_s)
@@ -601,7 +593,7 @@ class Dispatcher:
             self._tracer.event("lane_restored", lane=index, at_s=t_s)
         # Freed capacity immediately drains whatever queued while the
         # pool ran degraded.
-        self._pump(self.now_s)
+        self.advance_to(self.now_s)
 
     def lane_health(self) -> list[dict]:
         """Per-lane health snapshot: failed / detected / busy horizon."""
@@ -635,7 +627,7 @@ class Dispatcher:
         )
         head = order[0]
         group = (
-            compute_group(self._probe_session, head.kind),
+            compute_group(self.backend, head.kind),
             isinstance(head.data, CSRMatrix),
         )
         batch = [head]
@@ -643,7 +635,7 @@ class Dispatcher:
             if len(batch) >= self.max_batch:
                 break
             if (
-                compute_group(self._probe_session, candidate.kind),
+                compute_group(self.backend, candidate.kind),
                 isinstance(candidate.data, CSRMatrix),
             ) == group:
                 batch.append(candidate)
@@ -672,15 +664,15 @@ class Dispatcher:
                 self._shed(request, decision)
             return
         batch = self._take_batch()
-        group = compute_group(self._probe_session, batch[0].kind)
+        group = compute_group(self.backend, batch[0].kind)
         fused = fuse_matrices([request.data for request in batch])
         n_rows = mops.n_rows(fused)
         batch_id = self._next_batch_id
         self._next_batch_id += 1
 
-        clock_before = lane.clock_s()
+        clock_before = lane.target.simulated_seconds
         engine_clock = getattr(
-            getattr(lane.session, "engine", None), "clock", None
+            getattr(lane.target, "engine", None), "clock", None
         )
         with maybe_span(
             self._tracer,
@@ -694,11 +686,10 @@ class Dispatcher:
             start_s=start_s,
         ) as span:
             fused_rows = lane.call(group, fused)
-            compute_s = lane.clock_s() - clock_before
+            compute_s = lane.target.simulated_seconds - clock_before
             span.set(compute_s=compute_s)
         completion_s = start_s + compute_s
         lane.free_at_s = completion_s
-        lane.busy_s += compute_s
         self.stats.busy_s_per_worker[lane.index] += compute_s
         self.stats.last_completion_s = max(
             self.stats.last_completion_s, completion_s
@@ -708,7 +699,7 @@ class Dispatcher:
         for request in batch:
             rows = fused_rows[offset : offset + request.n_rows]
             if group == "proba" and request.kind == "predict":
-                rows = self._probe_session.model.labels_from_positions(
+                rows = self.backend.model.labels_from_positions(
                     np.argmax(rows, axis=1)
                 )
             request._result = rows
@@ -740,17 +731,6 @@ class Dispatcher:
                 )
         self.stats.n_dispatches += 1
         self.stats.n_rows += n_rows
-
-    def _pump(self, now_s: float) -> None:
-        """Dispatch to any lane already free at ``now_s`` (eager path)."""
-        while self._queue:
-            lanes = [w for w in self._lanes if not w.detected]
-            if not lanes:
-                break
-            lane = min(lanes, key=lambda w: (w.free_at_s, w.index))
-            if lane.free_at_s > now_s:
-                break
-            self._dispatch(lane, max(lane.free_at_s, now_s))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,22 +1,15 @@
-"""The serving layer: sealed inference sessions and micro-batched dispatch.
+"""The serving layer: sealed inference sessions.
 
 - :class:`InferenceSession` — seals a fitted model (warm SV pool, resident
   norms, stacked sigmoid arrays, one persistent engine) and serves
-  repeated predictions with zero per-call setup;
-- :class:`MicroBatcher` — coalesces small requests into fused batches
-  dispatched through one session call each, with per-request simulated
-  queueing/compute latency accounting.
+  repeated predictions with zero per-call setup.
 
-See DESIGN.md §11 for the seal/dispatch lifecycle.
+Queueing and request fusion live in one place, :class:`repro.server.Dispatcher`,
+which fronts a session (or a sharded router) with worker lanes, admission
+control and adaptive micro-batching.  See DESIGN.md §11 for the
+seal/dispatch lifecycle.
 """
 
-from repro.serving.batcher import BatcherStats, MicroBatcher, ServedRequest
 from repro.serving.session import InferenceSession, SessionStats
 
-__all__ = [
-    "BatcherStats",
-    "InferenceSession",
-    "MicroBatcher",
-    "ServedRequest",
-    "SessionStats",
-]
+__all__ = ["InferenceSession", "SessionStats"]

@@ -233,9 +233,8 @@ class TestRouterHealth:
         cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=3)
         router = ShardedInferenceRouter(model, cluster, strategy="replicated")
         router.mark_unhealthy(0)
-        requests = [router.submit(probe) for _ in range(4)]
-        router.drain()
-        assert all(np.array_equal(r.result, reference) for r in requests)
+        results = [router.predict_proba(probe) for _ in range(4)]
+        assert all(np.array_equal(r, reference) for r in results)
         assert router.sessions[0].stats.n_calls == 0
 
     def test_health_api_is_replicated_only(self, served):

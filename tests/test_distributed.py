@@ -569,26 +569,20 @@ class TestShardedInferenceRouter:
         assert all(seconds > 0.0 for seconds in serve_seconds)
 
     def test_micro_batched_requests_match_one_shot(self, served):
+        # Same-instant 1-row requests fused by the Dispatcher over a
+        # replicated router reproduce the one-shot session rows bitwise.
+        from repro.server import Dispatcher
+
         model, x_test, session = served
         cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=2)
         router = ShardedInferenceRouter(model, cluster, strategy="replicated")
+        dispatcher = Dispatcher(router, max_batch=6)
         rows = [x_test[i : i + 1] for i in range(6)]
-        handles = [router.submit(row) for row in rows]
-        drained = router.drain()
-        assert drained == handles
-        for handle, row in zip(drained, rows):
-            assert np.array_equal(handle.result, session.predict_proba(row))
-
-    def test_partitioned_router_rejects_batching(self, served):
-        model, x_test, _ = served
-        cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=2)
-        router = ShardedInferenceRouter(
-            model, cluster, strategy="pair_partitioned"
-        )
-        with pytest.raises(ValidationError, match="replicated"):
-            router.submit(x_test[:1])
-        with pytest.raises(ValidationError, match="replicated"):
-            router.drain()
+        tickets = [dispatcher.submit(row, arrival_s=0.0) for row in rows]
+        dispatcher.drain()
+        assert max(t.batch_requests for t in tickets) > 1
+        for ticket, row in zip(tickets, rows):
+            assert np.array_equal(ticket.result, session.predict_proba(row))
 
     def test_partitioned_reduce_charges_the_interconnect(self, served):
         model, x_test, _ = served

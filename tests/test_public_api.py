@@ -29,7 +29,6 @@ PUBLIC_API = [
     "FaultPlan",
     "GMPSVC",
     "InferenceSession",
-    "MicroBatcher",
     "ModelFormatError",
     "ModelRegistry",
     "NotFittedError",
@@ -125,15 +124,6 @@ class TestSignatures:
             assert callable(getattr(repro.InferenceSession, method))
         assert callable(repro.InferenceSession.from_estimator)
 
-    def test_batcher_surface(self):
-        assert _params(repro.MicroBatcher.__init__) == [
-            "session",
-            "max_batch",
-            "max_wait_s",
-        ]
-        assert _params(repro.MicroBatcher.submit) == ["X", "kind", "arrival_s"]
-        assert callable(repro.MicroBatcher.drain)
-
     def test_router_surface(self):
         assert _params(repro.ShardedInferenceRouter.__init__) == [
             "model",
@@ -141,16 +131,8 @@ class TestSignatures:
             "strategy",
             "config",
             "placement",
-            "max_batch",
-            "max_wait_s",
         ]
-        for method in (
-            "predict",
-            "predict_proba",
-            "decision_function",
-            "submit",
-            "drain",
-        ):
+        for method in ("predict", "predict_proba", "decision_function"):
             assert callable(getattr(repro.ShardedInferenceRouter, method))
 
     def test_server_surface(self):
@@ -271,12 +253,10 @@ class TestDeepImportShims:
         assert TrainerConfig is repro.TrainerConfig
 
     def test_serving_aliases(self):
-        from repro.serving import InferenceSession, MicroBatcher
-        from repro.serving.batcher import MicroBatcher as DeepBatcher
+        from repro.serving import InferenceSession
         from repro.serving.session import InferenceSession as DeepSession
 
         assert InferenceSession is repro.InferenceSession is DeepSession
-        assert MicroBatcher is repro.MicroBatcher is DeepBatcher
 
     def test_model_and_sparse_aliases(self):
         from repro.model.persistence import load_model, save_model

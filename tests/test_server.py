@@ -238,12 +238,22 @@ class TestDispatchAndParity:
             ClusterSpec(device=scaled_tesla_p100(), n_devices=2),
             strategy="replicated",
         )
-        direct = make_session(model).predict_proba(x[:4])
+        session = make_session(model)
+        direct = session.predict_proba(x[:4])
         dispatcher = Dispatcher(router, max_batch=4)
         assert dispatcher.n_workers == 2
         ticket = dispatcher.submit(x[:4])
         dispatcher.drain()
         assert ticket.result.tobytes() == direct.tobytes()
+        # Six 1-row requests at one instant: both lanes take work, the
+        # backlog fuses, and every row is bitwise the session's.
+        rows = [x[i : i + 1] for i in range(6)]
+        tickets = [dispatcher.submit(row) for row in rows]
+        dispatcher.drain()
+        assert {t.worker for t in tickets} == {0, 1}
+        assert max(t.batch_requests for t in tickets) > 1
+        for t, row in zip(tickets, rows):
+            assert t.result.tobytes() == session.predict_proba(row).tobytes()
 
     def test_wrong_width_is_422_not_500(self, model):
         app = ServerApp(make_dispatcher(model))
@@ -280,6 +290,23 @@ class TestDispatchAndParity:
         dispatcher.submit(x[:1], arrival_s=5.0)
         with pytest.raises(ValidationError, match="time order"):
             dispatcher.submit(x[:1], arrival_s=1.0)
+
+    def test_drain_never_moves_virtual_time_backwards(self, problem, model):
+        x, _ = problem
+        dispatcher = make_dispatcher(model)
+        dispatcher.advance_to(5.0)
+        assert dispatcher.drain() >= 5.0
+        assert dispatcher.now_s >= 5.0
+        with pytest.raises(ValidationError, match="time order"):
+            dispatcher.submit(x[:1], arrival_s=1.0)
+        # The swap path drains too: its window can never be negative.
+        dispatcher = make_dispatcher(model)
+        dispatcher.submit(x[:1], arrival_s=0.0)
+        dispatcher.advance_to(5.0)
+        report = dispatcher.swap_model(make_session(model))
+        assert report.requested_s == 5.0
+        assert report.completed_s >= report.requested_s
+        assert report.window_s >= 0.0
 
 
 class TestSwapFailurePaths:

@@ -1,7 +1,7 @@
 """Serving-layer tests: sealed sessions, micro-batching, bitwise parity.
 
 The acceptance bar for the serving layer is *bitwise* parity: every row a
-session (or a micro-batched dispatch) returns must be bit-for-bit what the
+session (or a dispatcher's fused dispatch) returns must be bit-for-bit what the
 one-shot ``predict_*_model`` functions produce for the same input — across
 class counts, dense and sparse inputs, and arbitrary request fusion.
 """
@@ -9,7 +9,7 @@ class counts, dense and sparse inputs, and arbitrary request fusion.
 import numpy as np
 import pytest
 
-from repro import GMPSVC, InferenceSession, MicroBatcher
+from repro import GMPSVC, InferenceSession
 from repro.core.predictor import (
     PredictorConfig,
     decision_matrix,
@@ -19,7 +19,7 @@ from repro.core.predictor import (
 from repro.data import gaussian_blobs
 from repro.exceptions import NotFittedError, ValidationError
 from repro.gpusim import scaled_tesla_p100
-from repro.serving.batcher import ServedRequest
+from repro.server import Dispatcher
 from repro.sparse import CSRMatrix
 
 
@@ -175,87 +175,82 @@ class TestTileCache:
         assert np.array_equal(b, _one_shot_proba(clf.model_, x[4:8]))
 
 
+def _dispatcher(session, max_batch=8):
+    """A one-lane dispatcher whose first request holds the lane.
+
+    The returned dispatcher already served one blocker request at t=0, so
+    every request submitted at t=0 afterwards queues and fuses on
+    :meth:`Dispatcher.drain`.
+    """
+    dispatcher = Dispatcher(session, n_workers=1, max_batch=max_batch)
+    dispatcher.submit(np.zeros((1, session.n_features)), arrival_s=0.0)
+    return dispatcher
+
+
 class TestMicroBatcher:
+    """Adaptive micro-batching through the one-lane :class:`Dispatcher`."""
+
     def test_mixed_size_fused_dispatch_bitwise(self, fitted3):
         """Fused mixed-size requests return bitwise one-shot rows."""
         clf, x, _ = fitted3
-        session = InferenceSession.from_estimator(clf)
-        batcher = MicroBatcher(session, max_batch=8)
+        dispatcher = _dispatcher(InferenceSession.from_estimator(clf))
         sizes = [1, 3, 2, 1, 4, 1]
         requests, start = [], 0
         for size in sizes:
-            requests.append(batcher.submit(x[start : start + size]))
+            requests.append(dispatcher.submit(x[start : start + size]))
             start += size
-        drained = batcher.drain()
-        assert [r.index for r in drained] == list(range(len(sizes)))
+        dispatcher.drain()
+        assert {r.batch_requests for r in requests} == {len(sizes)}
         start = 0
         for request, size in zip(requests, sizes):
             expected = _one_shot_proba(clf.model_, x[start : start + size])
             assert np.array_equal(request.result, expected)
             start += size
-        assert batcher.stats.n_batches == 1
-        assert batcher.stats.n_requests == len(sizes)
+        assert dispatcher.stats.n_dispatches == 2  # blocker + one fused
+        assert dispatcher.stats.n_admitted == len(sizes) + 1
 
     def test_sparse_requests_bitwise(self, fitted3):
         clf, x, _ = fitted3
         session = InferenceSession.from_estimator(clf)
-        batcher = MicroBatcher(session, max_batch=4)
-        sparse = CSRMatrix.from_dense(x[:6])
+        dispatcher = Dispatcher(session, n_workers=1, max_batch=4)
+        dispatcher.submit(CSRMatrix.from_dense(x[6:7]))  # holds the lane
         handles = [
-            batcher.submit(CSRMatrix.from_dense(x[i : i + 2]))
+            dispatcher.submit(CSRMatrix.from_dense(x[i : i + 2]))
             for i in range(0, 6, 2)
         ]
-        batcher.drain()
-        expected = _one_shot_proba(clf.model_, sparse)
+        dispatcher.drain()
+        assert {h.batch_requests for h in handles} == {3}
+        expected = _one_shot_proba(clf.model_, CSRMatrix.from_dense(x[:6]))
         fused = np.vstack([h.result for h in handles])
         assert np.array_equal(fused, expected)
 
     def test_max_batch_splits_dispatches(self, fitted3):
         clf, x, _ = fitted3
-        batcher = MicroBatcher(
-            InferenceSession.from_estimator(clf), max_batch=2
-        )
+        dispatcher = _dispatcher(InferenceSession.from_estimator(clf), 2)
         for i in range(5):
-            batcher.submit(x[i : i + 1])
-        batcher.drain()
-        assert batcher.stats.n_batches == 3  # 2 + 2 + 1
-
-    def test_window_close_splits_late_arrivals(self, fitted3):
-        clf, x, _ = fitted3
-        batcher = MicroBatcher(
-            InferenceSession.from_estimator(clf), max_batch=8, max_wait_s=1.0
-        )
-        batcher.submit(x[:1], arrival_s=0.0)
-        batcher.submit(x[1:2], arrival_s=0.5)  # inside the window
-        batcher.submit(x[2:3], arrival_s=5.0)  # outside -> second batch
-        batcher.drain()
-        assert batcher.stats.n_batches == 2
-
-    def test_kind_change_closes_batch(self, fitted3):
-        clf, x, _ = fitted3
-        batcher = MicroBatcher(InferenceSession.from_estimator(clf), max_batch=8)
-        batcher.submit(x[:1], kind="predict_proba")
-        batcher.submit(x[1:2], kind="decision_function")
-        batcher.submit(x[2:3], kind="predict_proba")
-        batcher.drain()
-        assert batcher.stats.n_batches == 3  # FIFO: no reordering around kinds
+            dispatcher.submit(x[i : i + 1])
+        dispatcher.drain()
+        assert dispatcher.stats.n_dispatches == 4  # blocker, 2 + 2 + 1
 
     def test_representation_change_closes_batch(self, fitted3):
+        """Dense and CSR requests never share a dispatch."""
         clf, x, _ = fitted3
-        batcher = MicroBatcher(InferenceSession.from_estimator(clf), max_batch=8)
-        batcher.submit(x[:1])
-        batcher.submit(CSRMatrix.from_dense(x[1:2]))
-        batcher.drain()
-        assert batcher.stats.n_batches == 2
+        dispatcher = _dispatcher(InferenceSession.from_estimator(clf))
+        dense = [dispatcher.submit(x[i : i + 1]) for i in range(2)]
+        sparse = dispatcher.submit(CSRMatrix.from_dense(x[2:3]))
+        dispatcher.drain()
+        assert dispatcher.stats.n_dispatches == 3  # blocker, dense, CSR
+        assert {r.batch_id for r in dense} != {sparse.batch_id}
+        assert sparse.batch_requests == 1
 
     def test_predict_kind_fuses_with_proba(self, fitted3):
         """predict and predict_proba share the fused probability pass."""
         clf, x, _ = fitted3
-        batcher = MicroBatcher(InferenceSession.from_estimator(clf), max_batch=8)
-        proba_req = batcher.submit(x[:2], kind="predict_proba")
-        label_req = batcher.submit(x[2:4], kind="predict")
-        batcher.drain()
-        assert batcher.stats.n_batches == 1
+        dispatcher = _dispatcher(InferenceSession.from_estimator(clf))
+        proba_req = dispatcher.submit(x[:2], kind="predict_proba")
+        label_req = dispatcher.submit(x[2:4], kind="predict")
+        dispatcher.drain()
+        assert proba_req.batch_id == label_req.batch_id
         assert np.array_equal(
             proba_req.result, _one_shot_proba(clf.model_, x[:2])
         )
@@ -263,45 +258,41 @@ class TestMicroBatcher:
 
     def test_latency_accounting(self, fitted3):
         clf, x, _ = fitted3
-        batcher = MicroBatcher(
-            InferenceSession.from_estimator(clf), max_batch=4, max_wait_s=2.0
-        )
-        early = batcher.submit(x[:1], arrival_s=0.0)
-        late = batcher.submit(x[1:2], arrival_s=1.5)
-        batcher.drain()
-        # Same batch: the early request queued ~1.5s longer.
+        dispatcher = _dispatcher(InferenceSession.from_estimator(clf), 4)
+        early = dispatcher.submit(x[:1], arrival_s=0.0)
+        late = dispatcher.submit(x[1:2], arrival_s=0.0)
+        dispatcher.drain()
         assert early.batch_id == late.batch_id
-        assert early.queue_s == pytest.approx(late.queue_s + 1.5)
+        assert early.queue_s == late.queue_s > 0  # waited for the blocker
         assert early.compute_s == late.compute_s > 0
         assert early.latency_s == early.queue_s + early.compute_s
-        assert batcher.stats.latency_percentile(100.0) >= early.latency_s
-        assert batcher.stats.mean_batch_size == 2.0
+        stats = dispatcher.stats
+        assert stats.latency_percentile(100.0) >= early.latency_s
+        assert stats.mean_batch_size == 1.5  # blocker alone, then a pair
 
     def test_result_before_drain_raises(self, fitted3):
         clf, x, _ = fitted3
-        batcher = MicroBatcher(InferenceSession.from_estimator(clf))
-        handle = batcher.submit(x[:1])
-        with pytest.raises(ValidationError):
+        dispatcher = _dispatcher(InferenceSession.from_estimator(clf))
+        handle = dispatcher.submit(x[:1])
+        with pytest.raises(ValidationError, match="not been dispatched"):
             handle.result
-        assert batcher.n_pending == 1
-        batcher.drain()
-        assert batcher.n_pending == 0
-        assert isinstance(handle, ServedRequest) and handle.done
+        assert dispatcher.n_queued == 1
+        dispatcher.drain()
+        assert dispatcher.n_queued == 0
+        assert handle.done and handle.result.shape == (1, 3)
 
     def test_validation_errors(self, fitted3, session3):
         clf, x, _ = fitted3
         with pytest.raises(ValidationError):
-            MicroBatcher("not a session")
+            Dispatcher("not a session")
         with pytest.raises(ValidationError):
-            MicroBatcher(session3, max_batch=0)
+            Dispatcher(session3, max_batch=0)
+        dispatcher = Dispatcher(session3, n_workers=1)
+        with pytest.raises(ValidationError, match="kind"):
+            dispatcher.submit(x[:1], kind="frobnicate")
+        dispatcher.submit(x[:1], arrival_s=2.0)
         with pytest.raises(ValidationError):
-            MicroBatcher(session3, max_wait_s=-1.0)
-        batcher = MicroBatcher(session3)
-        with pytest.raises(ValidationError):
-            batcher.submit(x[:1], kind="frobnicate")
-        batcher.submit(x[:1], arrival_s=2.0)
-        with pytest.raises(ValidationError):
-            batcher.submit(x[:1], arrival_s=1.0)  # arrivals must not regress
+            dispatcher.submit(x[:1], arrival_s=1.0)  # arrivals must not regress
 
 
 class TestServingTelemetry:
@@ -312,11 +303,11 @@ class TestServingTelemetry:
         tracer = Tracer()
         config = PredictorConfig(device=scaled_tesla_p100(), tracer=tracer)
         session = InferenceSession(clf.model_, config)
-        batcher = MicroBatcher(session, max_batch=4)
-        batcher.submit(x[:1])
-        batcher.submit(x[1:3])
-        batcher.drain()
+        dispatcher = Dispatcher(session, n_workers=1, max_batch=4)
+        dispatcher.submit(x[:1])
+        dispatcher.submit(x[1:3])
+        dispatcher.drain()
         names = [record["name"] for record in tracer.to_records()]
         assert "serve_seal" in names
-        assert "serve_batch" in names
+        assert names.count("serve_dispatch") == 2
         assert names.count("serve_request") == 2
