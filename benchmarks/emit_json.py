@@ -672,7 +672,7 @@ def run_fault_recovery() -> dict[str, float]:
       shipping is a cost both runs carry) and a hard correctness
       counter: binary records that differ bitwise from the fault-free
       model (must be 0).
-    - **serving** — a replicated 3-lane dispatcher loses one replica
+    - **serving** — a 3-lane dispatcher (one replica per lane) loses one
       mid-stream.  The batch routed to the dead lane gets an explicit
       503 (``replica_lost``); everything else serves bitwise-correct
       on the survivors, and after :meth:`Dispatcher.restore_lane`
@@ -683,15 +683,12 @@ def run_fault_recovery() -> dict[str, float]:
 
     from repro.core.trainer import TrainerConfig
     from repro.data import gaussian_blobs
-    from repro.distributed import (
-        ClusterSpec,
-        ShardedInferenceRouter,
-        train_multiclass_sharded,
-    )
+    from repro.distributed import ClusterSpec, train_multiclass_sharded
     from repro.faults import DeviceLoss, FaultPlan
     from repro.gpusim import scaled_tesla_p100
     from repro.kernels.functions import kernel_from_name
     from repro.server import Dispatcher
+    from repro.serving import InferenceSession
 
     n_devices = 4
     x, y = gaussian_blobs(240, 5, 4, seed=7)
@@ -729,14 +726,10 @@ def run_fault_recovery() -> dict[str, float]:
     recovery = report.faults["recovery"]
 
     # --- Serving side: lose one replica mid-stream, then restore it. ---
-    router = ShardedInferenceRouter(
-        model,
-        ClusterSpec(device=scaled_tesla_p100(), n_devices=3),
-        strategy="replicated",
-    )
-    dispatcher = Dispatcher(router)
+    session = InferenceSession(model)
+    dispatcher = Dispatcher(session, n_workers=3)
     probe = np.asarray(x)[:4]
-    reference = router.predict_proba(probe)
+    reference = session.predict_proba(probe)
 
     warm = [dispatcher.submit(probe, arrival_s=float(i)) for i in range(6)]
     dispatcher.drain()

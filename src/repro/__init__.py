@@ -21,9 +21,10 @@ Public entry points:
   once, serve requests against the warm state; ``repro.server.Dispatcher``
   micro-batches many small requests through it (DESIGN.md §11);
 - :class:`ClusterSpec` / :func:`train_multiclass_sharded` /
-  :class:`ShardedInferenceRouter` — multi-device sharding over a simulated
-  GPU cluster; models and probabilities stay bitwise identical to the
-  single-device paths (DESIGN.md §12);
+  :class:`ShardedInferenceRouter` — multi-device training and
+  pair-partitioned inference over a simulated GPU cluster; models and
+  probabilities stay bitwise identical to the single-device paths
+  (DESIGN.md §12);
 - :class:`ServerApp` / :class:`TenantPolicy` — the HTTP front-end over
   the serving layer: lossless wire protocol, per-tenant admission
   control, worker-pool dispatch and graceful 429/503 shedding, behind
@@ -92,7 +93,7 @@ from repro.serving import InferenceSession
 from repro.sparse import CSRMatrix, dump_libsvm, load_libsvm
 from repro.telemetry import Tracer
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "BackendSpec",

@@ -43,7 +43,12 @@ from repro.baselines import (
     GPUBaselineClassifier,
     LibSVMClassifier,
 )
-from repro.core.predictor import PredictorConfig, predict_labels_model, predict_proba_model
+from repro.core.predictor import (
+    PredictorConfig,
+    labels_from_probabilities,
+    predict_labels_model,
+    predict_proba_model,
+)
 from repro.exceptions import ReproError
 from repro.gpusim.device import scaled_tesla_p100
 from repro.sparse import load_libsvm
@@ -436,8 +441,7 @@ def predict_main(argv: Optional[Sequence[str]] = None) -> int:
         )
         if args.probability:
             probabilities, report = predict_proba_model(config, model, data)
-            positions = np.argmax(probabilities, axis=1)
-            predictions = model.labels_from_positions(positions)
+            predictions = labels_from_probabilities(model, probabilities)
         else:
             predictions, report = predict_labels_model(
                 config, model, data, use_probability=False

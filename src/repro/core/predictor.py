@@ -10,12 +10,15 @@ breakdown:
    "one binary SVM at a time").
 2. **sigmoid** — each pair's local probability via Eq. 12.
 3. **coupling** — Wu-Lin-Weng multi-class probabilities via Eq. 15.
+
+:class:`PredictionPipeline` owns stages 2-3, their chunking and the label
+rule for every prediction path; a path supplies only stage 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,11 +37,14 @@ from repro.sparse import ops as mops
 from repro.telemetry.tracer import Tracer, maybe_span
 
 __all__ = [
+    "PredictionPipeline",
     "PredictorConfig",
     "decision_matrix",
+    "labels_from_probabilities",
     "probabilities_from_decisions",
     "predict_proba_model",
     "predict_labels_model",
+    "require_probability",
 ]
 
 
@@ -65,6 +71,11 @@ class PredictorConfig:
     backend: Optional[object] = None
 
     def __post_init__(self) -> None:
+        if self.batch_size is not None and self.batch_size <= 0:
+            raise ValidationError(
+                f"batch_size must be a positive integer or None (derive from "
+                f"device memory), got {self.batch_size}"
+            )
         if self.backend is not None:
             from repro.backends import resolve_backend
 
@@ -113,16 +124,89 @@ def probabilities_from_decisions(
 ) -> np.ndarray:
     """Multi-class probabilities from a decision-value batch.
 
-    This is the numeric tail every probability path shares — the one-shot
-    :func:`predict_proba_model` and the sealed serving session both call
-    it, which is what keeps their outputs bitwise identical: pair sigmoids
-    in one broadcast pass, then Wu-Lin-Weng coupling (or the OvA
-    renormalisation) over the whole batch.
+    This is the numeric tail :meth:`PredictionPipeline.probabilities` runs
+    per chunk: pair sigmoids in one broadcast pass, then Wu-Lin-Weng
+    coupling (or the OvA renormalisation) over the whole chunk.
     """
     if model.strategy == "ova":
         return _ova_probabilities(engine, model, decisions)
     r_batch = _pairwise_estimates(engine, model, decisions)
     return couple_batch(engine, r_batch, method=coupling_method)
+
+
+def require_probability(model: MPSVMModel) -> None:
+    """Reject probability output from a model trained without it."""
+    if not model.probability:
+        raise NotFittedError(
+            "model was trained without probability output; refit with "
+            "probability=True"
+        )
+
+
+def labels_from_probabilities(
+    model: MPSVMModel, probabilities: np.ndarray
+) -> np.ndarray:
+    """Labels of the most probable classes (LibSVM's ``-b 1`` behaviour)."""
+    return model.labels_from_positions(np.argmax(probabilities, axis=1))
+
+
+@dataclass(frozen=True)
+class PredictionPipeline:
+    """The prediction steps after the decision values, for every path.
+
+    One-shot ``predict_*_model``, a sealed serving session and the
+    pair-partitioned router differ only in ``decisions``, the source of a
+    row block's decision values: :func:`decision_matrix`, the session's
+    tile-cached warm pool, or the router's cross-shard reduce.  Chunk
+    boundaries, the probability tail and the label rule live here once,
+    which is what keeps those paths bitwise equal.
+    """
+
+    engine: Engine
+    model: MPSVMModel
+    config: PredictorConfig
+    decisions: Callable[[mops.MatrixLike], np.ndarray]
+
+    def probabilities(self, data: mops.MatrixLike) -> np.ndarray:
+        """Multi-class probabilities of ``data``, one chunk at a time."""
+        m = mops.n_rows(data)
+        batch = _resolve_batch(self.config, self.model, m)
+        probabilities = np.empty((m, self.model.n_classes))
+        for start in range(0, m, batch):
+            stop = min(start + batch, m)
+            with maybe_span(
+                self.config.tracer,
+                "predict_batch",
+                clock=self.engine.clock,
+                start=start,
+                stop=stop,
+            ):
+                probabilities[start:stop] = probabilities_from_decisions(
+                    self.engine,
+                    self.model,
+                    self.decisions(_slice_rows(data, start, stop)),
+                    coupling_method=self.config.coupling_method,
+                )
+        return probabilities
+
+    def labels(
+        self, data: mops.MatrixLike, *, by_probability: Optional[bool] = None
+    ) -> np.ndarray:
+        """Predicted labels: argmax probability, else OvA max or OvO vote.
+
+        ``by_probability`` defaults to whether the model has probability
+        output; voting runs over the whole batch's decision values.
+        """
+        if by_probability is None:
+            by_probability = self.model.probability
+        if by_probability:
+            return labels_from_probabilities(self.model, self.probabilities(data))
+        decisions = self.decisions(data)
+        if self.model.strategy == "ova":
+            positions = ova_positions(decisions)
+        else:
+            positions = ovo_vote(decisions, self.model.pairs, self.model.n_classes)
+        return self.model.labels_from_positions(positions)
 
 
 def predict_proba_model(
@@ -131,56 +215,10 @@ def predict_proba_model(
     test_data: mops.MatrixLike,
 ) -> tuple[np.ndarray, PredictionReport]:
     """Multi-class probabilities, shape ``(m, n_classes)``; rows sum to 1."""
-    if not model.probability:
-        raise NotFittedError(
-            "model was trained without probability output; refit with "
-            "probability=True"
-        )
-    engine = config.make_engine()
-    engine.transfer(mops.matrix_nbytes(test_data), category="transfer")
-    m = mops.n_rows(test_data)
-    k = model.n_classes
-    probabilities = np.empty((m, k))
-
-    batch = _resolve_batch(config, model, m)
-    with maybe_span(
-        config.tracer,
-        "predict_proba",
-        clock=engine.clock,
-        n_instances=m,
-        batch_size=batch,
-        sv_sharing=config.sv_sharing,
-    ) as predict_span:
-        for start in range(0, m, batch):
-            stop = min(start + batch, m)
-            chunk = _slice_rows(test_data, start, stop)
-            with maybe_span(
-                config.tracer,
-                "predict_batch",
-                clock=engine.clock,
-                start=start,
-                stop=stop,
-            ):
-                decisions = decision_matrix(
-                    engine, model, chunk, sv_sharing=config.sv_sharing
-                )
-                probabilities[start:stop] = probabilities_from_decisions(
-                    engine,
-                    model,
-                    decisions,
-                    coupling_method=config.coupling_method,
-                )
-        predict_span.set(simulated_seconds=engine.clock.elapsed_s)
-
-    report = PredictionReport(
-        simulated_seconds=engine.clock.elapsed_s,
-        clock=engine.clock,
-        counters=engine.counters,
-        device_name=config.device.name,
-        n_instances=m,
-        sv_sharing=config.sv_sharing,
+    require_probability(model)
+    return _predict_one_shot(
+        config, model, test_data, "predict_proba", PredictionPipeline.probabilities
     )
-    return probabilities, report
 
 
 def predict_labels_model(
@@ -196,66 +234,70 @@ def predict_labels_model(
     (LibSVM's ``-b 1`` behaviour); non-probabilistic models use pairwise
     voting.
     """
-    decide_by_probability = (
-        model.probability if use_probability is None else use_probability
+    if use_probability:
+        require_probability(model)
+    return _predict_one_shot(
+        config,
+        model,
+        test_data,
+        "predict_labels",
+        lambda pipeline, data: pipeline.labels(
+            data, by_probability=use_probability
+        ),
     )
-    if decide_by_probability:
-        probabilities, report = predict_proba_model(config, model, test_data)
-        positions = np.argmax(probabilities, axis=1)
-        return model.labels_from_positions(positions), report
 
+
+def _predict_one_shot(
+    config: PredictorConfig,
+    model: MPSVMModel,
+    test_data: mops.MatrixLike,
+    span_name: str,
+    step: Callable[[PredictionPipeline, mops.MatrixLike], np.ndarray],
+) -> tuple[np.ndarray, PredictionReport]:
+    """Run ``step`` on a fresh engine that first receives the test rows."""
     engine = config.make_engine()
     engine.transfer(mops.matrix_nbytes(test_data), category="transfer")
+    pipeline = PredictionPipeline(
+        engine,
+        model,
+        config,
+        lambda chunk: decision_matrix(
+            engine, model, chunk, sv_sharing=config.sv_sharing
+        ),
+    )
+    m = mops.n_rows(test_data)
     with maybe_span(
         config.tracer,
-        "predict_labels",
+        span_name,
         clock=engine.clock,
-        n_instances=mops.n_rows(test_data),
+        n_instances=m,
         sv_sharing=config.sv_sharing,
     ) as predict_span:
-        decisions = decision_matrix(
-            engine, model, test_data, sv_sharing=config.sv_sharing
-        )
-        if model.strategy == "ova":
-            positions = ova_positions(decisions)
-        else:
-            positions = ovo_vote(decisions, model.pairs, model.n_classes)
+        result = step(pipeline, test_data)
         predict_span.set(simulated_seconds=engine.clock.elapsed_s)
     report = PredictionReport(
         simulated_seconds=engine.clock.elapsed_s,
         clock=engine.clock,
         counters=engine.counters,
         device_name=config.device.name,
-        n_instances=mops.n_rows(test_data),
+        n_instances=m,
         sv_sharing=config.sv_sharing,
     )
-    return model.labels_from_positions(positions), report
-
-
-def batch_budget_rows(config: PredictorConfig, model: MPSVMModel) -> int:
-    """Device-memory bound on the test-batch row count (m-independent).
-
-    The dominant resident structure is the test-vs-pool kernel block
-    (``batch x n_pool`` float64); it is held to a quarter of device memory,
-    mirroring the paper's group-at-a-time launching.  A sealed serving
-    session resolves this once; the one-shot path re-derives it per call.
-    """
-    if config.batch_size is not None:
-        if config.batch_size <= 0:
-            raise ValidationError(
-                f"batch_size must be a positive integer or None (derive from "
-                f"device memory), got {config.batch_size}"
-            )
-        return config.batch_size
-    block_budget = config.device.global_mem_bytes // 4
-    per_row = max(model.sv_pool.n_pool * 8, 1)
-    return max(1, block_budget // per_row)
+    return result, report
 
 
 def _resolve_batch(config: PredictorConfig, model: MPSVMModel, m: int) -> int:
-    """Test-batch size for an ``m``-instance request (see batch_budget_rows)."""
-    budget = batch_budget_rows(config, model)
-    return max(1, min(m, budget)) if config.batch_size is None else budget
+    """Rows per chunk for an ``m``-row call.
+
+    The dominant resident structure is the test-vs-pool kernel block
+    (``rows x n_pool`` float64); unless ``batch_size`` fixes the chunk, it
+    is held to a quarter of device memory, mirroring the paper's
+    group-at-a-time launching.
+    """
+    if config.batch_size is not None:
+        return config.batch_size
+    per_row = max(model.sv_pool.n_pool * 8, 1)
+    return max(1, min(m, config.device.global_mem_bytes // 4 // per_row))
 
 
 def _pairwise_estimates(

@@ -5,7 +5,7 @@ shard naturally across devices.  This package adds the cluster substrate
 (:mod:`~repro.distributed.cluster`), the pair-to-device placement planner
 (:mod:`~repro.distributed.placement`), the sharded training driver with
 its cross-device SV merge (:mod:`~repro.distributed.trainer`) and the
-sharded inference router (:mod:`~repro.distributed.inference`).  Sharding
+pair-partitioned inference router (:mod:`~repro.distributed.inference`).  Sharding
 changes only the simulated timeline — models, decision values and coupled
 probabilities stay bitwise identical to the single-device paths.
 """
@@ -16,10 +16,7 @@ from repro.distributed.cluster import (
     DevicePool,
     InterconnectSpec,
 )
-from repro.distributed.inference import (
-    SHARD_STRATEGIES,
-    ShardedInferenceRouter,
-)
+from repro.distributed.inference import ShardedInferenceRouter
 from repro.distributed.placement import (
     PLACEMENT_STRATEGIES,
     PlacementPlan,
@@ -33,7 +30,6 @@ from repro.distributed.trainer import (
 __all__ = [
     "HOST",
     "PLACEMENT_STRATEGIES",
-    "SHARD_STRATEGIES",
     "ClusterSpec",
     "ClusterTrainingReport",
     "DevicePool",

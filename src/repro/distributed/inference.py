@@ -1,66 +1,55 @@
-"""Sharded inference over a simulated cluster.
+"""Pair-partitioned inference over a simulated cluster.
 
-Two ways to spread a sealed model across devices, trading throughput
-against per-device memory:
+The k(k-1)/2 binary SVMs are placed onto devices with the same planner
+training uses; each device holds only the pool rows *its* SVMs reference.
+A request's rows are copied to every shard once, each shard computes its
+decision-value columns, and the partial decision values are reduced to
+the root device over the peer links (``shard_reduce`` span), where the
+shared :class:`~repro.core.predictor.PredictionPipeline` turns them into
+probabilities or labels.  Memory per device shrinks toward ``1/n``-th of
+the pool; a single request's kernel work is split across devices.
 
-- ``replicated`` — every device seals the *full* model (one
-  :class:`~repro.serving.session.InferenceSession` each) and calls are
-  routed round-robin across the healthy replicas.  Memory per device is
-  the whole pool; throughput scales with devices because independent
-  requests serve concurrently — a :class:`~repro.server.Dispatcher`
-  over the router queues and fuses requests with one lane per device.
-- ``pair_partitioned`` — the k(k-1)/2 binary SVMs are placed onto devices
-  with the same planner training uses; each device holds only the pool
-  rows *its* SVMs reference.  A request fans out to every shard, each
-  shard computes its decision-value columns, and the partial decision
-  values are reduced to the root device over the peer links
-  (``shard_reduce`` span), where the shared probability tail
-  (:func:`~repro.core.predictor.probabilities_from_decisions`) runs once.
-  Memory per device shrinks toward ``1/n``-th of the pool; a single
-  request's kernel work is split across devices.
+Replicated serving — the full model on every device, for throughput — is
+a :class:`~repro.server.Dispatcher` over one
+:class:`~repro.serving.InferenceSession` with one lane per replica; its
+``fail_lane`` / ``restore_lane`` are the replica-health API.
 
 **Bitwise parity.**  Every kernel block element is a pure function of its
 (test row, pool row) pair — both matmul axes go through the fixed-tile
 discipline of :mod:`repro.backends.reference` — so a shard computing ``K(x, sv)``
 against its sub-pool produces the very bytes the full pool would, and each
 SVM's weighted sum consumes an identical gathered column block.  The
-router chunks ``predict_proba`` exactly like
-:meth:`InferenceSession._serve_proba` (same budget, same boundaries) and
-runs the same numeric tail, so both strategies return results bitwise
-equal to a single-device session for every device count and placement.
+pipeline's chunk boundaries depend only on the full model and the
+request, so the router returns results bitwise equal to a single-device
+session for every device count and placement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.core.predictor import (
+    PredictionPipeline,
     PredictorConfig,
-    batch_budget_rows,
-    probabilities_from_decisions,
+    require_probability,
 )
 from repro.core.validation import check_predict_inputs
 from repro.distributed.cluster import ClusterSpec, DevicePool
 from repro.distributed.placement import plan_placement
-from repro.exceptions import DeviceError, NotFittedError, ValidationError
+from repro.exceptions import NotFittedError
 from repro.gpusim.engine import FLOAT_BYTES
 from repro.kernels.functions import KernelFunction
 from repro.kernels.rows import KernelRowComputer
 from repro.model.multiclass import MPSVMModel
-from repro.multiclass.ova import ova_positions
 from repro.multiclass.sv_sharing import PooledSVM, SupportVectorPool
-from repro.multiclass.voting import ovo_vote
-from repro.serving.session import InferenceSession
 from repro.sparse import ops as mops
 from repro.telemetry.tracer import maybe_span
 
-__all__ = ["ShardedInferenceRouter", "ModelShard", "SHARD_STRATEGIES"]
-
-SHARD_STRATEGIES = ("replicated", "pair_partitioned")
+__all__ = ["ShardedInferenceRouter", "ModelShard"]
 
 
 @dataclass
@@ -79,7 +68,7 @@ class ModelShard:
 
 
 class ShardedInferenceRouter:
-    """Serve one fitted model from several simulated devices.
+    """Serve one fitted model pair-partitioned across simulated devices.
 
     Parameters
     ----------
@@ -87,14 +76,12 @@ class ShardedInferenceRouter:
         The fitted :class:`MPSVMModel` to serve.
     cluster:
         Device count and interconnect (:class:`ClusterSpec`).
-    strategy:
-        ``"replicated"`` or ``"pair_partitioned"`` (see module docstring).
     config:
         Prediction-side configuration; its device is aligned with the
         cluster's.  Defaults to SV sharing on the cluster's device.
     placement:
-        Pair-to-device strategy for ``pair_partitioned`` (same planner as
-        sharded training; weight = each SVM's support count).
+        Pair-to-device strategy (same planner as sharded training;
+        weight = each SVM's support count).
 
     ``predict_proba`` / ``predict`` / ``decision_function`` return results
     bitwise equal to a single-device :class:`InferenceSession`.
@@ -105,7 +92,6 @@ class ShardedInferenceRouter:
         model: MPSVMModel,
         cluster: ClusterSpec,
         *,
-        strategy: str = "replicated",
         config: Optional[PredictorConfig] = None,
         placement: str = "affinity",
     ) -> None:
@@ -114,13 +100,8 @@ class ShardedInferenceRouter:
                 "ShardedInferenceRouter serves a fitted MPSVMModel; got "
                 f"{type(model).__name__}"
             )
-        if strategy not in SHARD_STRATEGIES:
-            raise ValidationError(
-                f"strategy must be one of {SHARD_STRATEGIES}, got {strategy!r}"
-            )
         self.model = model.warm()
         self.cluster = cluster
-        self.strategy = strategy
         if config is None:
             config = PredictorConfig(device=cluster.device)
         elif config.device is not cluster.device:
@@ -134,34 +115,16 @@ class ShardedInferenceRouter:
             backend=config.backend,
             tracer=config.tracer,
         )
-        # Chunking mirrors InferenceSession._serve_proba on the FULL model
-        # — identical chunk boundaries are part of the parity contract.
-        self._budget_rows = batch_budget_rows(config, self.model)
-        self.n_calls = 0
-        self._sessions: list[InferenceSession] = []
         self._shards: list[ModelShard] = []
-        self._round_robin = 0
-        # Replica health (replicated only): round-robin skips unhealthy
-        # devices, so a lost replica degrades capacity without ever
-        # serving from dead state.
-        self._healthy = [True] * cluster.n_devices
-        if strategy == "replicated":
-            self._seal_replicated()
-        else:
-            self._seal_partitioned(placement)
+        self._seal(placement)
+        self._pipeline = PredictionPipeline(
+            self.pool.engine(0), self.model, config, self._reduce_decisions
+        )
 
     # ------------------------------------------------------------------
     # Sealing
     # ------------------------------------------------------------------
-    def _seal_replicated(self) -> None:
-        """Seal the full model once per device."""
-        for device in range(self.cluster.n_devices):
-            # The interconnect cost of replicating the pool; the session
-            # then charges its own (device-local) seal work.
-            self.pool.host_to_device(device, self.model.sv_pool.pool_nbytes)
-            self._sessions.append(InferenceSession(self.model, self.config))
-
-    def _seal_partitioned(self, placement: str) -> None:
+    def _seal(self, placement: str) -> None:
         """Place the SVMs on devices and seal each device's sub-pool."""
         sv_pool = self.model.sv_pool
         shapes = [
@@ -243,186 +206,66 @@ class ShardedInferenceRouter:
         return self.model.n_features
 
     @property
-    def sessions(self) -> list[InferenceSession]:
-        """Per-device sealed sessions (``replicated`` only)."""
-        return list(self._sessions)
-
-    @property
     def shards(self) -> list[ModelShard]:
-        """Per-device model slices (``pair_partitioned`` only)."""
+        """Per-device model slices."""
         return list(self._shards)
-
-    def device_seconds(self, device: int) -> float:
-        """Simulated busy seconds of one device (transfers + serving)."""
-        seconds = self.pool.engine(device).clock.elapsed_s
-        if self.strategy == "replicated":
-            seconds += self._sessions[device].simulated_seconds
-        return seconds
 
     @property
     def simulated_seconds(self) -> float:
         """Cluster serving makespan: the busiest device's timeline."""
-        return max(
-            self.device_seconds(device) for device in range(self.n_devices)
-        )
+        return self.pool.makespan_s
 
     def memory_per_device_bytes(self) -> list[int]:
         """Resident model bytes per device (the partitioning win)."""
-        if self.strategy == "replicated":
-            return [self.model.sv_pool.pool_nbytes] * self.n_devices
         per_device = [0] * self.n_devices
         for shard in self._shards:
             per_device[shard.device] = shard.pool.pool_nbytes
         return per_device
 
     # ------------------------------------------------------------------
-    # One-shot serving
+    # Serving
     # ------------------------------------------------------------------
     def predict_proba(self, X: object) -> np.ndarray:
         """Multi-class probabilities, shape ``(m, n_classes)``."""
         data = check_predict_inputs(X, self.n_features)
-        if not self.model.probability:
-            raise NotFittedError(
-                "model was trained without probability output; refit with "
-                "probability=True"
-            )
-        if self.strategy == "replicated":
-            return self._next_session().predict_proba(data)
-        return self._partitioned_proba(data)
+        require_probability(self.model)
+        return self._serve("serve_proba", data, self._pipeline.probabilities)
 
     def predict(self, X: object) -> np.ndarray:
         """Predicted class labels (argmax probability when available)."""
         data = check_predict_inputs(X, self.n_features)
-        if self.strategy == "replicated":
-            return self._next_session().predict(data)
-        if self.model.probability:
-            probabilities = self._partitioned_proba(data)
-            positions = np.argmax(probabilities, axis=1)
-            return self.model.labels_from_positions(positions)
-        decisions = self._reduce_decisions(data)
-        if self.model.strategy == "ova":
-            positions = ova_positions(decisions)
-        else:
-            positions = ovo_vote(
-                decisions, self.model.pairs, self.model.n_classes
-            )
-        return self.model.labels_from_positions(positions)
+        return self._serve("serve_labels", data, self._pipeline.labels)
 
     def decision_function(self, X: object) -> np.ndarray:
-        """Raw per-SVM decision values, shape ``(m, n_svms)``."""
+        """Raw per-SVM decision values, shape ``(m, n_svms)``.
+
+        Like a session's, this skips the host-to-device row copy.
+        """
         data = check_predict_inputs(X, self.n_features)
-        if self.strategy == "replicated":
-            return self._next_session().decision_function(data)
         return self._reduce_decisions(data)
-
-    # ------------------------------------------------------------------
-    # Replica health (replicated)
-    # ------------------------------------------------------------------
-    @property
-    def healthy_devices(self) -> list[int]:
-        """Devices currently in the serving rotation."""
-        return [d for d, ok in enumerate(self._healthy) if ok]
-
-    def mark_unhealthy(self, device: int) -> None:
-        """Take ``device``'s replica out of the rotation (replica lost).
-
-        Requests already answered by the replica stand — they were
-        computed while it was alive and are bitwise the full model's
-        answers.  Later calls route round-robin over the survivors; with
-        no survivors, serving raises an explicit
-        :class:`~repro.exceptions.DeviceError` rather than degrade
-        silently.
-        """
-        self._require("replicated")
-        self.pool._check_device(device)
-        self._healthy[device] = False
-
-    def mark_healthy(self, device: int, *, reseal: bool = False) -> None:
-        """Return ``device`` to the rotation, optionally as a fresh seal.
-
-        ``reseal=True`` models a *replacement* replica: the pool is
-        shipped to the device again and a new session seals there (both
-        charged to the simulated clocks); otherwise the existing seal
-        rejoins as-is (a restarted process on a surviving device).
-        """
-        self._require("replicated")
-        self.pool._check_device(device)
-        if reseal:
-            self.pool.host_to_device(device, self.model.sv_pool.pool_nbytes)
-            self._sessions[device] = InferenceSession(self.model, self.config)
-        self._healthy[device] = True
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _require(self, strategy: str) -> None:
-        if self.strategy != strategy:
-            raise ValidationError(
-                f"operation requires the {strategy!r} strategy; this "
-                f"router is {self.strategy!r}"
-            )
-
-    def _next_session(self) -> InferenceSession:
-        """Advance the round-robin pointer to the next healthy replica."""
-        self.n_calls += 1
-        n = len(self._sessions)
-        for _ in range(n):
-            device = self._round_robin
-            self._round_robin = (self._round_robin + 1) % n
-            if self._healthy[device]:
-                return self._sessions[device]
-        raise DeviceError(
-            "every replica is marked unhealthy; restore one with "
-            "mark_healthy() before serving"
-        )
-
-    def _partitioned_proba(self, data: mops.MatrixLike) -> np.ndarray:
-        """Chunked probabilities over the partial-decision reduce.
-
-        Chunk boundaries and the probability tail replicate
-        ``InferenceSession._serve_proba`` on the full model exactly; only
-        the decision values inside each chunk come from the shards.
-        """
-        self.n_calls += 1
-        root = self._root_engine()
-        m = mops.n_rows(data)
+    def _serve(
+        self,
+        name: str,
+        data: mops.MatrixLike,
+        step: Callable[[mops.MatrixLike], np.ndarray],
+    ) -> np.ndarray:
+        """Copy the request rows to every shard once, then run ``step``."""
         for shard in self._shards:
             self.pool.host_to_device(shard.device, mops.matrix_nbytes(data))
-        probabilities = np.empty((m, self.model.n_classes))
-        batch = (
-            self._budget_rows
-            if self.config.batch_size is not None
-            else max(1, min(m, self._budget_rows))
-        )
         with maybe_span(
             self._tracer,
-            "serve_proba",
-            clock=root.clock,
-            n_instances=m,
-            batch_size=batch,
+            name,
+            clock=self.pool.engine(0).clock,
+            n_instances=mops.n_rows(data),
             n_shards=len(self._shards),
         ):
-            for start in range(0, m, batch):
-                stop = min(start + batch, m)
-                chunk = (
-                    data
-                    if start == 0 and stop == m
-                    else mops.take_rows(
-                        data, np.arange(start, stop, dtype=np.int64)
-                    )
-                )
-                decisions = self._reduce_decisions(chunk, transfer=False)
-                probabilities[start:stop] = probabilities_from_decisions(
-                    root,
-                    self.model,
-                    decisions,
-                    coupling_method=self.config.coupling_method,
-                )
-        return probabilities
+            return step(data)
 
-    def _reduce_decisions(
-        self, data: mops.MatrixLike, *, transfer: bool = False
-    ) -> np.ndarray:
+    def _reduce_decisions(self, data: mops.MatrixLike) -> np.ndarray:
         """Partial-decision-value reduce across the shards.
 
         Every shard computes its SVM columns against its sub-pool, ships
@@ -430,7 +273,7 @@ class ShardedInferenceRouter:
         links, and the full ``(m, n_svms)`` matrix is assembled in global
         SVM order.
         """
-        root = self._root_engine()
+        root = self.pool.engine(0)
         m = mops.n_rows(data)
         out = np.empty((m, len(self.model.sv_pool.svms)))
         with maybe_span(
@@ -443,10 +286,6 @@ class ShardedInferenceRouter:
             reduced_bytes = 0
             for shard in self._shards:
                 engine = self.pool.engine(shard.device)
-                if transfer:
-                    self.pool.host_to_device(
-                        shard.device, mops.matrix_nbytes(data)
-                    )
                 norms_test = (
                     KernelFunction.compute_norms(
                         engine, data, category="decision_values"
@@ -469,11 +308,8 @@ class ShardedInferenceRouter:
             span.set(reduced_bytes=reduced_bytes)
         return out
 
-    def _root_engine(self):
-        return self.pool.engine(0)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ShardedInferenceRouter({self.cluster.name}, "
-            f"strategy={self.strategy!r})"
+            f"shards={len(self._shards)})"
         )

@@ -28,12 +28,12 @@ come from exactly the code path DESIGN.md §11 gates.
 Backends:
 
 - :class:`~repro.serving.InferenceSession` — ``n_workers`` lanes share
-  the one sealed session (a resident server with an async handler pool);
-- :class:`~repro.distributed.ShardedInferenceRouter` (``replicated``) —
-  one lane per device, each dispatch runs on its own device's session;
-- :class:`~repro.distributed.ShardedInferenceRouter`
-  (``pair_partitioned``) — one lane whose calls fan out across shards
-  internally.
+  the one sealed session.  A lane is a replica: :meth:`Dispatcher.fail_lane`
+  / :meth:`Dispatcher.restore_lane` / :meth:`Dispatcher.lane_health` are
+  the package's only replica-health API, and a restored lane may take a
+  replacement session;
+- :class:`~repro.distributed.ShardedInferenceRouter` — one lane whose
+  calls fan out across the pair-partitioned shards internally.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.core.predictor import labels_from_probabilities
 from repro.core.validation import check_predict_inputs
 from repro.distributed.inference import ShardedInferenceRouter
 from repro.exceptions import ValidationError
@@ -214,8 +215,8 @@ class Dispatcher:
     backend:
         An :class:`InferenceSession` or :class:`ShardedInferenceRouter`.
     n_workers:
-        Concurrency lanes.  Ignored for a ``replicated`` router (one lane
-        per device) and a ``pair_partitioned`` router (one lane).
+        Concurrency lanes (replicas) over a session.  Ignored for a
+        router, which is one lane.
     max_batch:
         Most requests fused into one dispatch when the queue has built up.
     admission:
@@ -238,8 +239,7 @@ class Dispatcher:
                 raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
             targets = [backend] * int(n_workers)
         elif isinstance(backend, ShardedInferenceRouter):
-            replicated = backend.strategy == "replicated"
-            targets = backend.sessions if replicated else [backend]
+            targets = [backend]
         else:
             raise ValidationError(
                 "Dispatcher backend must be an InferenceSession or "
@@ -699,9 +699,7 @@ class Dispatcher:
         for request in batch:
             rows = fused_rows[offset : offset + request.n_rows]
             if group == "proba" and request.kind == "predict":
-                rows = self.backend.model.labels_from_positions(
-                    np.argmax(rows, axis=1)
-                )
+                rows = labels_from_probabilities(self.backend.model, rows)
             request._result = rows
             request.done = True
             request.worker = lane.index

@@ -23,10 +23,10 @@ training side).
   resident so repeated identical requests skip the kernel computation
   entirely.
 
-Every serve call then runs only the per-request math, through exactly the
-same numeric tail as the one-shot path
-(:func:`~repro.core.predictor.probabilities_from_decisions`), which —
-together with the fixed-shape tiled products underneath
+Every serve call then runs only the per-request math, through the same
+:class:`~repro.core.predictor.PredictionPipeline` as the one-shot path
+with the warm pool as its decision-value source, which — together with
+the fixed-shape tiled products underneath
 (``repro.backends.reference.MATMUL_TILE_ROWS``) — keeps session outputs bitwise
 identical to one-shot predictions, batch composition notwithstanding.
 """
@@ -35,23 +35,21 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.core.predictor import (
+    PredictionPipeline,
     PredictorConfig,
-    batch_budget_rows,
-    probabilities_from_decisions,
+    require_probability,
 )
 from repro.core.validation import check_predict_inputs
 from repro.exceptions import NotFittedError, ValidationError
 from repro.gpusim.device import scaled_tesla_p100
 from repro.kernels.rows import KernelRowComputer
 from repro.model.multiclass import MPSVMModel
-from repro.multiclass.ova import ova_positions
-from repro.multiclass.voting import ovo_vote
 from repro.sparse import CSRMatrix
 from repro.sparse import ops as mops
 from repro.telemetry.tracer import maybe_span
@@ -69,7 +67,7 @@ class SessionStats:
     tile_misses: int = 0
     seal_simulated_s: float = 0.0
     serve_simulated_s: float = 0.0
-    per_call_simulated_s: list = field(default_factory=list)
+    last_call_simulated_s: float = 0.0
 
     @property
     def tile_hit_rate(self) -> float:
@@ -168,7 +166,9 @@ class InferenceSession:
             )
             self._computer.norms()  # pool norms resident from now on
             span.set(simulated_seconds=self._engine.clock.elapsed_s)
-        self._budget_rows = batch_budget_rows(self.config, model)
+        self._pipeline = PredictionPipeline(
+            self._engine, self.model, self.config, self._chunk_decisions
+        )
         self.stats.seal_simulated_s = self._engine.clock.elapsed_s
 
     # ------------------------------------------------------------------
@@ -217,90 +217,51 @@ class InferenceSession:
     def predict_proba(self, X: object) -> np.ndarray:
         """Multi-class probabilities, shape ``(m, n_classes)``."""
         data = check_predict_inputs(X, self.n_features)
-        if not self.model.probability:
-            raise NotFittedError(
-                "model was trained without probability output; refit with "
-                "probability=True"
-            )
-        return self._serve_proba(data)
+        require_probability(self.model)
+        return self._serve("serve_proba", data, self._pipeline.probabilities)
 
     def predict(self, X: object) -> np.ndarray:
         """Predicted class labels (argmax probability when available)."""
         data = check_predict_inputs(X, self.n_features)
-        if self.model.probability:
-            probabilities = self._serve_proba(data)
-            positions = np.argmax(probabilities, axis=1)
-            return self.model.labels_from_positions(positions)
-        decisions = self._serve_decisions(data, name="serve_labels")
-        if self.model.strategy == "ova":
-            positions = ova_positions(decisions)
-        else:
-            positions = ovo_vote(decisions, self.model.pairs, self.model.n_classes)
-        return self.model.labels_from_positions(positions)
+        return self._serve("serve_labels", data, self._pipeline.labels)
 
     def decision_function(self, X: object) -> np.ndarray:
         """Raw per-SVM decision values, shape ``(m, n_svms)``."""
         data = check_predict_inputs(X, self.n_features)
-        return self._serve_decisions(
-            data, name="serve_decisions", transfer=False
+        return self._serve(
+            "serve_decisions", data, self._chunk_decisions, transfer=False
         )
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _serve_proba(self, data: mops.MatrixLike) -> np.ndarray:
-        engine = self._engine
-        sim_start = engine.clock.elapsed_s
-        engine.transfer(mops.matrix_nbytes(data), category="transfer")
-        m = mops.n_rows(data)
-        probabilities = np.empty((m, self.model.n_classes))
-        batch = (
-            self._budget_rows
-            if self.config.batch_size is not None
-            else max(1, min(m, self._budget_rows))
-        )
-        with maybe_span(
-            self._tracer,
-            "serve_proba",
-            clock=engine.clock,
-            n_instances=m,
-            batch_size=batch,
-        ) as span:
-            for start in range(0, m, batch):
-                stop = min(start + batch, m)
-                chunk = (
-                    data
-                    if start == 0 and stop == m
-                    else mops.take_rows(data, np.arange(start, stop, dtype=np.int64))
-                )
-                decisions = self._chunk_decisions(chunk)
-                probabilities[start:stop] = probabilities_from_decisions(
-                    engine,
-                    self.model,
-                    decisions,
-                    coupling_method=self.config.coupling_method,
-                )
-            span.set(simulated_seconds=engine.clock.elapsed_s - sim_start)
-        self._note_call(m, engine.clock.elapsed_s - sim_start)
-        return probabilities
-
-    def _serve_decisions(
-        self, data: mops.MatrixLike, *, name: str, transfer: bool = True
+    def _serve(
+        self,
+        name: str,
+        data: mops.MatrixLike,
+        step: Callable[[mops.MatrixLike], np.ndarray],
+        *,
+        transfer: bool = True,
     ) -> np.ndarray:
+        """One serve call: copy the rows in, run ``step``, book the call.
+
+        Raw decision values skip the copy, as the one-shot
+        :func:`~repro.core.predictor.decision_matrix` does.
+        """
         engine = self._engine
         sim_start = engine.clock.elapsed_s
         if transfer:
             engine.transfer(mops.matrix_nbytes(data), category="transfer")
-        with maybe_span(
-            self._tracer,
-            name,
-            clock=engine.clock,
-            n_instances=mops.n_rows(data),
-        ) as span:
-            decisions = self._chunk_decisions(data)
-            span.set(simulated_seconds=engine.clock.elapsed_s - sim_start)
-        self._note_call(mops.n_rows(data), engine.clock.elapsed_s - sim_start)
-        return decisions
+        m = mops.n_rows(data)
+        with maybe_span(self._tracer, name, clock=engine.clock, n_instances=m) as span:
+            result = step(data)
+            simulated_s = engine.clock.elapsed_s - sim_start
+            span.set(simulated_seconds=simulated_s)
+        self.stats.n_calls += 1
+        self.stats.n_rows += int(m)
+        self.stats.serve_simulated_s += simulated_s
+        self.stats.last_call_simulated_s = simulated_s
+        return result
 
     def _chunk_decisions(self, chunk: mops.MatrixLike) -> np.ndarray:
         """Decision values for one chunk, through the warm pool computer.
@@ -334,12 +295,6 @@ class InferenceSession:
             category="decision_values",
             computer=self._computer,
         )
-
-    def _note_call(self, n_rows: int, simulated_s: float) -> None:
-        self.stats.n_calls += 1
-        self.stats.n_rows += int(n_rows)
-        self.stats.serve_simulated_s += simulated_s
-        self.stats.per_call_simulated_s.append(simulated_s)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -13,8 +13,7 @@ import pytest
 from repro.core.predictor import PredictorConfig
 from repro.core.trainer import TrainerConfig, train_multiclass
 from repro.data import gaussian_blobs
-from repro.distributed import ClusterSpec, ShardedInferenceRouter
-from repro.exceptions import DeviceError, ValidationError
+from repro.exceptions import ValidationError
 from repro.gpusim.device import scaled_tesla_p100
 from repro.kernels.functions import kernel_from_name
 from repro.server.dispatcher import Dispatcher
@@ -37,9 +36,10 @@ def served():
 
 
 def _replicated_dispatcher(model, n_devices=3):
-    cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=n_devices)
-    router = ShardedInferenceRouter(model, cluster, strategy="replicated")
-    return Dispatcher(router)
+    session = InferenceSession(
+        model, PredictorConfig(device=scaled_tesla_p100())
+    )
+    return Dispatcher(session, n_workers=n_devices)
 
 
 class TestLaneFailure:
@@ -194,56 +194,3 @@ class TestLaneFailure:
         )
         with pytest.raises(ValidationError, match="features"):
             d.restore_lane(0, wrong)
-
-
-class TestRouterHealth:
-    def test_unhealthy_replica_skipped_with_bitwise_parity(self, served):
-        model, probe, reference = served
-        cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=3)
-        router = ShardedInferenceRouter(model, cluster, strategy="replicated")
-        router.mark_unhealthy(1)
-        assert router.healthy_devices == [0, 2]
-        for _ in range(4):
-            assert np.array_equal(router.predict_proba(probe), reference)
-        # The unhealthy device's session never served.
-        assert router.sessions[1].stats.n_calls == 0
-
-    def test_all_unhealthy_is_explicit(self, served):
-        model, probe, _ = served
-        cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=2)
-        router = ShardedInferenceRouter(model, cluster, strategy="replicated")
-        router.mark_unhealthy(0)
-        router.mark_unhealthy(1)
-        with pytest.raises(DeviceError, match="unhealthy"):
-            router.predict_proba(probe)
-
-    def test_reseal_replacement_charges_and_serves(self, served):
-        model, probe, reference = served
-        cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=2)
-        router = ShardedInferenceRouter(model, cluster, strategy="replicated")
-        before = router.pool.device_transfer_bytes(1)
-        router.mark_unhealthy(1)
-        router.mark_healthy(1, reseal=True)
-        assert router.pool.device_transfer_bytes(1) > before
-        assert router.healthy_devices == [0, 1]
-        assert np.array_equal(router.predict_proba(probe), reference)
-
-    def test_submit_skips_unhealthy_batcher(self, served):
-        model, probe, reference = served
-        cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=3)
-        router = ShardedInferenceRouter(model, cluster, strategy="replicated")
-        router.mark_unhealthy(0)
-        results = [router.predict_proba(probe) for _ in range(4)]
-        assert all(np.array_equal(r, reference) for r in results)
-        assert router.sessions[0].stats.n_calls == 0
-
-    def test_health_api_is_replicated_only(self, served):
-        model, _, _ = served
-        cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=2)
-        router = ShardedInferenceRouter(
-            model, cluster, strategy="pair_partitioned"
-        )
-        with pytest.raises(ValidationError, match="replicated"):
-            router.mark_unhealthy(0)
-        with pytest.raises(ValidationError, match="replicated"):
-            router.mark_healthy(0)

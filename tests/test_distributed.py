@@ -532,51 +532,39 @@ class TestShardedInferenceRouter:
     def test_outputs_bitwise_equal_to_session(
         self, served, strategy, n_devices
     ):
+        from repro.server import Dispatcher
+
         model, x_test, session = served
-        cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=n_devices)
-        router = ShardedInferenceRouter(model, cluster, strategy=strategy)
-        assert np.array_equal(
-            session.predict_proba(x_test), router.predict_proba(x_test)
-        )
-        assert np.array_equal(
-            session.decision_function(x_test),
-            router.decision_function(x_test),
-        )
-        assert np.array_equal(session.predict(x_test), router.predict(x_test))
+        kinds = ("predict_proba", "decision_function", "predict")
+        if strategy == "replicated":
+            # One replica per Dispatcher lane over one sealed session.
+            dispatcher = Dispatcher(InferenceSession(model), n_workers=n_devices)
+            tickets = [dispatcher.submit(x_test, kind=kind) for kind in kinds]
+            dispatcher.drain()
+            results = [ticket.result for ticket in tickets]
+        else:
+            cluster = ClusterSpec(
+                device=scaled_tesla_p100(), n_devices=n_devices
+            )
+            router = ShardedInferenceRouter(model, cluster)
+            results = [getattr(router, kind)(x_test) for kind in kinds]
+        for kind, result in zip(kinds, results):
+            assert np.array_equal(getattr(session, kind)(x_test), result)
 
     def test_partitioning_shrinks_per_device_memory(self, served):
         model, _, _ = served
         cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=4)
-        replicated = ShardedInferenceRouter(
-            model, cluster, strategy="replicated"
-        )
-        partitioned = ShardedInferenceRouter(
-            model, cluster, strategy="pair_partitioned"
-        )
+        partitioned = ShardedInferenceRouter(model, cluster)
         full = model.sv_pool.pool_nbytes
-        assert all(b == full for b in replicated.memory_per_device_bytes())
         assert all(b < full for b in partitioned.memory_per_device_bytes())
 
-    def test_round_robin_routing_spreads_sessions(self, served):
-        model, x_test, session = served
-        cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=2)
-        router = ShardedInferenceRouter(model, cluster, strategy="replicated")
-        router.predict_proba(x_test)
-        router.predict_proba(x_test)
-        serve_seconds = [
-            s.stats.serve_simulated_s for s in router.sessions
-        ]
-        assert all(seconds > 0.0 for seconds in serve_seconds)
-
     def test_micro_batched_requests_match_one_shot(self, served):
-        # Same-instant 1-row requests fused by the Dispatcher over a
-        # replicated router reproduce the one-shot session rows bitwise.
+        # Same-instant 1-row requests fused by a two-lane Dispatcher
+        # reproduce the one-shot session rows bitwise.
         from repro.server import Dispatcher
 
         model, x_test, session = served
-        cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=2)
-        router = ShardedInferenceRouter(model, cluster, strategy="replicated")
-        dispatcher = Dispatcher(router, max_batch=6)
+        dispatcher = Dispatcher(InferenceSession(model), n_workers=2, max_batch=6)
         rows = [x_test[i : i + 1] for i in range(6)]
         tickets = [dispatcher.submit(row, arrival_s=0.0) for row in rows]
         dispatcher.drain()
@@ -584,21 +572,44 @@ class TestShardedInferenceRouter:
         for ticket, row in zip(tickets, rows):
             assert np.array_equal(ticket.result, session.predict_proba(row))
 
-    def test_partitioned_reduce_charges_the_interconnect(self, served):
+    def test_partitioned_predict_ships_rows_to_every_shard(self, served):
+        # Voting labels need the test rows on every shard, as probabilities
+        # do; decision_function moves only the partial-decision reduce.
+        from dataclasses import replace
+
+        from repro.sparse.ops import matrix_nbytes
+
         model, x_test, _ = served
         cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=2)
         router = ShardedInferenceRouter(
-            model, cluster, strategy="pair_partitioned"
+            replace(model, probability=False), cluster
         )
+        devices = [shard.device for shard in router.shards]
+        assert devices == [0, 1]
+
+        def moved(call):
+            pool = router.pool
+            before = [pool.device_transfer_bytes(d) for d in devices]
+            call(x_test)
+            return [
+                pool.device_transfer_bytes(d) - b
+                for d, b in zip(devices, before)
+            ]
+
+        reduce_only = moved(router.decision_function)
+        shipped = moved(router.predict)
+        assert shipped == [r + matrix_nbytes(x_test) for r in reduce_only]
+
+    def test_partitioned_reduce_charges_the_interconnect(self, served):
+        model, x_test, _ = served
+        cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=2)
+        router = ShardedInferenceRouter(model, cluster)
         router.predict_proba(x_test)
         assert router.pool.total_transfer_bytes > 0
         assert router.simulated_seconds > 0.0
 
-    def test_validation(self, served):
-        model, _, _ = served
+    def test_validation(self):
         cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=2)
-        with pytest.raises(ValidationError, match="strategy"):
-            ShardedInferenceRouter(model, cluster, strategy="sliced")
         with pytest.raises(NotFittedError):
             ShardedInferenceRouter(object(), cluster)
 

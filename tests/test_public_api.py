@@ -128,7 +128,6 @@ class TestSignatures:
         assert _params(repro.ShardedInferenceRouter.__init__) == [
             "model",
             "cluster",
-            "strategy",
             "config",
             "placement",
         ]

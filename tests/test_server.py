@@ -20,7 +20,6 @@ import pytest
 
 from repro import GMPSVC, PredictorConfig, ValidationError
 from repro.data import gaussian_blobs
-from repro.distributed import ClusterSpec, ShardedInferenceRouter
 from repro.gpusim import scaled_tesla_p100
 from repro.serving import InferenceSession
 from repro.server import (
@@ -232,15 +231,11 @@ class TestDispatchAndParity:
         assert result.tobytes() == direct.tobytes()
 
     def test_router_backend_replicated(self, problem, model):
+        # Two replicas are two Dispatcher lanes over one sealed session.
         x, _ = problem
-        router = ShardedInferenceRouter(
-            model,
-            ClusterSpec(device=scaled_tesla_p100(), n_devices=2),
-            strategy="replicated",
-        )
         session = make_session(model)
         direct = session.predict_proba(x[:4])
-        dispatcher = Dispatcher(router, max_batch=4)
+        dispatcher = make_dispatcher(model, max_batch=4)
         assert dispatcher.n_workers == 2
         ticket = dispatcher.submit(x[:4])
         dispatcher.drain()

@@ -135,7 +135,7 @@ class TestSessionLifecycle:
         row = x[:1]
         session.predict_proba(row)  # exercise once
         session.predict_proba(row)
-        warm = session.stats.per_call_simulated_s[-1]
+        warm = session.stats.last_call_simulated_s
         config = PredictorConfig(device=scaled_tesla_p100())
         _, report = predict_proba_model(config, clf.model_, row)
         assert warm < report.simulated_seconds
@@ -147,9 +147,9 @@ class TestTileCache:
         session = InferenceSession.from_estimator(clf, tile_cache_entries=4)
         expected = _one_shot_proba(clf.model_, x[:6])
         first = session.predict_proba(x[:6])
-        t_miss = session.stats.per_call_simulated_s[-1]
+        t_miss = session.stats.last_call_simulated_s
         second = session.predict_proba(x[:6])
-        t_hit = session.stats.per_call_simulated_s[-1]
+        t_hit = session.stats.last_call_simulated_s
         assert np.array_equal(first, expected)
         assert np.array_equal(second, expected)
         assert session.stats.tile_hits == 1
