@@ -9,7 +9,7 @@ dominates large-scale SVM throughput:
   and squared row norms.  Kernel transforms downstream (exp/tanh/power)
   inherit float32 from the dots, so kernel rows are float32 end to end.
 - **float64**: the decision-value weighted sums (float32 kernel blocks
-  against float64 coefficients promote under NumPy's type rules), the
+  are widened before the multiply by the float64 coefficients), the
   coupling elimination (tiny ill-conditioned systems; narrowed storage,
   never the solve) and all reductions.
 

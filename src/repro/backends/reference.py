@@ -34,13 +34,13 @@ __all__ = [
 # through constant-shape ``(MATMUL_TILE_ROWS, k) @ (k, MATMUL_TILE_COLS)``
 # calls on contiguous zero-padded tiles makes each output element a pure
 # function of ``(a_row, b_row)``, independent of batch composition on
-# *either* axis.  The interleaved trainer relies on the row half (it fuses
-# kernel-row demand of concurrent SVMs into union batches); the distributed
-# inference router relies on the column half (a pair-partitioned shard
-# computes test-vs-sub-pool blocks whose columns sit at different offsets
-# than in the single-device pool, and must still reproduce the same bits).
-# The CSR code paths are per-row loops / fixed-segment reductions and carry
-# the invariant for free.
+# *either* axis.  Only kernel values rely on it: training rows (the
+# interleaved trainer fuses concurrent SVMs' row demand into union batches)
+# and prediction blocks (fused dispatches stack requests; a partitioned
+# shard's sub-pool columns sit at other offsets).  The decision sums over a
+# block are a per-row segment sum (``repro.multiclass.sv_sharing``).  The
+# CSR code paths are per-row loops / segment reductions and carry the
+# invariant for free.
 MATMUL_TILE_ROWS = 256
 MATMUL_TILE_COLS = 256
 

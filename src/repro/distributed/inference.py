@@ -18,7 +18,9 @@ a :class:`~repro.server.Dispatcher` over one
 (test row, pool row) pair — both matmul axes go through the fixed-tile
 discipline of :mod:`repro.backends.reference` — so a shard computing ``K(x, sv)``
 against its sub-pool produces the very bytes the full pool would, and each
-SVM's weighted sum consumes an identical gathered column block.  The
+SVM's decision values — an exact elementwise multiply, then a sum over
+that row's own segment — read the same values in the same order whatever
+the segment's offset in the sub-pool.  The
 pipeline's chunk boundaries depend only on the full model and the
 request, so the router returns results bitwise equal to a single-device
 session for every device count and placement.
@@ -42,7 +44,6 @@ from repro.distributed.cluster import ClusterSpec, DevicePool
 from repro.distributed.placement import plan_placement
 from repro.exceptions import NotFittedError
 from repro.gpusim.engine import FLOAT_BYTES
-from repro.kernels.functions import KernelFunction
 from repro.kernels.rows import KernelRowComputer
 from repro.model.multiclass import MPSVMModel
 from repro.multiclass.sv_sharing import PooledSVM, SupportVectorPool
@@ -285,21 +286,12 @@ class ShardedInferenceRouter:
         ) as span:
             reduced_bytes = 0
             for shard in self._shards:
-                engine = self.pool.engine(shard.device)
-                norms_test = (
-                    KernelFunction.compute_norms(
-                        engine, data, category="decision_values"
-                    )
-                    if self.model.kernel.needs_norms
-                    else None
-                )
-                block = shard.computer.block(
-                    data, norms_other=norms_test, category="decision_values"
-                )
-                out[:, shard.svm_indices] = (
-                    shard.pool.decision_values_from_block(
-                        engine, block, category="decision_values"
-                    )
+                out[:, shard.svm_indices] = shard.pool.decision_values(
+                    self.pool.engine(shard.device),
+                    self.model.kernel,
+                    data,
+                    category="decision_values",
+                    computer=shard.computer,
                 )
                 payload = m * shard.n_svms * FLOAT_BYTES
                 self.pool.device_to_device(shard.device, 0, payload)

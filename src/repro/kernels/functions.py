@@ -151,9 +151,13 @@ class GaussianKernel(KernelFunction):
         if norms_a is None or norms_b is None:
             raise ValidationError("Gaussian kernel requires row norms")
         engine.elementwise(category, dots.size, flops_per_element=5, arrays_read=3)
-        sq_dist = norms_a[:, None] + norms_b[None, :] - 2.0 * dots
-        np.maximum(sq_dist, 0.0, out=sq_dist)  # guard tiny negatives
-        return np.exp(-self.gamma * sq_dist)
+        # exp(-gamma * max(na + nb - 2 dots, 0)) in one buffer, same op order.
+        dtype = np.result_type(norms_a, norms_b, dots)
+        out = np.add.outer(norms_a, norms_b).astype(dtype, copy=False)
+        out -= 2.0 * dots
+        np.maximum(out, 0.0, out=out)  # guard tiny negatives
+        out *= -self.gamma
+        return np.exp(out, out=out)
 
     def diagonal(self, engine, norms, *, category):
         engine.elementwise(category, norms.size, arrays_read=0)

@@ -10,22 +10,24 @@ SVM a view (pool positions + signed coefficients).  At prediction time the
 kernel block between the test batch and the *pool* is computed once; every
 SVM's decision values are then cheap weighted sums over its slice of that
 block — this is both the memory saving and the kernel-value sharing of the
-paper's prediction phase.
+paper's prediction phase.  The sums are an elementwise multiply and a
+per-row segment sum, not BLAS gemv (whose bits depend on the batch shape).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.backends.reference import matmul_transpose as _ref_matmul_transpose
 from repro.exceptions import ValidationError
 from repro.gpusim.engine import FLOAT_BYTES, Engine
 from repro.kernels.functions import KernelFunction
 from repro.kernels.rows import KernelRowComputer
 from repro.sparse import ops as mops
+from repro.sparse.csr import segment_sums
 
 __all__ = ["SupportVectorPool", "PooledSVM"]
 
@@ -128,39 +130,28 @@ class SupportVectorPool:
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
-    def _weighted_sums(
-        self,
-        engine: Engine,
-        block: np.ndarray,
-        svm: PooledSVM,
-        *,
-        sliced: bool,
-        category: str,
-    ) -> np.ndarray:
-        """One SVM's ``sum_i alpha_i y_i K(x, sv_i) + b`` over a kernel block.
+    @cached_property
+    def _groups(self) -> list[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+        """Runs of consecutive SVMs whose gathered columns fit in ``n_pool``,
+        so that a group's gather is never larger than the kernel block."""
+        bounds, width = [0], 0
+        for index, svm in enumerate(self.svms):
+            if width + svm.pool_positions.size > self.n_pool:
+                bounds.append(index)
+                width = 0
+            width += svm.pool_positions.size
+        bounds.append(len(self.svms))
+        return [self._group(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
-        ``sliced=True`` gathers the SVM's columns out of a test-vs-pool
-        block; ``sliced=False`` takes a block already restricted to the
-        SVM's own support vectors.  The reduction runs through the
-        reference fixed-shape tiled product so every output value is
-        bitwise independent of how the test batch was composed (the
-        invariant the serving layer's micro-batching relies on; see
-        ``repro.backends.reference.MATMUL_TILE_ROWS``).  Float32 kernel
-        blocks promote against the float64 coefficients, so the
-        mixed-precision backend accumulates decision values in float64
-        through this same call.
-        """
-        m = block.shape[0]
-        columns = block[:, svm.pool_positions] if sliced else block
-        values = _ref_matmul_transpose(columns, svm.coefficients[None, :])[:, 0]
-        engine.charge(
-            category,
-            flops=2 * m * svm.pool_positions.size,
-            bytes_read=m * svm.pool_positions.size * FLOAT_BYTES,
-            bytes_written=m * FLOAT_BYTES,
-            launches=1,
+    def _group(self, first: int, end: int) -> tuple:
+        """``(svm slice, pool positions, coefficients, segment offsets)``."""
+        members = self.svms[first:end]
+        return (
+            slice(first, end),
+            np.concatenate([svm.pool_positions for svm in members]),
+            np.concatenate([svm.coefficients for svm in members]),
+            np.cumsum([0] + [svm.pool_positions.size for svm in members]),
         )
-        return values + svm.bias
 
     def decision_values_from_block(
         self,
@@ -174,18 +165,20 @@ class SupportVectorPool:
         ``block`` must be the full ``(m, n_pool)`` kernel matrix between
         the test batch and the shared pool (what :class:`InferenceSession`
         keeps resident in its tile cache); each SVM's decision values are
-        the cheap weighted sums over its slice.
+        the cheap weighted sums over its slice.  Row ``i`` of the result
+        depends only on row ``i`` of ``block``.
         """
         if block.shape[1] != self.n_pool:
             raise ValidationError(
                 f"block has {block.shape[1]} columns; pool holds {self.n_pool}"
             )
-        out = np.empty((block.shape[0], len(self.svms)))
-        for column, svm in enumerate(self.svms):
-            out[:, column] = self._weighted_sums(
-                engine, block, svm, sliced=True, category=category
-            )
-        return out
+        return self._decision_sums(
+            engine,
+            self._groups,
+            lambda positions: np.take(block, positions, axis=1),
+            block.shape[0],
+            category,
+        )
 
     def decision_values(
         self,
@@ -226,15 +219,49 @@ class SupportVectorPool:
                 engine, block, category=category
             )
 
-        out = np.empty((m, len(self.svms)))
-        for column, svm in enumerate(self.svms):
-            block = computer.block(
+        return self._decision_sums(
+            engine,
+            [self._group(j, j + 1) for j in range(len(self.svms))],
+            lambda positions: computer.block(
                 test_data,
                 norms_other=norms_test,
-                column_indices=svm.pool_positions,
+                column_indices=positions,
                 category=category,
-            )
-            out[:, column] = self._weighted_sums(
-                engine, block, svm, sliced=False, category=category
-            )
+            ),
+            m,
+            category,
+        )
+
+    def _decision_sums(
+        self,
+        engine: Engine,
+        groups: list[tuple],
+        columns_of: Callable[[np.ndarray], np.ndarray],
+        m: int,
+        category: str,
+    ) -> np.ndarray:
+        """``sum_i alpha_i y_i K(x, sv_i) + b`` for every SVM, group by group.
+
+        ``columns_of(positions)`` returns a group's kernel columns side by
+        side, as a fresh array this overwrites.  An exact elementwise
+        float64 multiply into a C-ordered array, then a per-row segment sum
+        (``np.add.reduceat``): every value is a pure function of one test
+        row and one SVM's columns, whatever the batch, the segment's offset
+        or its neighbours.  The simulated device still pays one launch per
+        SVM, in SVM order.
+        """
+        out = np.empty((m, len(self.svms)))
+        for members, positions, coefficients, offsets in groups:
+            products = np.asarray(columns_of(positions), np.float64, order="C")
+            np.multiply(products, coefficients, out=products)
+            out[:, members] = segment_sums(products, offsets, axis=1)
+            for size in np.diff(offsets).tolist():
+                engine.charge(
+                    category,
+                    flops=2 * m * size,
+                    bytes_read=m * size * FLOAT_BYTES,
+                    bytes_written=m * FLOAT_BYTES,
+                    launches=1,
+                )
+        out += [svm.bias for svm in self.svms]
         return out

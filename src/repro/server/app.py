@@ -32,6 +32,7 @@ import json
 import math
 import threading
 import time
+from http import HTTPStatus
 from typing import Callable, Optional
 
 from repro.exceptions import RegistryError, ReproError, ValidationError
@@ -286,21 +287,10 @@ class ServerApp:
             headers,
         )
         start_response(
-            f"{status} {_REASONS.get(status, 'Unknown')}",
+            f"{status} {HTTPStatus(status).phrase}",
             sorted(response_headers.items()),
         )
         return [payload]
-
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    422: "Unprocessable Entity",
-    429: "Too Many Requests",
-    503: "Service Unavailable",
-}
 
 
 def serve_http(
@@ -320,39 +310,71 @@ def serve_http(
     ``ready_callback(host, port)`` fires once the socket is bound.
     Returns the number of requests served.
     """
+    server = _http_server(app, (host, port), max_requests=max_requests, log=log)
+    try:
+        if ready_callback is not None:
+            ready_callback(*server.server_address[:2])
+        server.serve_forever(poll_interval=0.05)
+    except KeyboardInterrupt:  # pragma: no cover - interactive only
+        pass
+    finally:
+        server.server_close()
+    return server.n_served
+
+
+def _http_server(
+    app: ServerApp,
+    address: tuple[str, int],
+    *,
+    max_requests: Optional[int] = None,
+    log: Optional[Callable[[str], None]] = None,
+):
+    """Bind the socket server behind :func:`serve_http` (``http.server`` is
+    imported here, not with the module: it costs ~3 MB of resident memory)."""
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
     lock = threading.Lock()
-    served = {"count": 0}
 
     class _Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
 
         def _dispatch(self) -> None:
-            length = int(self.headers.get("Content-Length") or 0)
-            body = self.rfile.read(length) if length else b""
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                length = -1
+            body = self.rfile.read(length) if length > 0 else b""
             with lock:
-                status, headers, payload = app.handle_request(
-                    self.command,
-                    self.path,
-                    body,
-                    dict(self.headers.items()),
-                )
-                served["count"] += 1
-                stop = (
-                    max_requests is not None
-                    and served["count"] >= max_requests
-                )
-            self.send_response(status)
-            for key, value in headers.items():
-                self.send_header(key, value)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
+                if length < 0:
+                    # The body's extent is unknown: refuse, then close.
+                    self.close_connection = True
+                    status, headers, payload = app._error(
+                        400, "bad_request", detail="invalid Content-Length"
+                    )
+                    headers["Connection"] = "close"
+                else:
+                    status, headers, payload = app.handle_request(
+                        self.command, self.path, body, dict(self.headers.items())
+                    )
+                server.n_served += 1
+                stop = max_requests is not None and server.n_served >= max_requests
+            self._reply(status, headers, payload)
             if stop:
-                threading.Thread(
-                    target=self.server.shutdown, daemon=True
-                ).start()
+                threading.Thread(target=server.shutdown, daemon=True).start()
+
+        def _reply(self, status: int, headers: dict, payload: bytes) -> None:
+            """Send the whole response in one write: a separate body write
+            waits out the client's delayed ACK of the head (Nagle)."""
+            self.log_request(status)
+            lines = [
+                f"{self.protocol_version} {status} {HTTPStatus(status).phrase}",
+                f"Server: {self.version_string()}",
+                f"Date: {self.date_time_string()}",
+                *(f"{key}: {value}" for key, value in headers.items()),
+                f"Content-Length: {len(payload)}",
+            ]
+            head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+            self.wfile.write(head + payload)
 
         def do_GET(self) -> None:  # noqa: N802 - stdlib naming
             self._dispatch()
@@ -364,13 +386,6 @@ def serve_http(
             if log is not None:
                 log(fmt % args)
 
-    server = ThreadingHTTPServer((host, port), _Handler)
-    try:
-        if ready_callback is not None:
-            ready_callback(*server.server_address[:2])
-        server.serve_forever(poll_interval=0.05)
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    finally:
-        server.server_close()
-    return served["count"]
+    server = ThreadingHTTPServer(address, _Handler)
+    server.n_served = 0
+    return server

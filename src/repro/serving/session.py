@@ -25,9 +25,11 @@ training side).
 
 Every serve call then runs only the per-request math, through the same
 :class:`~repro.core.predictor.PredictionPipeline` as the one-shot path
-with the warm pool as its decision-value source, which — together with
-the fixed-shape tiled products underneath
-(``repro.backends.reference.MATMUL_TILE_ROWS``) — keeps session outputs bitwise
+with the warm pool as its decision-value source.  Together with the
+row-pure stages underneath — fixed-shape tiled kernel blocks
+(``repro.backends.reference.MATMUL_TILE_ROWS``) and the per-row
+multiply-then-segment-sum decision values
+(``repro.multiclass.sv_sharing``) — that keeps session outputs bitwise
 identical to one-shot predictions, batch composition notwithstanding.
 """
 

@@ -296,7 +296,7 @@ class CSRMatrix:
                 f"vector of shape {vec.shape} incompatible with {self.shape}"
             )
         products = self.data * vec[self.indices]
-        return _segment_sums(products, self.indptr)
+        return segment_sums(products, self.indptr)
 
     def dot_dense(self, dense: object, *, chunk_rows: int = 4096) -> np.ndarray:
         """``self @ dense`` for a dense ``(n_cols, m)`` matrix, chunked by rows.
@@ -314,7 +314,7 @@ class CSRMatrix:
             stop = min(start + chunk_rows, self.shape[0])
             lo, hi = self.indptr[start], self.indptr[stop]
             gathered = self.data[lo:hi, None] * mat[self.indices[lo:hi], :]
-            out[start:stop] = _segment_sums_2d(
+            out[start:stop] = segment_sums(
                 gathered, self.indptr[start : stop + 1] - lo
             )
         return out
@@ -338,13 +338,13 @@ class CSRMatrix:
             cols, vals = self.row(i)
             workspace[cols] = vals
             products = other.data * workspace[other.indices]
-            out[i] = _segment_sums(products, other.indptr)
+            out[i] = segment_sums(products, other.indptr)
             workspace[cols] = 0.0
         return out
 
     def row_norms_sq(self) -> np.ndarray:
         """Squared Euclidean norm of every row (for the Gaussian kernel)."""
-        return _segment_sums(self.data * self.data, self.indptr)
+        return segment_sums(self.data * self.data, self.indptr)
 
     def scale_rows(self, factors: object) -> "CSRMatrix":
         """Return a copy with row ``i`` multiplied by ``factors[i]``."""
@@ -375,35 +375,21 @@ class CSRMatrix:
         )
 
 
-def _segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Sum ``values`` over the segments delimited by ``indptr``.
+def segment_sums(values: np.ndarray, indptr: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Sum ``values`` along ``axis`` over the segments delimited by ``indptr``.
 
     ``np.add.reduceat`` mishandles empty segments (it copies the next
-    element instead of producing 0), so empty rows are fixed up explicitly.
+    element instead of producing 0), so it reduces only at non-empty
+    starts: empty segments have zero width, so consecutive non-empty starts
+    bracket exactly one segment each, and the empty ones stay 0.
     """
-    n_segments = indptr.size - 1
-    out = np.zeros(n_segments)
-    if values.size == 0 or n_segments == 0:
-        return out
+    shape = list(values.shape)
+    shape[axis] = indptr.size - 1
+    out = np.zeros(shape)
     starts = indptr[:-1]
     non_empty = indptr[1:] > starts
-    if not np.any(non_empty):
+    if values.size == 0 or not np.any(non_empty):
         return out
-    # Reduce only at non-empty starts: empty segments have zero width, so
-    # consecutive non-empty starts bracket exactly one segment each.
-    out[non_empty] = np.add.reduceat(values, starts[non_empty])
-    return out
-
-
-def _segment_sums_2d(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Row-segment sums of a 2-D array (same empty-segment care)."""
-    n_segments = indptr.size - 1
-    out = np.zeros((n_segments, values.shape[1]))
-    if values.size == 0 or n_segments == 0:
-        return out
-    starts = indptr[:-1]
-    non_empty = indptr[1:] > starts
-    if not np.any(non_empty):
-        return out
-    out[non_empty] = np.add.reduceat(values, starts[non_empty], axis=0)
+    where = (slice(None),) * axis + (non_empty,)
+    out[where] = np.add.reduceat(values, starts[non_empty], axis=axis)
     return out

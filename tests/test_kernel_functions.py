@@ -150,3 +150,60 @@ def test_gaussian_values_in_unit_interval(n):
     engine = make_engine(scaled_tesla_p100())
     gram = GaussianKernel(0.5).pairwise(engine, x, x, category="k")
     assert np.all(gram >= 0.0) and np.all(gram <= 1.0 + 1e-12)
+
+
+_TRANSFORM_DTYPES = [
+    (np.float64, np.float64),
+    (np.float32, np.float32),
+    (np.float64, np.float32),
+    (np.float32, np.float64),
+]
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    m=st.integers(1, 9),
+    n=st.integers(1, 9),
+    gamma=st.floats(0.01, 5.0),
+    dtypes=st.sampled_from(_TRANSFORM_DTYPES),
+)
+@settings(max_examples=60, deadline=None)
+def test_gaussian_transform_bitwise_equals_plain_expression(seed, m, n, gamma, dtypes):
+    """The in-place transform computes ``exp(-g * max(na + nb - 2 dots, 0))``
+    with the same operations in the same order, in every dtype mix the
+    backends produce, and leaves its inputs alone."""
+    from repro.gpusim import make_engine, scaled_tesla_p100
+
+    norm_dtype, dot_dtype = dtypes
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(m, 3)), rng.normal(size=(n, 3))
+    na = (a * a).sum(axis=1).astype(norm_dtype)
+    nb = (b * b).sum(axis=1).astype(norm_dtype)
+    dots = (a @ b.T).astype(dot_dtype)
+    # Near-coincident pairs: distances that round to tiny negatives (or
+    # tiny positives) exercise the clamp.
+    near = rng.random((m, n)) < 0.4
+    half = (na[:, None].astype(np.float64) + nb[None, :]) / 2
+    wobble = 1 + rng.choice([-1e-15, 0.0, 1e-15], size=(m, n))
+    dots[near] = (half * wobble)[near]
+    na_before, nb_before, dots_before = na.copy(), nb.copy(), dots.copy()
+
+    expected = np.exp(-gamma * np.maximum(na[:, None] + nb[None, :] - 2 * dots, 0))
+    out = GaussianKernel(gamma).transform(
+        make_engine(scaled_tesla_p100()), dots, na, nb, category="k"
+    )
+    assert out.dtype == expected.dtype
+    assert out.tobytes() == expected.tobytes()
+    assert na.tobytes() == na_before.tobytes()
+    assert nb.tobytes() == nb_before.tobytes()
+    assert dots.tobytes() == dots_before.tobytes()
+
+
+def test_gaussian_transform_clamps_tiny_negative_distances(gpu_engine):
+    na = np.array([1.0, 2.0])
+    nb = np.array([1.0])
+    dots = np.array([[np.nextafter(1.0, 2.0)], [0.5]])  # 1 + 1 - 2 dots < 0
+    assert (na[:, None] + nb[None, :] - 2 * dots)[0, 0] < 0
+    out = GaussianKernel(0.7).transform(gpu_engine, dots, na, nb, category="k")
+    assert out[0, 0] == 1.0
+    assert out[1, 0] == np.exp(-0.7 * 2.0)

@@ -3,14 +3,17 @@
 The headline contract is DESIGN.md §13's: an HTTP response body decodes
 to arrays *bitwise equal* to direct :class:`InferenceSession` calls —
 the wire format ships raw float64 buffers, the dispatcher fuses batches
-through the same fixed-tile kernels, so transport and batching add
-nothing numerically.  Around that: the admission-control edge cases
-(zero-capacity tenants, no priority inversion under shed, queue drain on
-shutdown, deterministic shed decisions) and a real-socket round trip.
+through row-pure kernel blocks and decision sums, so transport and
+batching add nothing numerically.  Around that: the admission-control
+edge cases (zero-capacity tenants, no priority inversion under shed,
+queue drain on shutdown, deterministic shed decisions), a real-socket
+round trip, and the socket handler's framing (one write per response, a
+JSON 400 for a bad ``Content-Length``).
 """
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 import urllib.request
@@ -32,6 +35,7 @@ from repro.server import (
     serve_http,
 )
 from repro.server import protocol
+from repro.server.app import _http_server
 from repro.sparse import CSRMatrix
 
 
@@ -568,3 +572,84 @@ class TestSocketServer:
         assert not thread.is_alive()
         result = protocol.decode_array(payload["result"])
         assert result.tobytes() == direct.tobytes()
+
+
+class _CountingConnection:
+    """A socket stand-in: serves ``raw`` as the request stream and records
+    every ``sendall`` (one per write to the handler's ``wfile``)."""
+
+    def __init__(self, raw: bytes) -> None:
+        self._raw = raw
+        self.writes: list[bytes] = []
+
+    def makefile(self, mode: str, *args, **kwargs) -> io.BytesIO:
+        assert "r" in mode
+        return io.BytesIO(self._raw)
+
+    def sendall(self, data) -> None:
+        self.writes.append(bytes(data))
+
+
+def _drive_handler(app, raw: bytes) -> list[bytes]:
+    """Run the socket handler over ``raw``; returns its socket writes."""
+    server = _http_server(app, ("127.0.0.1", 0))
+    try:
+        connection = _CountingConnection(raw)
+        server.RequestHandlerClass(connection, ("127.0.0.1", 1), server)
+    finally:
+        server.server_close()
+    return connection.writes
+
+
+def _split_response(write: bytes) -> tuple[int, dict[str, str], bytes]:
+    head, _, body = write.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    assert int(headers["Content-Length"]) == len(body)
+    return int(status_line.split()[1]), headers, body
+
+
+def _post(path: str, body: bytes, length: object = None) -> bytes:
+    length = len(body) if length is None else length
+    return (
+        f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    ).encode("latin-1") + body
+
+
+class TestSocketHandler:
+    def test_one_write_per_response(self, problem, model):
+        x, _ = problem
+        direct = make_session(model).predict_proba(x[:2])
+        raw = (
+            _post("/v1/predict_proba", post_body(x[:2]))
+            + b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+            + _post("/v1/predict_proba", b"not json")
+            + _post("/v1/nowhere", b"")
+        )
+        writes = _drive_handler(ServerApp(make_dispatcher(model)), raw)
+        # Keep-alive: four requests on one connection, four writes.
+        statuses = [_split_response(write)[0] for write in writes]
+        assert statuses == [200, 200, 400, 404]
+        _, headers, body = _split_response(writes[0])
+        assert headers["Content-Type"] == "application/json"
+        result = protocol.decode_array(json.loads(body)["result"])
+        assert result.tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_json_400(self, model, length):
+        raw = _post("/v1/predict_proba", b"{}", length) + _post(
+            "/v1/predict_proba", b"{}"
+        )
+        app = ServerApp(make_dispatcher(model))
+        writes = _drive_handler(app, raw)
+        # One reply, then the connection closes: the unframed body is
+        # never parsed as a second request.
+        assert len(writes) == 1
+        status, headers, body = _split_response(writes[0])
+        assert status == 400
+        assert headers["Connection"] == "close"
+        error = json.loads(body)["error"]
+        assert error["reason"] == "bad_request"
+        assert error["status"] == 400
+        assert app.n_http_requests == 0
