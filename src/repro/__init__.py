@@ -15,8 +15,6 @@ Public entry points:
   SVMs, kernel/SV sharing); :class:`TrainerConfig` /
   :class:`PredictorConfig` are its underlying pipeline configurations;
 - :class:`SVC` — the binary special case;
-- :class:`SVR` / :class:`OneClassSVM` — the regression and novelty-
-  detection surfaces ThunderSVM (the paper's host project) also ships;
 - :class:`InferenceSession` — the serving layer: seal a fitted model
   once, serve requests against the warm state; ``repro.server.Dispatcher``
   micro-batches many small requests through it (DESIGN.md §11);
@@ -67,10 +65,8 @@ from repro.distributed import (
     ShardedInferenceRouter,
     train_multiclass_sharded,
 )
-from repro.core.oneclass import OneClassSVM
 from repro.core.predictor import PredictorConfig
 from repro.core.svc import SVC
-from repro.core.svr import SVR
 from repro.core.trainer import TrainerConfig
 from repro.exceptions import (
     CheckpointError,
@@ -93,7 +89,7 @@ from repro.serving import InferenceSession
 from repro.sparse import CSRMatrix, dump_libsvm, load_libsvm
 from repro.telemetry import Tracer
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "BackendSpec",
@@ -112,13 +108,11 @@ __all__ = [
     "ModelFormatError",
     "ModelRegistry",
     "NotFittedError",
-    "OneClassSVM",
     "PredictorConfig",
     "RegistryError",
     "RegistryWatcher",
     "ReproError",
     "SVC",
-    "SVR",
     "ServerApp",
     "ShardedInferenceRouter",
     "SolverError",

@@ -6,25 +6,18 @@
   GPU.
 - :class:`~repro.core.svc.SVC` — a binary probabilistic SVM on the same
   machinery.
-- :class:`~repro.core.svr.SVR` / :class:`~repro.core.oneclass.OneClassSVM`
-  — epsilon regression and novelty detection (ThunderSVM's wider surface)
-  on the same batched solver via generalised dual linear terms.
 - :mod:`repro.core.trainer` / :mod:`repro.core.predictor` — the
   configurable pipelines the estimators and all baselines share.
 """
 
 from repro.core.gmp import GMPSVC
-from repro.core.oneclass import OneClassSVM
 from repro.core.svc import SVC
-from repro.core.svr import SVR
 from repro.core.trainer import TrainerConfig, train_multiclass
 from repro.core.predictor import PredictorConfig, predict_proba_model
 
 __all__ = [
     "GMPSVC",
-    "OneClassSVM",
     "SVC",
-    "SVR",
     "PredictorConfig",
     "TrainerConfig",
     "predict_proba_model",

@@ -105,7 +105,6 @@ class TrainerConfig:
     max_concurrent_svms: Optional[int] = None
     # GPUSVM-style dense storage (Figure 10's pathology).
     force_dense: bool = False
-    max_iterations: Optional[int] = None
     # Compute backend: None (the float64 reference), a backend name, a
     # repro.backends.BackendSpec or a ComputeBackend instance.
     backend: Optional[object] = None
@@ -116,12 +115,10 @@ class TrainerConfig:
     # of one monolithic solve.  ``None`` keeps every pair monolithic.
     cascade: Optional[object] = None
     # Telemetry: an optional hierarchical span tracer (spans cover the
-    # whole run, every pair solve and the concurrency packing), and a
-    # switch for per-round solver telemetry in the report even when no
-    # tracer is attached.  Both default off; the hot paths then do no
-    # telemetry bookkeeping at all.
+    # whole run, every pair solve and the concurrency packing; per-round
+    # solver records come with it).  Off by default; the hot paths then
+    # do no telemetry bookkeeping at all.
     tracer: Optional[Tracer] = None
-    collect_round_telemetry: bool = False
 
     def __post_init__(self) -> None:
         if self.solver not in ("batched", "classic"):
@@ -789,12 +786,7 @@ def _make_pair_member(
         )
     penalty_vector = _class_weighted_penalties(config, classes, problem, penalty)
     solver = _batched_solver(
-        config,
-        penalty,
-        tracer=None,
-        record_rounds=(
-            config.collect_round_telemetry or config.tracer is not None
-        ),
+        config, penalty, tracer=None, record_rounds=config.tracer is not None
     )
     warm = _warm_pair_init(warm_start, problem, rows, penalty, penalty_vector)
     session = solver.start(
@@ -958,10 +950,7 @@ def _solve_pair(
     state_bytes = 4 * n * FLOAT_BYTES  # alpha, f, labels, diagonal resident
     if config.solver == "batched":
         solver = _batched_solver(
-            config,
-            penalty,
-            tracer=config.tracer,
-            record_rounds=config.collect_round_telemetry,
+            config, penalty, tracer=config.tracer, record_rounds=False
         )
         result = solver.solve(
             rows,
@@ -976,7 +965,6 @@ def _solve_pair(
         solver = ShrinkingSMOSolver(
             penalty=penalty,
             epsilon=config.epsilon,
-            max_iterations=config.max_iterations,
             cache_bytes=config.classic_cache_bytes,
         )
         result = solver.solve(rows, labels, penalty_vector=penalty_vector)
@@ -995,7 +983,6 @@ def _solve_pair(
     solver = ClassicSMOSolver(
         penalty=penalty,
         epsilon=config.epsilon,
-        max_iterations=config.max_iterations,
         buffer=cache,
     )
     result = solver.solve(rows, labels, penalty_vector=penalty_vector)

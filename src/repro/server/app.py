@@ -240,6 +240,10 @@ class ServerApp:
             protocol.error_body(status, reason, detail=detail),
         )
 
+    def _bad_length(self) -> tuple[int, dict[str, str], bytes]:
+        """The 400 for a request whose ``Content-Length`` is unusable."""
+        return self._error(400, "bad_request", detail="invalid Content-Length")
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -270,27 +274,41 @@ class ServerApp:
     # ------------------------------------------------------------------
     def wsgi(self, environ: dict, start_response: Callable):
         """A minimal WSGI callable over :meth:`handle_request`."""
-        try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except ValueError:
-            length = 0
-        body = environ["wsgi.input"].read(length) if length else b""
-        headers = {
-            key[5:].replace("_", "-"): value
-            for key, value in environ.items()
-            if key.startswith("HTTP_")
-        }
-        status, response_headers, payload = self.handle_request(
-            environ.get("REQUEST_METHOD", "GET"),
-            environ.get("PATH_INFO", "/"),
-            body,
-            headers,
-        )
+        length = _content_length(environ.get("CONTENT_LENGTH"))
+        if length is None:
+            status, response_headers, payload = self._bad_length()
+        else:
+            body = environ["wsgi.input"].read(length) if length else b""
+            headers = {
+                key[5:].replace("_", "-"): value
+                for key, value in environ.items()
+                if key.startswith("HTTP_")
+            }
+            status, response_headers, payload = self.handle_request(
+                environ.get("REQUEST_METHOD", "GET"),
+                environ.get("PATH_INFO", "/"),
+                body,
+                headers,
+            )
         start_response(
             f"{status} {HTTPStatus(status).phrase}",
             sorted(response_headers.items()),
         )
         return [payload]
+
+
+def _content_length(value: Optional[str]) -> Optional[int]:
+    """A request body's length from its ``Content-Length`` header.
+
+    Absent or empty reads as 0.  A non-numeric or negative value gives
+    ``None``: the body's extent is unknown, so the caller answers 400
+    rather than guess (a negative WSGI read would block until EOF).
+    """
+    try:
+        length = int(value or 0)
+    except ValueError:
+        return None
+    return length if length >= 0 else None
 
 
 def serve_http(
@@ -339,18 +357,13 @@ def _http_server(
         protocol_version = "HTTP/1.1"
 
         def _dispatch(self) -> None:
-            try:
-                length = int(self.headers.get("Content-Length") or 0)
-            except ValueError:
-                length = -1
-            body = self.rfile.read(length) if length > 0 else b""
+            length = _content_length(self.headers.get("Content-Length"))
+            body = self.rfile.read(length) if length else b""
             with lock:
-                if length < 0:
+                if length is None:
                     # The body's extent is unknown: refuse, then close.
                     self.close_connection = True
-                    status, headers, payload = app._error(
-                        400, "bad_request", detail="invalid Content-Length"
-                    )
+                    status, headers, payload = app._bad_length()
                     headers["Connection"] = "close"
                 else:
                     status, headers, payload = app.handle_request(

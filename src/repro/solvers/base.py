@@ -38,21 +38,15 @@ __all__ = [
 TAU = 1e-12
 
 
-def validate_binary_problem(
-    y: np.ndarray, penalty: float, *, allow_single_class: bool = False
-) -> np.ndarray:
-    """Check labels/penalty for a binary problem; returns float64 labels.
-
-    ``allow_single_class`` admits all-(+1) problems — the one-class SVM
-    dual, whose equality constraint degenerates to ``sum(alpha) = const``.
-    """
+def validate_binary_problem(y: np.ndarray, penalty: float) -> np.ndarray:
+    """Check labels/penalty for a binary problem; returns float64 labels."""
     labels = np.asarray(y, dtype=np.float64).ravel()
     if labels.size < 2:
         raise ValidationError("need at least two training instances")
     unique = np.unique(labels)
     if not np.all(np.isin(unique, (-1.0, 1.0))):
         raise ValidationError(f"labels must be +1/-1, got values {unique[:10]}")
-    if unique.size < 2 and not allow_single_class:
+    if unique.size < 2:
         raise ValidationError("training data contains a single class")
     if penalty <= 0:
         raise ValidationError(f"penalty C must be positive, got {penalty}")

@@ -93,7 +93,6 @@ class BatchSMOSolver:
         buffer_policy: str = "fifo",
         inner_rule: str = "adaptive",
         max_rounds: Optional[int] = None,
-        category_prefix: str = "",
         register_buffer_memory: bool = True,
         tracer: Optional[Tracer] = None,
         record_rounds: bool = False,
@@ -113,11 +112,6 @@ class BatchSMOSolver:
         self.register_buffer_memory = register_buffer_memory
         self.tracer = tracer
         self.record_rounds = record_rounds
-        self._category_prefix = category_prefix
-
-    def _cat(self, name: str) -> str:
-        """Clock category for ``name`` under this solver's prefix."""
-        return f"{self._category_prefix}{name}"
 
     def start(
         self,
@@ -127,7 +121,6 @@ class BatchSMOSolver:
         penalty_vector: Optional[np.ndarray] = None,
         initial_f: Optional[np.ndarray] = None,
         initial_alpha: Optional[np.ndarray] = None,
-        allow_single_class: bool = False,
     ) -> "BatchSMOSession":
         """Open a resumable training session on the problem ``rows`` serves.
 
@@ -143,7 +136,6 @@ class BatchSMOSolver:
             penalty_vector=penalty_vector,
             initial_f=initial_f,
             initial_alpha=initial_alpha,
-            allow_single_class=allow_single_class,
         )
 
     def solve(
@@ -154,16 +146,14 @@ class BatchSMOSolver:
         penalty_vector: Optional[np.ndarray] = None,
         initial_f: Optional[np.ndarray] = None,
         initial_alpha: Optional[np.ndarray] = None,
-        allow_single_class: bool = False,
     ) -> SolverResult:
         """Train one binary SVM on the problem served by ``rows``.
 
         ``penalty_vector`` optionally gives per-instance box bounds
-        (class-weighted C, LibSVM's ``-wi``).  ``initial_f`` replaces the
-        classification default ``-y`` — it encodes the dual's linear term
-        (``f_i = y_i p_i`` at ``alpha = 0``), which is how epsilon-SVR and
-        the one-class SVM reuse this solver; with ``initial_alpha`` it must
-        be consistent with those weights (Eq. 3).
+        (class-weighted C, LibSVM's ``-wi``).  ``initial_alpha`` and
+        ``initial_f`` warm-start the run from an earlier state (warm-start
+        refits, cascade merge and feedback): they are given together, and
+        ``initial_f`` must be the Eq.-3 indicators of those weights.
         """
         session = self.start(
             rows,
@@ -171,7 +161,6 @@ class BatchSMOSolver:
             penalty_vector=penalty_vector,
             initial_f=initial_f,
             initial_alpha=initial_alpha,
-            allow_single_class=allow_single_class,
         )
         try:
             while session.begin_round() is not None:
@@ -210,13 +199,10 @@ class BatchSMOSession:
         penalty_vector: Optional[np.ndarray] = None,
         initial_f: Optional[np.ndarray] = None,
         initial_alpha: Optional[np.ndarray] = None,
-        allow_single_class: bool = False,
     ) -> None:
         self.solver = solver
         self.rows = rows
-        labels = validate_binary_problem(
-            y, solver.penalty, allow_single_class=allow_single_class
-        )
+        labels = validate_binary_problem(y, solver.penalty)
         n = rows.n
         if labels.size != n:
             raise ValidationError(f"{labels.size} labels for {n} instances")
@@ -246,17 +232,21 @@ class BatchSMOSession:
             else max(2_000, (40 * n) // q)
         )
 
+        # Warm-start state is one (alpha, f) pair: either half alone would
+        # start from indicators that do not match the weights (Eq. 3).
+        if (initial_alpha is None) != (initial_f is None):
+            raise ValidationError(
+                "initial_alpha and initial_f must be given together"
+            )
         if initial_alpha is None:
             self.alpha = np.zeros(n)
+            self.f = -labels.copy()
         else:
             self.alpha = np.asarray(initial_alpha, dtype=np.float64).copy()
             if self.alpha.shape != (n,):
                 raise ValidationError(
                     f"initial_alpha shape {self.alpha.shape} != ({n},)"
                 )
-        if initial_f is None:
-            self.f = -labels.copy()
-        else:
             self.f = np.asarray(initial_f, dtype=np.float64).copy()
             if self.f.shape != (n,):
                 raise ValidationError(f"initial_f shape {self.f.shape} != ({n},)")
@@ -386,14 +376,14 @@ class BatchSMOSession:
             up = upper_mask(labels, alpha, penalty)
             low = lower_mask(labels, alpha, penalty)
             engine.elementwise(
-                solver._cat("selection"), n, flops_per_element=4, arrays_read=2,
+                "selection", n, flops_per_element=4, arrays_read=2,
                 memory="cached",
             )
             _, f_up = engine.reduce_extremum(
-                f, up, mode="min", category=solver._cat("selection")
+                f, up, mode="min", category="selection"
             )
             _, f_low = engine.reduce_extremum(
-                f, low, mode="max", category=solver._cat("selection")
+                f, low, mode="max", category="selection"
             )
             if not np.isfinite(f_up) or not np.isfinite(f_low):
                 self.converged = True
@@ -417,7 +407,7 @@ class BatchSMOSession:
                 penalty,
                 wanted,
                 exclude=retained if retained.size else None,
-                category=solver._cat("selection"),
+                category="selection",
             )
             if new.size == 0:
                 if retained.size:
@@ -459,7 +449,7 @@ class BatchSMOSession:
         delta = request.delta
         if loader is None:
             loader = lambda ids: self.rows.rows(  # noqa: E731
-                ids, category=solver._cat("kernel_values")
+                ids, category="kernel_values"
             )
 
         stats_before = (
@@ -484,7 +474,7 @@ class BatchSMOSession:
             penalty[ws_idx],
             epsilon=solver.epsilon,
             max_iterations=budget,
-            category=solver._cat("subproblem"),
+            category="subproblem",
         )
         self.inner_total += sub.iterations
         delta_alpha = sub.alpha - alpha[ws_idx]
@@ -521,7 +511,7 @@ class BatchSMOSession:
         coeffs = delta_alpha[changed] * labels[ws_idx][changed]
         f += coeffs @ k_rows[changed]
         engine.charge(
-            solver._cat("f_update"),
+            "f_update",
             flops=2 * int(changed.sum()) * self.n,
             bytes_read=int(changed.sum()) * self.n * 8,
             bytes_written=self.n * 8,

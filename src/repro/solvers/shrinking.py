@@ -55,7 +55,6 @@ class ShrinkingSMOSolver:
         max_iterations: Optional[int] = None,
         shrink_interval: Optional[int] = None,
         cache_bytes: Optional[int] = None,
-        category_prefix: str = "",
     ) -> None:
         if epsilon <= 0:
             raise ValidationError(f"epsilon must be positive, got {epsilon}")
@@ -64,11 +63,6 @@ class ShrinkingSMOSolver:
         self.max_iterations = max_iterations
         self.shrink_interval = shrink_interval
         self.cache_bytes = cache_bytes
-        self._category_prefix = category_prefix
-
-    def _cat(self, name: str) -> str:
-        """Clock category for ``name`` under this solver's prefix."""
-        return f"{self._category_prefix}{name}"
 
     def solve(
         self,
@@ -115,17 +109,17 @@ class ShrinkingSMOSolver:
             up = upper_mask(y_a, a_a, c_a)
             low = lower_mask(y_a, a_a, c_a)
             engine.elementwise(
-                self._cat("selection"),
+                "selection",
                 active.size,
                 flops_per_element=4,
                 arrays_read=2,
                 memory="cached",
             )
             u_local, f_up = engine.reduce_extremum(
-                f_a, up, mode="min", category=self._cat("selection")
+                f_a, up, mode="min", category="selection"
             )
             l_local, f_low = engine.reduce_extremum(
-                f_a, low, mode="max", category=self._cat("selection")
+                f_a, low, mode="max", category="selection"
             )
             if u_local < 0 or l_local < 0 or f_low - f_up <= self.epsilon:
                 # Active set optimal: reconstruct, unshrink, re-check global.
@@ -148,14 +142,14 @@ class ShrinkingSMOSolver:
             diff = f_a - f_up
             gain = np.where(low & (diff > 0), (diff * diff) / eta, -np.inf)
             engine.elementwise(
-                self._cat("selection"),
+                "selection",
                 active.size,
                 flops_per_element=6,
                 arrays_read=3,
                 memory="cached",
             )
             l_local, _ = engine.reduce_extremum(
-                gain, None, mode="max", category=self._cat("selection")
+                gain, None, mode="max", category="selection"
             )
             if l_local < 0 or not np.isfinite(gain[l_local]):
                 if active.size == n:
@@ -179,7 +173,7 @@ class ShrinkingSMOSolver:
             bound_u = (c_a[u_local] - a_a[u_local]) if y_u > 0 else a_a[u_local]
             bound_l = a_a[l_local] if y_l > 0 else (c_a[l_local] - a_a[l_local])
             lam = min(lam, bound_u, bound_l)
-            engine.elementwise(self._cat("subproblem"), 2, flops_per_element=8)
+            engine.elementwise("subproblem", 2, flops_per_element=8)
             if lam <= 0:
                 break
             delta_u = y_u * lam
@@ -189,7 +183,7 @@ class ShrinkingSMOSolver:
 
             f[active] = f_a + delta_u * y_u * k_u + delta_l * y_l * k_l
             engine.elementwise(
-                self._cat("f_update"),
+                "f_update",
                 active.size,
                 flops_per_element=4,
                 arrays_read=3,
@@ -203,7 +197,7 @@ class ShrinkingSMOSolver:
                     labels, alpha, f, active, penalty
                 )
                 engine.elementwise(
-                    self._cat("selection"),
+                    "selection",
                     active.size,
                     flops_per_element=4,
                     arrays_read=3,
@@ -253,20 +247,20 @@ class ShrinkingSMOSolver:
         cached = cache.get(global_id)
         if cached is not None:
             rows.engine.charge(
-                self._cat("kernel_values"),
+                "kernel_values",
                 bytes_read=cached.size * 8,
                 launches=0,
             )
             return cached
         if active.size == rows.n:
-            row = rows.rows([global_id], category=self._cat("kernel_values"))[0]
+            row = rows.rows([global_id], category="kernel_values")[0]
         else:
             from repro.sparse import ops as mops
 
             row = rows.block(
                 mops.take_rows(rows.data, np.asarray([global_id])),
                 column_indices=active,
-                category=self._cat("kernel_values"),
+                category="kernel_values",
             )[0]
         # FIFO-bounded cache (dict preserves insertion order); mirrors the
         # memory budget LibSVM's kernel cache would get.
@@ -320,7 +314,7 @@ class ShrinkingSMOSolver:
         support = np.flatnonzero(alpha > 0)
         full = -labels.copy()
         if support.size:
-            block = rows.rows(support, category=self._cat("kernel_values"))
+            block = rows.rows(support, category="kernel_values")
             full += (alpha[support] * labels[support]) @ block
         full[active] = f[active]  # active entries are exact already
         return full

@@ -47,7 +47,6 @@ class ClassicSMOSolver:
         epsilon: float = 1e-3,
         max_iterations: Optional[int] = None,
         buffer: Optional[KernelBuffer] = None,
-        category_prefix: str = "",
     ) -> None:
         if epsilon <= 0:
             raise ValidationError(f"epsilon must be positive, got {epsilon}")
@@ -55,11 +54,6 @@ class ClassicSMOSolver:
         self.epsilon = float(epsilon)
         self.max_iterations = max_iterations
         self.buffer = buffer
-        self._category_prefix = category_prefix
-
-    def _cat(self, name: str) -> str:
-        """Clock category for ``name`` under this solver's prefix."""
-        return f"{self._category_prefix}{name}"
 
     def solve(
         self,
@@ -106,14 +100,14 @@ class ClassicSMOSolver:
             up = upper_mask(labels, alpha, penalty)
             low = lower_mask(labels, alpha, penalty)
             engine.elementwise(
-                self._cat("selection"), n, flops_per_element=4, arrays_read=2,
+                "selection", n, flops_per_element=4, arrays_read=2,
                 memory="cached",
             )
             u, f_up = engine.reduce_extremum(
-                f, up, mode="min", category=self._cat("selection")
+                f, up, mode="min", category="selection"
             )
             low_idx, f_low = engine.reduce_extremum(
-                f, low, mode="max", category=self._cat("selection")
+                f, low, mode="max", category="selection"
             )
             if u < 0 or low_idx < 0 or f_low - f_up <= self.epsilon:
                 converged = True
@@ -129,11 +123,11 @@ class ClassicSMOSolver:
             diff = f - f_up
             gain = np.where(low & (diff > 0), (diff * diff) / eta, -np.inf)
             engine.elementwise(
-                self._cat("selection"), n, flops_per_element=6, arrays_read=3,
+                "selection", n, flops_per_element=6, arrays_read=3,
                 memory="cached",
             )
             l, _ = engine.reduce_extremum(
-                gain, None, mode="max", category=self._cat("selection")
+                gain, None, mode="max", category="selection"
             )
             if l < 0 or not np.isfinite(gain[l]):
                 converged = True
@@ -148,7 +142,7 @@ class ClassicSMOSolver:
             bound_u = (penalty[u] - alpha[u]) if labels[u] > 0 else alpha[u]
             bound_l = alpha[l] if labels[l] > 0 else (penalty[l] - alpha[l])
             lam = min(lam, bound_u, bound_l)
-            engine.elementwise(self._cat("subproblem"), 2, flops_per_element=8)
+            engine.elementwise("subproblem", 2, flops_per_element=8)
             if lam <= 0:
                 # Numerically stuck pair; treat as converged at this gap.
                 break
@@ -160,7 +154,7 @@ class ClassicSMOSolver:
             # Indicator refresh (Eq. 8) over all instances.
             f += delta_u * labels[u] * k_u + delta_l * labels[l] * k_l
             engine.elementwise(
-                self._cat("f_update"), n, flops_per_element=4, arrays_read=3,
+                "f_update", n, flops_per_element=4, arrays_read=3,
                 memory="cached",
             )
             iteration += 1
@@ -192,14 +186,14 @@ class ClassicSMOSolver:
         # Whether cached or freshly computed, the consuming kernels stream
         # the row out of device memory once.
         rows.engine.charge(
-            self._cat("kernel_values"), bytes_read=rows.n * 8, launches=0
+            "kernel_values", bytes_read=rows.n * 8, launches=0
         )
         if self.buffer is not None:
             return self.buffer.fetch(
                 [index],
-                lambda ids: rows.rows(ids, category=self._cat("kernel_values")),
+                lambda ids: rows.rows(ids, category="kernel_values"),
             )[0]
-        return rows.rows([index], category=self._cat("kernel_values"))[0]
+        return rows.rows([index], category="kernel_values")[0]
 
     def _recompute_f(
         self, rows: KernelRowComputer, labels: np.ndarray, alpha: np.ndarray
@@ -208,6 +202,6 @@ class ClassicSMOSolver:
         support = np.flatnonzero(alpha > 0)
         f = -labels.copy()
         if support.size:
-            k_block = rows.rows(support, category=self._cat("kernel_values"))
+            k_block = rows.rows(support, category="kernel_values")
             f += (alpha[support] * labels[support]) @ k_block
         return f

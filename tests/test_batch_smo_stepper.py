@@ -208,3 +208,24 @@ class TestSessionProtocol:
         while session.begin_round() is not None:
             session.complete_round()
         assert session.finish().objective == result.objective
+
+
+class TestWarmState:
+    """``initial_alpha`` and ``initial_f`` are one warm-start state."""
+
+    @pytest.mark.parametrize("given", ["initial_alpha", "initial_f"])
+    def test_half_a_warm_state_rejected(self, given):
+        x, y = make_binary_problem(n=60, seed=2)
+        with pytest.raises(ValidationError, match="together"):
+            make_solver().start(fresh_rows(x), y, **{given: np.zeros(60)})
+
+    def test_converged_warm_state_is_kept(self):
+        x, y = make_binary_problem(n=60, seed=2)
+        solver = make_solver()
+        cold = solver.solve(fresh_rows(x), y)
+        warm = solver.solve(
+            fresh_rows(x), y, initial_alpha=cold.alpha, initial_f=cold.f
+        )
+        assert warm.converged
+        assert warm.rounds == 0
+        assert np.array_equal(warm.alpha, cold.alpha)

@@ -32,13 +32,11 @@ PUBLIC_API = [
     "ModelFormatError",
     "ModelRegistry",
     "NotFittedError",
-    "OneClassSVM",
     "PredictorConfig",
     "RegistryError",
     "RegistryWatcher",
     "ReproError",
     "SVC",
-    "SVR",
     "ServerApp",
     "ShardedInferenceRouter",
     "SolverError",

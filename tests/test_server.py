@@ -7,8 +7,8 @@ through row-pure kernel blocks and decision sums, so transport and
 batching add nothing numerically.  Around that: the admission-control
 edge cases (zero-capacity tenants, no priority inversion under shed,
 queue drain on shutdown, deterministic shed decisions), a real-socket
-round trip, and the socket handler's framing (one write per response, a
-JSON 400 for a bad ``Content-Length``).
+round trip, the socket handler's framing (one write per response, a
+JSON 400 for a bad ``Content-Length``) and the same rules over WSGI.
 """
 
 from __future__ import annotations
@@ -653,3 +653,64 @@ class TestSocketHandler:
         assert error["reason"] == "bad_request"
         assert error["status"] == 400
         assert app.n_http_requests == 0
+
+
+class _UnreadableInput:
+    """A ``wsgi.input`` that fails the test if the app reads it."""
+
+    def read(self, *args) -> bytes:
+        raise AssertionError("the request body must not be read")
+
+
+def _wsgi_call(app, method, path, body=b"", length=None, stream=None):
+    """Run ``app.wsgi`` once; returns ``(status line, headers, body)``."""
+    environ = {
+        "REQUEST_METHOD": method,
+        "PATH_INFO": path,
+        "CONTENT_LENGTH": str(len(body)) if length is None else length,
+        "wsgi.input": io.BytesIO(body) if stream is None else stream,
+    }
+    started = {}
+
+    def start_response(status, headers):
+        started["status"] = status
+        started["headers"] = dict(headers)
+
+    payload = b"".join(app.wsgi(environ, start_response))
+    return started["status"], started["headers"], payload
+
+
+class TestWSGI:
+    def test_predict_body_equals_handle_request(self, problem, model):
+        x, _ = problem
+        request = post_body(x[:4])
+        _, _, direct = ServerApp(make_dispatcher(model)).handle_request(
+            "POST", "/v1/predict_proba", request
+        )
+        status, headers, body = _wsgi_call(
+            ServerApp(make_dispatcher(model)), "POST", "/v1/predict_proba", request
+        )
+        assert status == "200 OK"
+        assert headers["Content-Type"] == "application/json"
+        assert body == direct
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_json_400(self, model, length):
+        app = ServerApp(make_dispatcher(model))
+        status, headers, body = _wsgi_call(
+            app, "POST", "/v1/predict_proba", length=length,
+            stream=_UnreadableInput(),
+        )
+        assert status == "400 Bad Request"
+        assert headers["Content-Type"] == "application/json"
+        error = json.loads(body)["error"]
+        assert error["reason"] == "bad_request"
+        assert error["status"] == 400
+        assert app.n_http_requests == 0
+
+    def test_unknown_path_is_404(self, model):
+        status, _, body = _wsgi_call(
+            ServerApp(make_dispatcher(model)), "POST", "/v1/nowhere", b"{}"
+        )
+        assert status == "404 Not Found"
+        assert json.loads(body)["error"]["status"] == 404
