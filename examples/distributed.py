@@ -45,7 +45,7 @@ def main() -> None:
     model, report = train_multiclass_sharded(
         config, cluster, x_train, y_train, kernel, 1.0, placement="affinity"
     )
-    print(f"\n{report.cluster_name}: makespan "
+    print(f"\n{report.device_name}: makespan "
           f"{report.simulated_seconds * 1e3:.3f} ms simulated "
           f"({report_single.simulated_seconds / report.simulated_seconds:.2f}x "
           f"vs one device)")

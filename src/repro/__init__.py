@@ -89,7 +89,7 @@ from repro.serving import InferenceSession
 from repro.sparse import CSRMatrix, dump_libsvm, load_libsvm
 from repro.telemetry import Tracer
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "BackendSpec",

@@ -75,7 +75,6 @@ class GPUBaselineClassifier(GMPSVC):
             probability=self.probability,
             epsilon=self.epsilon,
             classic_cache_bytes=self.cache_bytes,
-            classic_cache_policy="lru",
             class_weight=self.class_weight,
         )
 

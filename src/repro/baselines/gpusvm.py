@@ -74,7 +74,6 @@ class GPUSVMClassifier(GMPSVC):
             probability=False,
             epsilon=self.epsilon,
             classic_cache_bytes=self.cache_bytes,
-            classic_cache_policy="lru",
             force_dense=True,
         )
 

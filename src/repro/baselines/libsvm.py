@@ -80,7 +80,6 @@ class LibSVMClassifier(GMPSVC):
             probability=self.probability,
             epsilon=self.epsilon,
             classic_cache_bytes=self.cache_bytes,
-            classic_cache_policy="lru",
             classic_shrinking=self.shrinking,
             class_weight=self.class_weight,
         )

@@ -7,7 +7,7 @@
 
 Flags follow LibSVM's conventions where they overlap (``-t`` kernel type,
 ``-c`` cost, ``-g`` gamma, ``-d`` degree, ``-r`` coef0, ``-e`` tolerance,
-``-b`` probability, ``-h`` shrinking for the libsvm system), plus
+``-b`` probability), plus
 ``--system`` to pick any of the reproduced implementations and
 ``--report`` to print the simulated-cost breakdown.
 
@@ -294,28 +294,23 @@ def train_main(argv: Optional[Sequence[str]] = None) -> int:
               f"{data.shape[0]} x {data.shape[1]} instances "
               f"({model.n_classes} classes)")
         print(f"support vectors (shared pool): {model.n_support_total}")
-        if args.devices > 1:
-            print(f"simulated {report.cluster_name} makespan: "
-                  f"{report.simulated_seconds * 1e3:.3f} ms "
-                  f"(cluster speedup {report.cluster_speedup:.2f}x)")
-            for entry in report.per_device:
-                lost = "  LOST" if entry.get("lost") else ""
-                print(f"  device {entry['device']}: {entry['n_svms']:3d} SVMs  "
-                      f"{entry['simulated_seconds'] * 1e3:8.3f} ms  "
-                      f"utilization {entry['utilization']:6.1%}  "
-                      f"transfers {entry['transfer_bytes']} B{lost}")
-            faults = getattr(report, "faults", None) or {}
-            if faults.get("devices_lost"):
-                recovery = faults.get("recovery", {})
-                print(f"  recovered {recovery.get('recovered_problems', 0)} "
-                      f"problem(s) from lost device(s) "
-                      f"{faults['devices_lost']} on survivors "
-                      f"{recovery.get('survivors', [])} "
-                      f"({recovery.get('resumed_from_checkpoint', 0)} "
-                      f"resumed from checkpoint)")
-        else:
-            print(f"simulated {report.device_name} time: "
-                  f"{report.simulated_seconds * 1e3:.3f} ms")
+        print(f"simulated {report.device_name} makespan: "
+              f"{report.simulated_seconds * 1e3:.3f} ms "
+              f"(cluster speedup {report.cluster_speedup:.2f}x)")
+        for entry in report.per_device:
+            lost = "  LOST" if entry["lost"] else ""
+            print(f"  device {entry['device']}: {entry['n_svms']:3d} SVMs  "
+                  f"{entry['simulated_seconds'] * 1e3:8.3f} ms  "
+                  f"utilization {entry['utilization']:6.1%}  "
+                  f"transfers {entry['transfer_bytes']} B{lost}")
+        if report.faults.get("devices_lost"):
+            recovery = report.faults["recovery"]
+            print(f"  recovered {recovery['recovered_problems']} "
+                  f"problem(s) from lost device(s) "
+                  f"{report.faults['devices_lost']} on survivors "
+                  f"{recovery['survivors']} "
+                  f"({recovery['resumed_from_checkpoint']} "
+                  f"resumed from checkpoint)")
         cascade_stats = [
             stats for stats in report.per_svm if stats.get("cascade")
         ]

@@ -80,7 +80,6 @@ class GMPSVC:
         concurrent_svms: bool = True,
         max_concurrent_svms: Optional[int] = None,
         blocks_per_svm: int = 7,
-        share_budget_bytes: Optional[int] = None,
         coupling_method: str = "eq15",
         backend: Optional[object] = None,
         cascade: Optional[object] = None,
@@ -108,7 +107,6 @@ class GMPSVC:
         self.concurrent_svms = concurrent_svms
         self.max_concurrent_svms = max_concurrent_svms
         self.blocks_per_svm = blocks_per_svm
-        self.share_budget_bytes = share_budget_bytes
         self.coupling_method = coupling_method
         self.backend = backend
         # A repro.cascade.CascadeConfig routes pairwise problems at or
@@ -193,7 +191,6 @@ class GMPSVC:
             solver="batched",
             concurrent=self.concurrent_svms,
             share_kernel_values=self.share_kernel_values,
-            share_budget_bytes=self.share_budget_bytes,
             parallel_line_search=self.parallel_line_search,
             probability=self.probability,
             probability_cv_folds=self.probability_cv_folds,

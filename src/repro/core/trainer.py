@@ -73,9 +73,6 @@ class TrainerConfig:
     # stepper, so it always trains serially.
     concurrent: bool = True
     share_kernel_values: bool = True  # Figure 3 block sharing
-    # Device-byte cap of the cross-SVM segment share; None keeps the
-    # default of a quarter of device memory.
-    share_budget_bytes: Optional[int] = None
     parallel_line_search: bool = True  # Section 3.3.2 (ii)
     probability: bool = True
     decomposition: str = "ovo"  # "ovo" (pairwise, the paper) or "ova"
@@ -93,9 +90,8 @@ class TrainerConfig:
     buffer_rows: Optional[int] = None  # defaults to the working-set size
     buffer_policy: str = "fifo"
     inner_rule: str = "adaptive"
-    # Classic-solver kernel cache (bytes; None disables caching).
+    # Classic-solver LRU kernel cache (bytes; None disables caching).
     classic_cache_bytes: Optional[int] = None
-    classic_cache_policy: str = "lru"
     # LibSVM-style shrinking (active-set reduction) for the classic solver.
     classic_shrinking: bool = False
     # Concurrency packing: SM blocks one binary SVM occupies ("we use
@@ -136,10 +132,6 @@ class TrainerConfig:
         if self.max_concurrent_svms is not None and self.max_concurrent_svms <= 0:
             raise ValidationError(
                 f"max_concurrent_svms must be >= 1, got {self.max_concurrent_svms}"
-            )
-        if self.share_budget_bytes is not None and self.share_budget_bytes <= 0:
-            raise ValidationError(
-                f"share_budget_bytes must be positive, got {self.share_budget_bytes}"
             )
         if self.backend is not None:
             # Fail at config time, not mid-training; an unknown name or a
@@ -318,9 +310,6 @@ def _train_multiclass_impl(
         config, master, kernel, data, classes, partition
     )
 
-    per_svm_records: list[BinarySVMRecord] = []
-    pool_entries: list[tuple[int, int, np.ndarray, np.ndarray, float]] = []
-    per_svm_stats: list[dict] = []
     total_iterations = 0
     total_rows_computed = 0
     peak_task_mem = 0
@@ -387,7 +376,7 @@ def _train_multiclass_impl(
             n=problem.n,
             cascade=True,
         ) as pair_span:
-            finals[index], result, _, finalize_clock = _train_cascade_pair(
+            finals[index], result, finalize_clock = _train_cascade_pair(
                 config, classes, problem, pool, data, kernel, penalty,
                 member_clocks, pair_span=pair_span,
             )
@@ -514,36 +503,15 @@ def _train_multiclass_impl(
     # single-pool timeline (shards, merges, feedback, finalize) adds on.
     combined.merge(cascade_clock)
 
-    # Assemble the model in problem order regardless of which execution
-    # path (cascade / interleaved / sequential) produced each pair.
-    for index in range(len(problems)):
-        record, pool_entry, svm_stats = finals[index]
-        per_svm_records.append(record)
-        pool_entries.append(pool_entry)
-        per_svm_stats.append(svm_stats)
-
-    pool = SupportVectorPool.build(data, pool_entries)
-    model = MPSVMModel(
-        classes=classes,
-        kernel=kernel,
-        penalty=float(penalty),
-        records=per_svm_records,
-        sv_pool=pool,
-        probability=config.probability,
-        strategy=config.decomposition,
-        metadata={
-            "trainer": config.solver,
-            "device": config.device.name,
-            "backend": master.backend.name,
-            "dtype": np.dtype(master.backend.dtype).name,
-        },
+    model, per_svm_stats = _assemble_model(
+        config, classes, data, kernel, penalty, finals, master.backend
     )
     report = TrainingReport(
         simulated_seconds=combined.elapsed_s,
         clock=combined,
         counters=master.counters,
         device_name=config.device.name,
-        n_binary_svms=len(per_svm_records),
+        n_binary_svms=len(per_svm_stats),
         total_iterations=total_iterations,
         kernel_rows_computed=total_rows_computed,
         max_concurrency=max_concurrency,
@@ -555,6 +523,44 @@ def _train_multiclass_impl(
         wave_trace=wave_trace,
     )
     return model, report
+
+
+def _assemble_model(
+    config: TrainerConfig,
+    classes: np.ndarray,
+    data: mops.MatrixLike,
+    kernel: KernelFunction,
+    penalty: float,
+    finals: dict,
+    backend,
+    **metadata,
+) -> tuple[MPSVMModel, list[dict]]:
+    """The model and its per-SVM stats from every pair's finalize outputs.
+
+    ``finals`` maps problem index to ``(record, pool_entry, svm_stats,
+    ...)``.  Records, the shared SV pool and the stats follow problem
+    order whichever execution path (cascade / interleaved / sequential,
+    any device) produced each pair.  ``metadata`` adds to the model's
+    trainer, device, backend and dtype entries.
+    """
+    ordered = [finals[index] for index in range(len(finals))]
+    model = MPSVMModel(
+        classes=classes,
+        kernel=kernel,
+        penalty=float(penalty),
+        records=[entry[0] for entry in ordered],
+        sv_pool=SupportVectorPool.build(data, [entry[1] for entry in ordered]),
+        probability=config.probability,
+        strategy=config.decomposition,
+        metadata={
+            "trainer": config.solver,
+            "device": config.device.name,
+            "backend": backend.name,
+            "dtype": np.dtype(backend.dtype).name,
+            **metadata,
+        },
+    )
+    return model, [entry[2] for entry in ordered]
 
 
 def _train_cascade_pair(
@@ -581,8 +587,9 @@ def _train_cascade_pair(
     pairs always train cold — a warm-start prior maps a monolithic dual
     solution, which has no sound projection onto the instance shards.
 
-    Returns ``((record, pool_entry, svm_stats), result, cascade_report,
-    finalize_clock)``; the stats carry a ``"cascade"`` block.
+    Returns ``((record, pool_entry, svm_stats), result, finalize_clock)``;
+    the stats carry the pair's full ``CascadeReport.to_dict()`` as
+    ``"cascade"`` (its reduction-tree root is ``["tree"]["root_device"]``).
     """
     from repro.cascade.driver import _cascade_solve
 
@@ -616,20 +623,8 @@ def _train_cascade_pair(
         + member_clocks[device].since(members_before[device]).elapsed_s
         for device in range(pool.n_devices)
     ) + finalize_engine.clock.elapsed_s
-    svm_stats["cascade"] = {
-        "n_shards": report.n_shards,
-        "feedback_rounds": report.feedback_rounds,
-        "final_gap": report.final_gap,
-        "gap_budget": report.gap_budget,
-        "budget_met": report.budget_met,
-        "sv_survival": report.sv_survival,
-        "transfer_bytes": dict(report.transfer_bytes),
-        "levels": [
-            {k: v for k, v in level.items() if k not in ("merges", "shards")}
-            for level in report.levels
-        ],
-    }
-    return (record, pool_entry, svm_stats), result, report, finalize_engine.clock
+    svm_stats["cascade"] = report.to_dict()
+    return (record, pool_entry, svm_stats), result, finalize_engine.clock
 
 
 def _finalize_pair(
@@ -746,11 +741,7 @@ def _make_shared_store(
     shared = SharedClassPairKernels(
         shared_computer,
         partition,
-        max_bytes=(
-            config.share_budget_bytes
-            if config.share_budget_bytes is not None
-            else config.device.global_mem_bytes // 4
-        ),
+        max_bytes=config.device.global_mem_bytes // 4,
     )
     return shared, shared_computer
 
@@ -976,9 +967,7 @@ def _solve_pair(
     if config.classic_cache_bytes:
         cache_rows = max(2, int(config.classic_cache_bytes) // (n * FLOAT_BYTES))
         cache_rows = min(cache_rows, n)
-        cache = KernelBuffer(
-            cache_rows, n, policy=config.classic_cache_policy
-        )
+        cache = KernelBuffer(cache_rows, n, policy="lru")
         cache_bytes = cache.nbytes
     solver = ClassicSMOSolver(
         penalty=penalty,

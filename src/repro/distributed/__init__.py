@@ -22,16 +22,12 @@ from repro.distributed.placement import (
     PlacementPlan,
     plan_placement,
 )
-from repro.distributed.trainer import (
-    ClusterTrainingReport,
-    train_multiclass_sharded,
-)
+from repro.distributed.trainer import train_multiclass_sharded
 
 __all__ = [
     "HOST",
     "PLACEMENT_STRATEGIES",
     "ClusterSpec",
-    "ClusterTrainingReport",
     "DevicePool",
     "InterconnectSpec",
     "PlacementPlan",

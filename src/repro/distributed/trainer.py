@@ -13,9 +13,11 @@ This driver:
    executor :func:`repro.distributed.waves.run_device_waves` (which the
    cascade's shard phase shares);
 3. gathers the per-device binary models to the root device over the peer
-   links (``shard_merge`` span) and assembles one unified
+   links (``shard_merge`` span) and assembles the model and its unified
    :class:`~repro.multiclass.sv_sharing.SupportVectorPool` in global
-   problem order.
+   problem order through the single-device trainer's assembly step;
+4. reports the run as the same :class:`~repro.perf.report.TrainingReport`
+   a single-device run returns, with its cluster fields filled.
 
 **Bitwise parity.**  Every per-pair solve consumes kernel values computed
 per (instance row, full class column block) through the fixed-tile matmul
@@ -34,14 +36,13 @@ its placement requires, which is what the simulation measures.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.trainer import (
     TrainerConfig,
+    _assemble_model,
     _finalize_member,
     _make_pair_member,
     _make_shared_store,
@@ -63,91 +64,15 @@ from repro.gpusim.engine import FLOAT_BYTES
 from repro.kernels.functions import KernelFunction
 from repro.model.multiclass import MPSVMModel
 from repro.multiclass.decomposition import class_partition, pair_problems
-from repro.multiclass.sv_sharing import SupportVectorPool
+from repro.perf.report import TrainingReport
 from repro.sparse import ops as mops
-from repro.telemetry.schema import REPORT_SCHEMA_VERSION
-from repro.telemetry.tracer import _json_safe, maybe_span
+from repro.telemetry.tracer import maybe_span
 
-__all__ = ["ClusterTrainingReport", "train_multiclass_sharded"]
+__all__ = ["train_multiclass_sharded"]
 
 # Per-record constants shipped in the SV merge besides the index and
 # coefficient arrays: (s, t, bias, iteration count) plus sigmoid (A, B).
 _RECORD_HEADER_BYTES = 6 * FLOAT_BYTES
-
-
-@dataclass
-class ClusterTrainingReport:
-    """What one sharded training run cost across the cluster."""
-
-    simulated_seconds: float  # cluster makespan (busiest device)
-    clock: SimClock  # merged per-category breakdown, all devices
-    counters: OpCounters  # aggregate op totals, all devices
-    cluster_name: str
-    n_devices: int
-    n_binary_svms: int = 0
-    total_iterations: int = 0
-    kernel_rows_computed: int = 0
-    max_concurrency: int = 1  # largest wave on any single device
-    # Sum of per-device busy seconds over the makespan: how much faster
-    # the cluster ran than the same work laid end to end on one device.
-    cluster_speedup: float = 1.0
-    transfer_bytes_total: int = 0
-    merge_bytes: int = 0
-    placement: dict = field(default_factory=dict)
-    # One entry per device: timeline, utilization, transfers, work totals.
-    per_device: list[dict] = field(default_factory=list)
-    per_svm: list[dict] = field(default_factory=list)
-    schedule_source: str = "cluster_wave"
-    # Fault-injection outcome: empty for a nominal run; otherwise the
-    # plan, which losses fired, checkpoint and recovery accounting.
-    faults: dict = field(default_factory=dict)
-    # One entry per cascade-routed pair (instance-sharded training, see
-    # repro.cascade): the pair, its owning (root) device, and the full
-    # CascadeReport snapshot — per-level timelines, SV survival ratios,
-    # feedback accounting, per-tier transfer bytes.
-    cascade: list = field(default_factory=list)
-    # Interconnect bytes split by link tier (host / intra-node peer /
-    # inter-node), the whole run.
-    transfer_tier_bytes: dict = field(default_factory=dict)
-
-    @property
-    def total_busy_seconds(self) -> float:
-        """Sum of every device's busy time (the serial-equivalent load)."""
-        return sum(entry["simulated_seconds"] for entry in self.per_device)
-
-    def breakdown(self) -> dict[str, float]:
-        """Simulated seconds per cost category, summed across devices."""
-        return self.clock.breakdown()
-
-    def to_dict(self) -> dict[str, Any]:
-        """A flat, JSON-native, schema-versioned snapshot of this report."""
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "kind": "cluster_training_report",
-            "cluster_name": self.cluster_name,
-            "n_devices": self.n_devices,
-            "simulated_seconds": self.simulated_seconds,
-            "breakdown": self.breakdown(),
-            "counters": asdict(self.counters),
-            "n_binary_svms": self.n_binary_svms,
-            "total_iterations": self.total_iterations,
-            "kernel_rows_computed": self.kernel_rows_computed,
-            "max_concurrency": self.max_concurrency,
-            "cluster_speedup": self.cluster_speedup,
-            "transfer_bytes_total": self.transfer_bytes_total,
-            "merge_bytes": self.merge_bytes,
-            "placement": _json_safe(self.placement),
-            "per_device": _json_safe(self.per_device),
-            "per_svm": _json_safe(self.per_svm),
-            "schedule_source": self.schedule_source,
-            "faults": _json_safe(self.faults),
-            "cascade": _json_safe(self.cascade),
-            "transfer_tier_bytes": _json_safe(self.transfer_tier_bytes),
-        }
-
-    def to_json(self, *, indent: Optional[int] = None) -> str:
-        """The :meth:`to_dict` snapshot serialized to a JSON string."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
 
 def _class_block_bytes(data: mops.MatrixLike, partition: dict) -> list[int]:
@@ -181,13 +106,14 @@ def train_multiclass_sharded(
     fault_plan: Optional[FaultPlan] = None,
     checkpoint_every: int = 4,
     checkpoint_dir: Optional[object] = None,
-) -> tuple[MPSVMModel, ClusterTrainingReport]:
+) -> tuple[MPSVMModel, TrainingReport]:
     """Train a multi-class SVM sharded across a simulated cluster.
 
     Models and probabilities are bitwise identical to single-device
     :func:`~repro.core.trainer.train_multiclass` under the same config,
     for every device count and placement strategy (see the module
-    docstring); the report carries the cluster timeline instead.
+    docstring); the :class:`~repro.perf.report.TrainingReport` carries
+    the cluster timeline in its cluster fields instead.
 
     ``config.cascade`` (a :class:`repro.cascade.CascadeConfig`)
     additionally routes pairwise problems with at least
@@ -196,9 +122,10 @@ def train_multiclass_sharded(
     up a topology-aware reduction tree, global-KKT feedback — before the
     remaining pairs run the bitwise pair-sharded path.  Cascade-routed
     pairs are approximate under an explicit dual-gap budget (the bitwise
-    guarantee above then covers only the unrouted pairs); the report's
-    ``cascade`` section carries each routed pair's per-level timeline, SV
-    survival and per-tier transfer bytes.  Cascade routing cannot be
+    guarantee above then covers only the unrouted pairs); each routed
+    pair's ``per_svm`` entry carries its full cascade report under
+    ``"cascade"`` — per-level timeline, SV survival, per-tier transfer
+    bytes and the reduction-tree root device.  Cascade routing cannot be
     combined with ``fault_plan`` here — for faults during a cascade,
     drive :func:`repro.cascade.train_cascade` directly.
 
@@ -262,12 +189,6 @@ def train_multiclass_sharded(
         strategy=placement,
         cluster=cluster,
     )
-    # Per-device problem lists and classes in *global* problem indices
-    # (the plan is over the unrouted subset only).
-    device_problems = [
-        [small_indices[local] for local in plan.device_problems[device]]
-        for device in range(cluster.n_devices)
-    ]
     block_bytes = _class_block_bytes(data, partition)
 
     with maybe_span(
@@ -298,29 +219,17 @@ def train_multiclass_sharded(
         # the whole pool, one at a time (each cascade already fills
         # every device), before the per-device pair phase.
         # ----------------------------------------------------------
-        cascade_entries: list[dict] = []
         for index in sorted(cascade_indices):
-            problem = problems[index]
-            finals[index], result, casc_report, finalize_clock = (
-                _train_cascade_pair(
-                    config, classes, problem, pool, data, kernel, penalty,
-                    member_clocks, store=store, checkpoint_every=checkpoint_every,
-                )
+            finals[index], result, finalize_clock = _train_cascade_pair(
+                config, classes, problems[index], pool, data, kernel, penalty,
+                member_clocks, store=store, checkpoint_every=checkpoint_every,
             )
-            root_device = int(casc_report.tree["root_device"])
+            root_device = finals[index][2]["cascade"]["tree"]["root_device"]
             owner[index] = root_device
             member_clocks[root_device].merge(finalize_clock)
             stats = device_stats[root_device]
             stats["iterations"] += result.iterations
             stats["kernel_rows"] += result.kernel_rows_computed
-            cascade_entries.append(
-                {
-                    "index": index,
-                    "pair": (problem.s, problem.t),
-                    "root_device": root_device,
-                    "report": casc_report.to_dict(),
-                }
-            )
             if tracer is not None:
                 tracer.bind_clock(None)
 
@@ -336,9 +245,10 @@ def train_multiclass_sharded(
                 block_bytes[c] for c in sorted(plan.device_classes[device])
             )
             device_stats[device]["resident_bytes"] = resident
-            groups.append(
-                DeviceGroup(device, device_problems[device], resident, resident)
-            )
+            # The plan is over the unrouted subset; map back to global
+            # problem indices.
+            indices = [small_indices[local] for local in plan.device_problems[device]]
+            groups.append(DeviceGroup(device, indices, resident, resident))
 
         def build(device, indices, master):
             shared, shared_computer = _make_shared_store(
@@ -457,14 +367,16 @@ def train_multiclass_sharded(
                 )
                 merge_bytes += payload
                 pool.device_to_device(device, root, payload)
-            per_svm_records = [finals[i][0] for i in range(len(problems))]
-            pool_entries = [finals[i][1] for i in range(len(problems))]
-            per_svm_stats = [finals[i][2] for i in range(len(problems))]
-            sv_pool = SupportVectorPool.build(data, pool_entries)
+            model, per_svm_stats = _assemble_model(
+                config, classes, data, kernel, penalty, finals,
+                pool.engine(0).backend,
+                cluster_devices=cluster.n_devices,
+                placement=placement,
+            )
             merge_span.set(
                 merge_bytes=merge_bytes,
-                n_pool=sv_pool.n_pool,
-                sharing_factor=sv_pool.sharing_factor,
+                n_pool=model.sv_pool.n_pool,
+                sharing_factor=model.sv_pool.sharing_factor,
             )
         if tracer is not None:
             tracer.bind_clock(None)
@@ -481,7 +393,6 @@ def train_multiclass_sharded(
             clock.merge(member_clocks[device])
             device_clocks.append(clock)
         makespan = max(clock.elapsed_s for clock in device_clocks)
-        busy_total = sum(clock.elapsed_s for clock in device_clocks)
 
         per_device = []
         for device in range(cluster.n_devices):
@@ -490,7 +401,7 @@ def train_multiclass_sharded(
             per_device.append(
                 {
                     "device": device,
-                    "n_svms": len(device_problems[device]),
+                    "n_svms": owner.count(device),
                     "iterations": int(stats["iterations"]),
                     "kernel_rows_computed": int(stats["kernel_rows"]),
                     "resident_bytes": int(stats["resident_bytes"]),
@@ -505,24 +416,6 @@ def train_multiclass_sharded(
                 }
             )
 
-        model = MPSVMModel(
-            classes=classes,
-            kernel=kernel,
-            penalty=float(penalty),
-            records=per_svm_records,
-            sv_pool=sv_pool,
-            probability=config.probability,
-            strategy=config.decomposition,
-            metadata={
-                "trainer": config.solver,
-                "device": config.device.name,
-                "backend": pool.engine(0).backend.name,
-                "dtype": np.dtype(pool.engine(0).backend.dtype).name,
-                "cluster_devices": cluster.n_devices,
-                "placement": placement,
-            },
-        )
-
         combined = SimClock()
         counters = OpCounters()
         for clock in device_clocks:
@@ -534,12 +427,11 @@ def train_multiclass_sharded(
             placement_summary["cascade_routed"] = sorted(
                 int(index) for index in cascade_indices
             )
-        report = ClusterTrainingReport(
+        report = TrainingReport(
             simulated_seconds=makespan,
             clock=combined,
             counters=counters,
-            cluster_name=cluster.name,
-            n_devices=cluster.n_devices,
+            device_name=cluster.name,
             n_binary_svms=len(problems),
             total_iterations=sum(
                 stats["iterations"] for stats in device_stats
@@ -550,16 +442,15 @@ def train_multiclass_sharded(
             max_concurrency=max(
                 int(stats["max_concurrency"]) for stats in device_stats
             ),
-            cluster_speedup=(busy_total / makespan if makespan > 0 else 1.0),
-            transfer_bytes_total=pool.total_transfer_bytes,
-            merge_bytes=merge_bytes,
-            placement=placement_summary,
-            per_device=per_device,
             per_svm=per_svm_stats,
+            schedule_source="cluster_wave",
+            n_devices=cluster.n_devices,
+            per_device=per_device,
+            placement=placement_summary,
+            merge_bytes=merge_bytes,
             faults=fault_summary(
                 pool, store, waves.summary("recovered_problems")
             ),
-            cascade=cascade_entries,
             transfer_tier_bytes=dict(pool.tier_bytes),
         )
         root_span.set(

@@ -242,10 +242,3 @@ def kernel_from_name(name: str, **params: float) -> KernelFunction:
         return registry[lowered](**params)
     except TypeError as exc:
         raise ValidationError(f"bad parameters for kernel {name!r}: {exc}") from exc
-
-
-def gamma_scale(n_features: int) -> float:
-    """The common ``1 / n_features`` default for Gaussian gamma."""
-    if n_features < 1:
-        raise ValidationError("n_features must be >= 1")
-    return 1.0 / n_features

@@ -28,7 +28,19 @@ __all__ = ["TrainingReport", "PredictionReport"]
 
 @dataclass
 class TrainingReport:
-    """What one multi-class training run cost."""
+    """What one multi-class training run cost, on one device or a cluster.
+
+    ``train_multiclass`` and ``train_multiclass_sharded`` both return it,
+    so every training run serializes to one key set.  A sharded run is
+    the same run plus a placement: it fills the cluster fields below
+    (``device_name`` is then the :class:`~repro.distributed.ClusterSpec`
+    name and ``simulated_seconds`` the makespan of the busiest device),
+    which a single-device run leaves at their defaults.  The fields a
+    sharded run does not measure — ``concurrency_speedup``,
+    ``sharing_hit_rate``, ``peak_task_memory_bytes`` and the top-level
+    ``wave_trace`` (each device's trace is in ``per_device``) — keep
+    their defaults there.
+    """
 
     simulated_seconds: float
     clock: SimClock
@@ -43,12 +55,44 @@ class TrainingReport:
     peak_task_memory_bytes: int = 0
     per_svm: list[dict] = field(default_factory=list)
     # Where the concurrency numbers came from: "wave_trace" (measured by
-    # the interleaved driver's executed waves) or "serial" (no concurrency:
-    # concurrent=False, the classic solver, or a single pair).
+    # the interleaved driver's executed waves), "serial" (no concurrency:
+    # concurrent=False, the classic solver, or a single pair) or
+    # "cluster_wave" (per-device waves of a sharded run).
     schedule_source: str = "serial"
     # Per-wave execution record from the interleaved driver (None for the
     # other schedule sources).
     wave_trace: Optional[list] = None
+    # Cluster fields (sharded runs).  One per_device entry per device:
+    # timeline, utilization, transfers, work totals.
+    n_devices: int = 1
+    per_device: list[dict] = field(default_factory=list)
+    placement: dict = field(default_factory=dict)
+    merge_bytes: int = 0
+    # Fault-injection outcome: empty for a nominal run; otherwise the
+    # plan, which losses fired, checkpoint and recovery accounting.
+    faults: dict = field(default_factory=dict)
+    # Interconnect bytes split by link tier (host / intra-node peer /
+    # inter-node), the whole run.
+    transfer_tier_bytes: dict = field(default_factory=dict)
+
+    @property
+    def total_busy_seconds(self) -> float:
+        """Sum of every device's busy time (the serial-equivalent load)."""
+        return sum(entry["simulated_seconds"] for entry in self.per_device)
+
+    @property
+    def cluster_speedup(self) -> float:
+        """Busy time over makespan: how much faster the cluster ran than
+        the same work laid end to end on one device (1.0 with no devices
+        listed)."""
+        if not self.per_device or self.simulated_seconds <= 0:
+            return 1.0
+        return self.total_busy_seconds / self.simulated_seconds
+
+    @property
+    def transfer_bytes_total(self) -> int:
+        """Interconnect bytes over every link tier."""
+        return int(sum(self.transfer_tier_bytes.values()))
 
     def breakdown(self) -> dict[str, float]:
         """Simulated seconds per cost category."""
@@ -91,6 +135,14 @@ class TrainingReport:
             "schedule_source": self.schedule_source,
             "wave_trace": _json_safe(self.wave_trace),
             "per_svm": _json_safe(self.per_svm),
+            "n_devices": self.n_devices,
+            "cluster_speedup": self.cluster_speedup,
+            "transfer_bytes_total": self.transfer_bytes_total,
+            "merge_bytes": self.merge_bytes,
+            "placement": _json_safe(self.placement),
+            "per_device": _json_safe(self.per_device),
+            "faults": _json_safe(self.faults),
+            "transfer_tier_bytes": _json_safe(self.transfer_tier_bytes),
         }
 
     def to_json(self, *, indent: Optional[int] = None) -> str:

@@ -2,7 +2,8 @@
 
 Three artifact families leave the process as JSON:
 
-- **reports** — ``TrainingReport``/``PredictionReport`` snapshots
+- **reports** — ``TrainingReport`` (every training run, single-device
+  or sharded), ``PredictionReport`` and ``CascadeReport`` snapshots
   (``repro-train --report-json``, ``repro-predict --report-json``);
 - **traces** — JSONL span streams from the hierarchical tracer
   (``--trace``);
@@ -24,6 +25,6 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
 ]
 
-REPORT_SCHEMA_VERSION = "repro.report/v1"
+REPORT_SCHEMA_VERSION = "repro.report/v2"
 TRACE_SCHEMA_VERSION = "repro.trace/v1"
 BENCH_SCHEMA_VERSION = "repro.bench/v1"

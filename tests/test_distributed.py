@@ -457,7 +457,7 @@ class TestClusterTrainingReport:
         _, report = run
         parsed = json.loads(report.to_json())
         assert parsed["schema_version"] == REPORT_SCHEMA_VERSION
-        assert parsed["kind"] == "cluster_training_report"
+        assert parsed["kind"] == "training_report"
         assert parsed["n_devices"] == 2
         assert parsed["placement"]["strategy"] == "affinity"
         assert len(parsed["per_device"]) == 2

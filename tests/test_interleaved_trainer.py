@@ -253,10 +253,6 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="max_concurrent_svms"):
             self._config(max_concurrent_svms=cap)
 
-    def test_share_budget_must_be_positive(self):
-        with pytest.raises(ValidationError, match="share_budget_bytes"):
-            self._config(share_budget_bytes=0)
-
     def test_unknown_concurrency_mode_rejected(self):
         # Concurrency is always the executed wave schedule; the old
         # concurrency_mode option is an unknown key like any other.
@@ -266,4 +262,4 @@ class TestConfigValidation:
 
     def test_valid_configs_accepted(self):
         self._config(blocks_per_svm=1, max_concurrent_svms=1)
-        self._config(concurrent=False, share_budget_bytes=1 << 20)
+        self._config(concurrent=False)
