@@ -9,12 +9,16 @@ workload under the two concurrency realisations:
   in lockstep and each wave's missing-row demand is fused into a single
   batched launch through the shared segment store.
 
-Fusing matters on the host for the same reason it matters on the device:
-the fixed-shape matmul tiling (``repro.backends.reference.MATMUL_TILE_ROWS``)
-means a handful of missing rows costs a full tile, so consolidating the
-wave's demand into a few well-filled tiles replaces many mostly-padding
-launches.  Both paths produce bitwise-identical models — the bench
-asserts it — so the speedup is pure execution-level win.
+On the host, fusing saves per-launch overhead: each kernel-row product
+pays a fixed cost (materialising the column tiles of the training block,
+Python dispatch, one GEMM per column tile) whatever its row count, so one
+launch per wave replaces one per solver.  Row tiles are right-sized
+(``repro.backends.reference.row_tile``: the smallest power of two from 8
+to 256 rows), so a small batch no longer pays for a 256-row tile, and
+the margin is what the fused launches and the shared row store save, not
+padding.  The Python-level SMO inner loop still runs member by member
+and dominates both arms.  Both paths produce bitwise-identical models —
+the bench asserts it — so the speedup is pure execution-level win.
 
 Wall-clock numbers are load-sensitive, so each arm is timed
 ``REPS`` times alternately and the minima are compared; the simulated

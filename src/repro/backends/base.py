@@ -12,7 +12,7 @@ without touching solver, serving or distributed code.
 Two backends ship in-tree:
 
 - ``"numpy64"`` — the float64 reference path.  Its arithmetic is the
-  pre-registry implementation moved verbatim (fixed-shape tiled products,
+  pre-registry implementation moved verbatim (row-pure tiled products,
   batched partial-pivot elimination), so results are **bitwise identical**
   to what the library produced before backends existed.
 - ``"numpy32"`` — the float32/mixed-precision fast path: kernel rows,

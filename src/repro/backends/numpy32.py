@@ -4,7 +4,7 @@ Storage-bound work runs in float32, accumulation-bound work stays
 float64 — the trade "Recipe for Fast Large-scale SVM Training" shows
 dominates large-scale SVM throughput:
 
-- **float32**: cross products (a single SGEMM per block — no fixed-shape
+- **float32**: cross products (a single SGEMM per block — no padded
   tiling, since this backend is delta-gated rather than bitwise-gated)
   and squared row norms.  Kernel transforms downstream (exp/tanh/power)
   inherit float32 from the dots, so kernel rows are float32 end to end.

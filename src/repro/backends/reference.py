@@ -19,30 +19,44 @@ from repro.sparse.csr import CSRMatrix
 
 __all__ = [
     "MATMUL_TILE_ROWS",
+    "MATMUL_MIN_TILE_ROWS",
     "MATMUL_TILE_COLS",
+    "row_tile",
     "matmul_transpose",
     "gaussian_elimination",
     "gaussian_elimination_batch",
 ]
 
-# Fixed tiles for the dense-dense product.  BLAS derives its internal
+# Row-pure tiles for the dense-dense product.  BLAS derives its internal
 # blocking — and with it the per-element accumulation order — from the
 # operand shapes, so the same row can come out bitwise-different depending
 # on how many rows it is batched with (a lone row even dispatches to a
 # different GEMV path), and the same *column* can come out different
-# depending on which other columns ride along.  Computing every product
-# through constant-shape ``(MATMUL_TILE_ROWS, k) @ (k, MATMUL_TILE_COLS)``
-# calls on contiguous zero-padded tiles makes each output element a pure
-# function of ``(a_row, b_row)``, independent of batch composition on
-# *either* axis.  Only kernel values rely on it: training rows (the
-# interleaved trainer fuses concurrent SVMs' row demand into union batches)
-# and prediction blocks (fused dispatches stack requests; a partitioned
-# shard's sub-pool columns sit at other offsets).  The decision sums over a
-# block are a per-row segment sum (``repro.multiclass.sv_sharing``).  The
-# CSR code paths are per-row loops / segment reductions and carry the
-# invariant for free.
+# depending on which other columns ride along.  Every product therefore
+# runs as ``(row_tile(rows), k) @ (k, MATMUL_TILE_COLS)`` calls on
+# contiguous zero-padded tiles: full 256-row chunks in 256-row tiles, a
+# partial chunk in the smallest power-of-two tile that holds it, 8 to 256
+# rows.  This assumes every row tile from 8 to 256 computes a row
+# bitwise-identically: true of OpenBLAS's Haswell GEMM kernels, and pinned
+# by ``tests/test_matmul_tiles.py``, which names the tile and ``k`` that
+# break it; tiles under 8 rows break it, hence the floor.  Each output
+# element is then a pure function of ``(a_row, b_row)``, independent of
+# batch composition on *either* axis.  Only kernel values rely on it:
+# training rows (the interleaved trainer fuses concurrent SVMs' row demand
+# into union batches) and prediction blocks (fused dispatches stack
+# requests; a partitioned shard's sub-pool columns sit at other offsets).
+# The decision sums over a block are a per-row segment sum
+# (``repro.multiclass.sv_sharing``).  The CSR code paths are per-row loops
+# / segment reductions and carry the invariant for free.
 MATMUL_TILE_ROWS = 256
+MATMUL_MIN_TILE_ROWS = 8
 MATMUL_TILE_COLS = 256
+
+
+def row_tile(rows: int) -> int:
+    """The row tile :func:`matmul_transpose` runs a ``rows``-row chunk in."""
+    tile = 1 << max(rows - 1, 0).bit_length()
+    return min(MATMUL_TILE_ROWS, max(MATMUL_MIN_TILE_ROWS, tile))
 
 
 def matmul_transpose(a: object, b: object) -> np.ndarray:
@@ -65,7 +79,6 @@ def matmul_transpose(a: object, b: object) -> np.ndarray:
         return b.dot_dense(np.ascontiguousarray(np.asarray(a).T)).T
     dense_a = np.asarray(a)
     dense_b = np.asarray(b)
-    tile_r = MATMUL_TILE_ROWS
     tile_c = MATMUL_TILE_COLS
     m, k = dense_a.shape
     n = dense_b.shape[0]
@@ -81,9 +94,10 @@ def matmul_transpose(a: object, b: object) -> np.ndarray:
         block = np.zeros((k, tile_c), dtype=dtype)
         block[:, :cols] = dense_b[c_start : c_start + cols].T
         col_tiles.append((c_start, cols, block))
-    for r_start in range(0, m, tile_r):
-        chunk = dense_a[r_start : r_start + tile_r]
+    for r_start in range(0, m, MATMUL_TILE_ROWS):
+        chunk = dense_a[r_start : r_start + MATMUL_TILE_ROWS]
         rows = chunk.shape[0]
+        tile_r = row_tile(rows)
         if rows < tile_r or not chunk.flags.c_contiguous:
             padded = np.zeros((tile_r, k), dtype=dtype)
             padded[:rows] = chunk

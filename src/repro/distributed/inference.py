@@ -15,7 +15,7 @@ a :class:`~repro.server.Dispatcher` over one
 ``fail_lane`` / ``restore_lane`` are the replica-health API.
 
 **Bitwise parity.**  Every kernel block element is a pure function of its
-(test row, pool row) pair — both matmul axes go through the fixed-tile
+(test row, pool row) pair — both matmul axes go through the row-pure tile
 discipline of :mod:`repro.backends.reference` — so a shard computing ``K(x, sv)``
 against its sub-pool produces the very bytes the full pool would, and each
 SVM's decision values — an exact elementwise multiply, then a sum over

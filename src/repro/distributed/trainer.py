@@ -20,7 +20,7 @@ This driver:
    a single-device run returns, with its cluster fields filled.
 
 **Bitwise parity.**  Every per-pair solve consumes kernel values computed
-per (instance row, full class column block) through the fixed-tile matmul
+per (instance row, full class column block) through the row-pure tiled matmul
 discipline (``repro.backends.reference``), so segment values are pure functions of
 the operand rows — independent of which device computes them, what else
 shares its waves, and where its tiles sit.  Finalization and pool assembly

@@ -5,7 +5,7 @@ state of its :class:`~repro.solvers.batch_smo.BatchSMOSession` — the
 dual weights ``alpha``, the optimality indicators ``f``, the round and
 inner-iteration counters, the working-set FIFO and the termination
 flags.  That tuple fully determines every future iterate of the solver
-(kernel values are pure functions of the data rows under the fixed-tile
+(kernel values are pure functions of the data rows under the row-pure tile
 discipline), so a session restored from a checkpoint replays *bitwise*
 the rounds the lost device would have run — the foundation of the
 recovery path's model-parity guarantee.

@@ -8,7 +8,7 @@ Layout (all header fields one per line, ``key value...``):
     probability <0|1>
     strategy <ovo|ova>
     classes <k> <label>...
-    n_pool <count> <n_features>
+    n_pool <count> <n_features> [dense]
     svm <s> <t> <bias> <sigmoid A> <sigmoid B> <n_sv>
     <pool positions...>
     <coefficients...>
@@ -17,7 +17,11 @@ Layout (all header fields one per line, ``key value...``):
     <pool rows in LibSVM sparse notation, one per line, 0-based>
 
 Support vectors are stored once (the shared pool), so the file mirrors the
-paper's in-memory sharing; LibSVM's own model format does the same.
+paper's in-memory sharing; LibSVM's own model format does the same.  SV
+rows are always sparse text.  ``dense`` marks a dense pool: it reloads as
+a dense float64 array and predicts the same bits as the saved model.
+Files without it (sparse pools, older files) reload as :class:`CSRMatrix`.
+Older readers ignore the extra token, so the format version stays 1.
 """
 
 from __future__ import annotations
@@ -72,7 +76,8 @@ def save_model(model: MPSVMModel, target: PathOrFile) -> None:
     labels = " ".join(format(label, ".17g") for label in model.classes)
     write(f"classes {model.n_classes} {labels}\n")
     pool = model.sv_pool
-    write(f"n_pool {pool.n_pool} {pool.pool_data.shape[1]}\n")
+    dense = "" if isinstance(pool.pool_data, CSRMatrix) else " dense"
+    write(f"n_pool {pool.n_pool} {pool.pool_data.shape[1]}{dense}\n")
     for record, pooled in zip(model.records, pool.svms):
         sigmoid = record.sigmoid
         a = sigmoid.a if sigmoid else 0.0
@@ -95,8 +100,8 @@ def save_model(model: MPSVMModel, target: PathOrFile) -> None:
 def load_model(source: PathOrFile, *, backend: object = None) -> MPSVMModel:
     """Read a model written by :func:`save_model`.
 
-    The pool data is reconstructed as a :class:`CSRMatrix` regardless of
-    the original storage format (kernel evaluation accepts either).
+    The pool is a dense float64 array if the ``n_pool`` line carries
+    ``dense``, else a :class:`CSRMatrix`.
 
     ``backend`` declares the compute backend the caller will run the model
     under (a name, :class:`~repro.backends.BackendSpec` or instance;
@@ -106,23 +111,57 @@ def load_model(source: PathOrFile, *, backend: object = None) -> MPSVMModel:
     different working dtype rather than silently reinterpreting its
     coefficients — pass the matching backend explicitly.  Files written
     before the ``backend`` header line load as float64-reference models.
+
+    Malformed input (bad or missing fields, truncation, out-of-range or
+    duplicate indices, any non-finite number) raises
+    :class:`ModelFormatError` naming the line.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
             return load_model(handle, backend=backend)
+    from repro.backends import resolve_backend
 
-    lines = [line.rstrip("\n") for line in source]
-    cursor = 0
+    requested = resolve_backend(backend)
+    reader = _LineReader([line.rstrip("\n") for line in source])
+    try:
+        return _parse_model(reader, requested)
+    except (ValueError, IndexError) as exc:
+        # ModelFormatError is a ValueError: every failure gets the line.
+        detail = "missing field" if isinstance(exc, IndexError) else exc
+        raise ModelFormatError(f"line {reader.cursor}: {detail}") from None
 
-    def next_line() -> str:
-        nonlocal cursor
-        if cursor >= len(lines):
+
+class _LineReader:
+    def __init__(self, lines: list[str]) -> None:
+        self.lines = lines
+        self.cursor = 0  # 1-based number of the last line read
+
+    def peek(self) -> str:
+        return self.lines[self.cursor] if self.cursor < len(self.lines) else ""
+
+    def next(self) -> str:
+        if self.cursor >= len(self.lines):
             raise ModelFormatError("unexpected end of model file")
-        line = lines[cursor]
-        cursor += 1
-        return line
+        self.cursor += 1
+        return self.lines[self.cursor - 1]
 
-    header = next_line().split()
+    def expect(self, key: str) -> list[str]:
+        line = self.next()
+        fields = line.split()
+        if not fields or fields[0] != key:
+            raise ModelFormatError(f"expected {key!r} line, got {line!r}")
+        return fields[1:]
+
+
+def _finite(values: object, what: str) -> np.ndarray:
+    array = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(array)):
+        raise ModelFormatError(f"non-finite {what}")
+    return array
+
+
+def _parse_model(reader: _LineReader, requested: object) -> MPSVMModel:
+    header = reader.next().split()
     if len(header) != 2 or header[0] != FORMAT_NAME:
         raise ModelFormatError(f"not a {FORMAT_NAME} file: {header!r}")
     try:
@@ -140,32 +179,28 @@ def load_model(source: PathOrFile, *, backend: object = None) -> MPSVMModel:
             f"release that writes version {version}"
         )
 
-    kernel_fields = next_line().split()
-    if kernel_fields[0] != "kernel" or len(kernel_fields) < 2:
-        raise ModelFormatError("missing kernel line")
+    kernel_fields = reader.expect("kernel")
     kernel_params = {}
-    for key, value in zip(kernel_fields[2::2], kernel_fields[3::2]):
+    for key, value in zip(kernel_fields[1::2], kernel_fields[2::2]):
         kernel_params[key] = int(value) if key == "degree" else float(value)
-    kernel = kernel_from_name(kernel_fields[1], **kernel_params)
+    _finite(list(kernel_params.values()), "kernel parameter")
+    kernel = kernel_from_name(kernel_fields[0], **kernel_params)
 
-    penalty = float(_expect(next_line(), "penalty")[0])
-    probability = bool(int(_expect(next_line(), "probability")[0]))
-    strategy = _expect(next_line(), "strategy")[0]
+    penalty = float(_finite(float(reader.expect("penalty")[0]), "penalty"))
+    probability = bool(int(reader.expect("probability")[0]))
+    strategy = reader.expect("strategy")[0]
 
     # Optional provenance line (absent in files written before compute
     # backends existed; those were all trained by the float64 reference).
     recorded_backend, recorded_dtype = "numpy64", "float64"
-    if cursor < len(lines) and lines[cursor].startswith("backend "):
-        backend_fields = _expect(next_line(), "backend")
+    if reader.peek().startswith("backend "):
+        backend_fields = reader.expect("backend")
         if len(backend_fields) != 2:
             raise ModelFormatError(
                 f"malformed backend line: expected 'backend <name> <dtype>', "
                 f"got fields {backend_fields!r}"
             )
         recorded_backend, recorded_dtype = backend_fields
-    from repro.backends import resolve_backend
-
-    requested = resolve_backend(backend)
     requested_dtype = np.dtype(requested.dtype).name
     if recorded_dtype != "float64" and requested_dtype != recorded_dtype:
         raise ModelFormatError(
@@ -177,37 +212,34 @@ def load_model(source: PathOrFile, *, backend: object = None) -> MPSVMModel:
             f"{recorded_dtype} backend) to load this model"
         )
 
-    class_fields = _expect(next_line(), "classes")
+    class_fields = reader.expect("classes")
     n_classes = int(class_fields[0])
-    classes = np.asarray([float(v) for v in class_fields[1 : 1 + n_classes]])
+    classes = _finite([float(v) for v in class_fields[1 : 1 + n_classes]], "label")
     if classes.size != n_classes:
         raise ModelFormatError("class count does not match label list")
     if np.all(classes == classes.astype(np.int64)):
         classes = classes.astype(np.int64)
 
-    pool_fields = _expect(next_line(), "n_pool")
+    pool_fields = reader.expect("n_pool")
     n_pool, n_features = int(pool_fields[0]), int(pool_fields[1])
+    if pool_fields[2:] not in ([], ["dense"]):
+        raise ModelFormatError(
+            f"unknown n_pool storage {' '.join(pool_fields[2:])!r}: "
+            f"expected nothing or 'dense'"
+        )
 
     records: list[BinarySVMRecord] = []
     pooled: list[PooledSVM] = []
-    n_svms = (
-        n_classes * (n_classes - 1) // 2 if strategy == "ovo" else n_classes
-    )
+    n_svms = n_classes * (n_classes - 1) // 2 if strategy == "ovo" else n_classes
     for _ in range(n_svms):
-        svm_fields = _expect(next_line(), "svm")
+        svm_fields = reader.expect("svm")
         s, t = int(svm_fields[0]), int(svm_fields[1])
-        bias = float(svm_fields[2])
-        sig_a, sig_b = float(svm_fields[3]), float(svm_fields[4])
-        n_sv = int(svm_fields[5])
-        positions = np.asarray(
-            [int(v) for v in next_line().split()], dtype=np.int64
+        bias, sig_a, sig_b = _finite(
+            [float(v) for v in svm_fields[2:5]], f"svm ({s},{t}) bias or sigmoid"
         )
-        coefficients = np.asarray([float(v) for v in next_line().split()])
-        if positions.size != n_sv or coefficients.size != n_sv:
-            raise ModelFormatError(f"svm ({s},{t}): SV count mismatch")
-        if positions.size and (
-            positions.min() < 0 or positions.max() >= n_pool
-        ):
+        n_sv = int(svm_fields[5])
+        positions = np.asarray([int(v) for v in reader.next().split()], dtype=np.int64)
+        if positions.size and not 0 <= positions.min() <= positions.max() < n_pool:
             # Per-stanza counts are attacker/bitrot-controlled: positions
             # must index the declared pool, or prediction would fault (or
             # silently read wrong rows) long after loading succeeded.
@@ -215,13 +247,13 @@ def load_model(source: PathOrFile, *, backend: object = None) -> MPSVMModel:
                 f"svm ({s},{t}): pool position out of range "
                 f"[0, {n_pool}) in positions line"
             )
-        sigmoid = SigmoidModel(a=sig_a, b=sig_b) if probability else None
-        pooled.append(
-            PooledSVM(
-                s=s, t=t, pool_positions=positions,
-                coefficients=coefficients, bias=bias,
-            )
+        coefficients = _finite(
+            [float(v) for v in reader.next().split()], f"svm ({s},{t}) coefficient"
         )
+        if positions.size != n_sv or coefficients.size != n_sv:
+            raise ModelFormatError(f"svm ({s},{t}): SV count mismatch")
+        sigmoid = SigmoidModel(a=sig_a, b=sig_b) if probability else None
+        pooled.append(PooledSVM(s, t, positions, coefficients, bias))
         records.append(
             BinarySVMRecord(
                 s=s, t=t,
@@ -230,18 +262,22 @@ def load_model(source: PathOrFile, *, backend: object = None) -> MPSVMModel:
             )
         )
 
-    if next_line().strip() != "SV":
+    if reader.next().strip() != "SV":
         raise ModelFormatError("missing SV section")
     rows = []
     for _ in range(n_pool):
-        fields = next_line().split()
-        cols = np.asarray([int(f.split(":", 1)[0]) for f in fields], dtype=np.int64)
-        vals = np.asarray([float(f.split(":", 1)[1]) for f in fields])
+        fields = [f.split(":", 1) for f in reader.next().split()]
+        cols = np.asarray([int(c) for c, _ in fields], dtype=np.int64)
+        vals = _finite([float(v) for _, v in fields], "SV value")
+        if cols.size and not (0 <= cols.min() <= cols.max() < n_features):
+            raise ModelFormatError(f"SV column out of range [0, {n_features})")
+        if np.unique(cols).size != cols.size:
+            raise ModelFormatError("duplicate SV column")
         rows.append((cols, vals))
     pool_data = CSRMatrix.from_rows(rows, n_features)
-    pool = SupportVectorPool(
-        pool_data, np.arange(n_pool, dtype=np.int64), pooled
-    )
+    if pool_fields[2:]:
+        pool_data = pool_data.toarray()
+    pool = SupportVectorPool(pool_data, np.arange(n_pool, dtype=np.int64), pooled)
     return MPSVMModel(
         classes=classes,
         kernel=kernel,
@@ -252,10 +288,3 @@ def load_model(source: PathOrFile, *, backend: object = None) -> MPSVMModel:
         strategy=strategy,
         metadata={"backend": recorded_backend, "dtype": recorded_dtype},
     )
-
-
-def _expect(line: str, key: str) -> list[str]:
-    fields = line.split()
-    if not fields or fields[0] != key:
-        raise ModelFormatError(f"expected {key!r} line, got {line!r}")
-    return fields[1:]

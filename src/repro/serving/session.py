@@ -26,11 +26,13 @@ training side).
 Every serve call then runs only the per-request math, through the same
 :class:`~repro.core.predictor.PredictionPipeline` as the one-shot path
 with the warm pool as its decision-value source.  Together with the
-row-pure stages underneath — fixed-shape tiled kernel blocks
-(``repro.backends.reference.MATMUL_TILE_ROWS``) and the per-row
-multiply-then-segment-sum decision values
-(``repro.multiclass.sv_sharing``) — that keeps session outputs bitwise
-identical to one-shot predictions, batch composition notwithstanding.
+row-pure stages underneath — kernel blocks in right-sized row tiles
+(``repro.backends.reference.row_tile``: 8 to 256 rows, each computing a
+row bitwise-identically) and the per-row multiply-then-segment-sum
+decision values (``repro.multiclass.sv_sharing``) — that keeps session
+outputs bitwise identical to one-shot predictions, batch composition
+notwithstanding.  A dense model reloaded by ``load_model`` keeps its
+dense pool, so it serves the same bits as the model that was saved.
 """
 
 from __future__ import annotations

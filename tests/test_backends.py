@@ -380,12 +380,9 @@ class TestPersistenceBackendHeader:
             PredictorConfig(device=scaled_tesla_p100(), backend="numpy32"),
             loaded, x_test,
         )
-        # Not bitwise: reloading re-pools the SVs as CSR, and the float32
-        # backend routes CSR products through the float64 reference (then
-        # casts) while dense pools take the single-SGEMM path.  The two
-        # arithmetics agree to float32 rounding, which is the backend's
-        # contract.
-        assert np.allclose(p_direct, p_loaded, atol=1e-5)
+        # Bitwise: a dense pool reloads dense, so both models take the
+        # same single-SGEMM path on the same values.
+        assert np.array_equal(p_direct, p_loaded)
 
     def test_float64_model_loads_under_any_backend(self, fitted64):
         # Widening is safe: a float64-trained model can run under the

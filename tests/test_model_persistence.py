@@ -89,7 +89,7 @@ class TestPersistence:
         config = PredictorConfig(device=scaled_tesla_p100())
         original, _ = predict_proba_model(config, clf.model_, x)
         restored, _ = predict_proba_model(config, reloaded, x)
-        assert np.allclose(original, restored, atol=1e-12)
+        assert np.array_equal(original, restored)
 
     def test_roundtrip_metadata(self, fitted):
         model = fitted[0].model_
@@ -108,6 +108,8 @@ class TestPersistence:
 
         x, y = binary01_features(80, 60, 2, active_per_row=6, seed=9)
         clf = GMPSVC(C=10.0, gamma=0.5, working_set_size=32).fit(x, y)
+        lines = _saved_lines(clf.model_)
+        assert len(lines[_line_of(lines, "n_pool ")].split()) == 3  # no marker
         reloaded = self.roundtrip(clf.model_)
         assert isinstance(reloaded.sv_pool.pool_data, CSRMatrix)
         config = PredictorConfig(device=scaled_tesla_p100())
@@ -188,9 +190,7 @@ class TestPersistenceEdgeCases:
         config = PredictorConfig(device=scaled_tesla_p100())
         original, _ = predict_proba_model(config, clf.model_, x)
         restored, _ = predict_proba_model(config, reloaded, x)
-        # CSR-pool kernel sums reorder vs the dense original, so exact
-        # equality is out of scope here (the label fidelity is the point).
-        assert np.allclose(original, restored, atol=1e-12)
+        assert np.array_equal(original, restored)
 
     def test_out_of_range_pool_position_rejected(self, fitted):
         """Regression: a positions entry past the pool bounds used to be
@@ -221,12 +221,13 @@ class TestPersistenceEdgeCases:
             load_model(io.StringIO("\n".join(lines) + "\n"))
 
     def test_dense_pool_values_preserved_exactly(self, fitted):
-        """Dense-trained pools reload as CSR with bitwise-equal values."""
+        """Dense-trained pools reload dense with bitwise-equal values."""
         from repro.sparse import ops as mops
 
         model = fitted[0].model_
         reloaded = self.roundtrip(model)
-        assert isinstance(reloaded.sv_pool.pool_data, CSRMatrix)
+        assert isinstance(reloaded.sv_pool.pool_data, np.ndarray)
+        assert reloaded.sv_pool.pool_data.dtype == np.float64
         assert np.array_equal(
             mops.to_dense(reloaded.sv_pool.pool_data),
             mops.to_dense(model.sv_pool.pool_data),
@@ -271,3 +272,144 @@ class TestPersistenceEdgeCases:
         cut = max(1, int(len(lines) * keep_fraction))
         with pytest.raises(ModelFormatError):
             load_model(io.StringIO("\n".join(lines[:cut]) + "\n"))
+
+
+def _saved_lines(model):
+    buffer = io.StringIO()
+    save_model(model, buffer)
+    return buffer.getvalue().splitlines()
+
+
+def _load_lines(lines):
+    return load_model(io.StringIO("\n".join(lines) + "\n"))
+
+
+def _line_of(lines, prefix):
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
+
+
+class TestPoolStorage:
+    """The ``dense`` token on the ``n_pool`` line picks the reloaded pool's
+    storage: dense pools come back dense, everything else as CSR."""
+
+    def test_dense_reload_predicts_bitwise(self, fitted):
+        from repro import InferenceSession
+
+        clf, x, _ = fitted
+        reloaded = _load_lines(_saved_lines(clf.model_))
+        original = InferenceSession(clf.model_).predict_proba(x)
+        restored = InferenceSession(reloaded).predict_proba(x)
+        assert original.tobytes() == restored.tobytes()
+
+    def test_dense_pool_writes_marker(self, fitted):
+        lines = _saved_lines(fitted[0].model_)
+        assert lines[_line_of(lines, "n_pool ")].endswith(" dense")
+
+    def test_file_without_marker_loads_as_csr(self, fitted):
+        model = fitted[0].model_
+        lines = _saved_lines(model)
+        at = _line_of(lines, "n_pool ")
+        lines[at] = lines[at].removesuffix(" dense")
+        reloaded = _load_lines(lines)
+        assert isinstance(reloaded.sv_pool.pool_data, CSRMatrix)
+        assert np.array_equal(
+            reloaded.sv_pool.pool_data.toarray(), model.sv_pool.pool_data
+        )
+
+    def test_unknown_storage_token_rejected(self, fitted):
+        lines = _saved_lines(fitted[0].model_)
+        at = _line_of(lines, "n_pool ")
+        lines[at] = lines[at].replace(" dense", " banded")
+        with pytest.raises(ModelFormatError, match=f"line {at + 1}: .*banded"):
+            _load_lines(lines)
+
+
+class TestHardenedLoad:
+    """Malformed or non-finite input is a ModelFormatError naming its line,
+    never a bare ValueError, a SparseFormatError or a model that serves
+    NaN."""
+
+    @staticmethod
+    def _edit(fitted, prefix, edit, offset=0):
+        lines = _saved_lines(fitted[0].model_)
+        at = _line_of(lines, prefix) + offset
+        lines[at] = edit(lines[at])
+        return lines, at + 1
+
+    @staticmethod
+    def _first_sv_row(lines):
+        return _line_of(lines, "SV") + 1
+
+    def _sv_edit(self, fitted, edit):
+        lines = _saved_lines(fitted[0].model_)
+        at = self._first_sv_row(lines)
+        lines[at] = edit(lines[at].split())
+        return lines, at + 1
+
+    def _assert_rejected(self, lines, number, match):
+        with pytest.raises(ModelFormatError, match=f"line {number}: .*{match}"):
+            _load_lines(lines)
+
+    def test_nan_sv_value(self, fitted):
+        def edit(tokens):
+            return " ".join([tokens[0].split(":")[0] + ":nan"] + tokens[1:])
+
+        lines, number = self._sv_edit(fitted, edit)
+        self._assert_rejected(lines, number, "non-finite SV value")
+
+    def test_inf_coefficient(self, fitted):
+        lines, number = self._edit(
+            fitted, "svm ", lambda line: "inf " + " ".join(line.split()[1:]), offset=2
+        )
+        self._assert_rejected(lines, number, "non-finite .*coefficient")
+
+    @pytest.mark.parametrize("field", [3, 4, 5])
+    def test_non_finite_bias_or_sigmoid(self, fitted, field):
+        def edit(line):
+            tokens = line.split()
+            tokens[field] = "-inf" if field == 3 else "nan"
+            return " ".join(tokens)
+
+        lines, number = self._edit(fitted, "svm ", edit)
+        self._assert_rejected(lines, number, "non-finite .*bias or sigmoid")
+
+    def test_non_finite_penalty(self, fitted):
+        lines, number = self._edit(fitted, "penalty ", lambda _: "penalty nan")
+        self._assert_rejected(lines, number, "non-finite penalty")
+
+    def test_non_finite_kernel_parameter(self, fitted):
+        lines, number = self._edit(
+            fitted, "kernel ", lambda _: "kernel gaussian gamma inf"
+        )
+        self._assert_rejected(lines, number, "non-finite kernel parameter")
+
+    def test_malformed_sv_token(self, fitted):
+        lines, number = self._sv_edit(
+            fitted, lambda tokens: " ".join(["abc"] + tokens[1:])
+        )
+        self._assert_rejected(lines, number, "")
+
+    def test_malformed_pool_count(self, fitted):
+        lines, number = self._edit(
+            fitted, "n_pool ", lambda _: "n_pool 5 notanint"
+        )
+        self._assert_rejected(lines, number, "notanint")
+
+    def test_duplicate_sv_column(self, fitted):
+        lines, number = self._sv_edit(
+            fitted, lambda tokens: " ".join(tokens + [tokens[0]])
+        )
+        self._assert_rejected(lines, number, "duplicate SV column")
+
+    def test_out_of_range_sv_column(self, fitted):
+        n_features = fitted[0].model_.n_features
+        lines, number = self._sv_edit(
+            fitted, lambda tokens: " ".join(tokens + [f"{n_features}:1.0"])
+        )
+        self._assert_rejected(lines, number, "SV column out of range")
+
+    def test_missing_svm_field(self, fitted):
+        lines, number = self._edit(
+            fitted, "svm ", lambda line: " ".join(line.split()[:6])
+        )
+        self._assert_rejected(lines, number, "missing field")

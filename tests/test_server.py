@@ -206,7 +206,7 @@ class TestDispatchAndParity:
 
     def test_parity_survives_batched_contention(self, problem, model):
         # Many single-row requests at one instant fuse into wide batches;
-        # fixed-tile kernels keep per-row results byte-identical to the
+        # row-pure tiled kernels keep per-row results byte-identical to the
         # unfused direct call.
         x, _ = problem
         direct = make_session(model).predict_proba(x[:12])
