@@ -11,10 +11,9 @@ without touching solver, serving or distributed code.
 
 Two backends ship in-tree:
 
-- ``"numpy64"`` — the float64 reference path.  Its arithmetic is the
-  pre-registry implementation moved verbatim (row-pure tiled products,
-  batched partial-pivot elimination), so results are **bitwise identical**
-  to what the library produced before backends existed.
+- ``"numpy64"`` — the float64 reference path (row-pure tiled products,
+  batched partial-pivot elimination), held to **bitwise** parity across
+  every execution path (fused or not, sharded, served).
 - ``"numpy32"`` — the float32/mixed-precision fast path: kernel rows,
   cross products and row norms in float32, accumulation (decision-value
   sums, coupling, elimination, reductions) in float64.  It is held to
@@ -74,7 +73,10 @@ class ComputeBackend(ABC):
     # -- kernel-row evaluation ------------------------------------------
     @abstractmethod
     def matmul_transpose(self, a: object, b: object) -> np.ndarray:
-        """Cross product ``a @ b.T`` for dense/CSR operands.
+        """Cross product ``a @ b.T`` for dense, CSR or prepared operands.
+
+        The engine passes :class:`~repro.backends.reference.HostOperand`
+        wrappers (see :func:`~repro.backends.reference.host_operand`).
 
         This is the single product batched kernel-row evaluation is built
         on (the paper computes it with cuSPARSE/cuBLAS); the kernel

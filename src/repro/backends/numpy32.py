@@ -13,10 +13,11 @@ dominates large-scale SVM throughput:
   coupling elimination (tiny ill-conditioned systems; narrowed storage,
   never the solve) and all reductions.
 
-Sparse (CSR) operands take the float64 reference path and narrow the
-result — the CSR kernels are per-row loops whose wall-clock cost is not
-precision-bound, so a float32 re-implementation would add parity risk
-for no measured gain.
+Sparse (CSR) operands take the float64 reference product and narrow the
+result: a CSR feature space at most ``DENSE_HOST_MAX_COLS`` wide runs as
+the densified, row/column-tiled float64 GEMM, a wider one as the per-row
+CSR loop.  Neither is precision-bound enough on the host for a float32
+re-implementation to pay for its parity risk.
 
 Accuracy is enforced by the delta gates of the conformance suite and the
 ``BENCH_backends`` SLOs: probability L-infinity delta <= 1e-3 against
@@ -47,12 +48,13 @@ class Numpy32Backend(ComputeBackend):
     dram_byte_scale = 0.5
 
     def matmul_transpose(self, a: object, b: object) -> np.ndarray:
-        if isinstance(a, CSRMatrix) or isinstance(b, CSRMatrix):
+        a, b = reference.host_operand(a), reference.host_operand(b)
+        if isinstance(a.source, CSRMatrix) or isinstance(b.source, CSRMatrix):
             return reference.matmul_transpose(a, b).astype(np.float32)
         if a.shape[1] != b.shape[1]:
             raise ValidationError(f"column mismatch: {a.shape} vs {b.shape}")
-        a32 = np.asarray(a, dtype=np.float32)
-        b32 = np.asarray(b, dtype=np.float32)
+        a32 = a.dense().astype(np.float32, copy=False)
+        b32 = b.dense().astype(np.float32, copy=False)
         return a32 @ b32.T
 
     def row_norms_sq(self, matrix: object) -> np.ndarray:

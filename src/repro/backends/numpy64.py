@@ -1,11 +1,9 @@
 """The ``numpy64`` reference backend: float64, bitwise-stable.
 
-Every primitive delegates to the exact implementation the library used
-before the registry existed (now housed in
-:mod:`repro.backends.reference` and :mod:`repro.sparse.ops`), so an
-engine built on this backend produces results — and, with both cost
-scales at 1.0, simulated timelines — bit-for-bit identical to the
-pre-registry code.  This is the default backend everywhere.
+Every primitive delegates to the float64 reference implementation
+(:mod:`repro.backends.reference` and :mod:`repro.sparse.ops`), and both
+cost scales are exactly 1.0, so the simulated timeline is that of the
+unscaled cost model.  This is the default backend everywhere.
 """
 
 from __future__ import annotations

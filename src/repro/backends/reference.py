@@ -1,26 +1,30 @@
-"""The float64 reference numerics (the pre-registry implementations).
+"""The float64 reference numerics.
 
-These are the exact routines that used to live in
-``repro.sparse.ops.matmul_transpose`` and
-``repro.probability.linalg.gaussian_elimination[_batch]``, moved here —
-not rewritten — when the backend registry was introduced.  Bitwise
-stability of every existing parity suite (training, serving, distributed)
-rests on this code not changing.
+The row/column-tiled ``matmul_transpose`` every kernel value comes from,
+the :class:`HostOperand` form its operands are prepared in, and the
+batched Gaussian elimination of the coupling stage.  Bitwise stability
+of every parity suite (training, serving, distributed) rests on the
+tiling contract documented below; the simulated clock depends only on
+the operands' source matrices, never on how the host multiplies them.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.exceptions import SolverError, ValidationError
+from repro.sparse import ops as mops
 from repro.sparse.csr import CSRMatrix
 
 __all__ = [
     "MATMUL_TILE_ROWS",
     "MATMUL_MIN_TILE_ROWS",
     "MATMUL_TILE_COLS",
+    "DENSE_HOST_MAX_COLS",
+    "HostOperand",
+    "host_operand",
     "row_tile",
     "matmul_transpose",
     "gaussian_elimination",
@@ -46,11 +50,22 @@ __all__ = [
 # into union batches) and prediction blocks (fused dispatches stack
 # requests; a partitioned shard's sub-pool columns sit at other offsets).
 # The decision sums over a block are a per-row segment sum
-# (``repro.multiclass.sv_sharing``).  The CSR code paths are per-row loops
-# / segment reductions and carry the invariant for free.
+# (``repro.multiclass.sv_sharing``).
+#
+# A CSR operand whose feature space is at most ``DENSE_HOST_MAX_COLS``
+# wide is densified (an exact copy) and takes the same tiled GEMM, so it
+# inherits the invariant.  The rule reads only the column count, never
+# the density: every operand drawn from one feature space then takes the
+# same product, whichever rows a batch holds.  Wider CSR operands keep
+# the per-row CSR loop and segment reductions, which are row-pure by
+# construction.  The simulated clock charges the operands as given
+# (``repro.gpusim.engine``), so the host product never moves it.
 MATMUL_TILE_ROWS = 256
 MATMUL_MIN_TILE_ROWS = 8
 MATMUL_TILE_COLS = 256
+# Chosen from ``benchmarks/bench_dense_host.py``; news20's 2560 columns at
+# 3% density stay on the CSR path.
+DENSE_HOST_MAX_COLS = 256
 
 
 def row_tile(rows: int) -> int:
@@ -59,41 +74,109 @@ def row_tile(rows: int) -> int:
     return min(MATMUL_TILE_ROWS, max(MATMUL_MIN_TILE_ROWS, tile))
 
 
+class HostOperand:
+    """One side of ``a @ b.T``, in the form the host multiplies fastest.
+
+    ``source`` is the matrix as given (dense or CSR); the cost model
+    charges it.  ``tiled`` says whether the operand takes the tiled GEMM:
+    a dense source does, and so does a CSR source at most
+    :data:`DENSE_HOST_MAX_COLS` columns wide, densified on demand.  As the
+    ``b`` side, an operand is multiplied through its transposed column
+    tiles: built per product by default, or built once and kept by
+    :meth:`keep_tiles` for an operand multiplied against many times (a
+    training set, a class's CSR column block, a serving pool).
+    """
+
+    __slots__ = ("source", "tiled", "_column_tiles")
+
+    def __init__(self, source: object) -> None:
+        self.source = source
+        self.tiled = (
+            not isinstance(source, CSRMatrix)
+            or source.shape[1] <= DENSE_HOST_MAX_COLS
+        )
+        self._column_tiles: Optional[list] = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Shape of the source matrix."""
+        return self.source.shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        """Element type of the dense form."""
+        if isinstance(self.source, CSRMatrix):
+            return np.dtype(np.float64)
+        return np.asarray(self.source).dtype
+
+    def dense(self) -> np.ndarray:
+        """The source as a dense array (an exact copy when it is CSR)."""
+        if isinstance(self.source, CSRMatrix):
+            return self.source.toarray()
+        return np.asarray(self.source)
+
+    def take_rows(self, indices: np.ndarray) -> "HostOperand":
+        """The operand of the given rows of the source."""
+        return HostOperand(mops.take_rows(self.source, indices))
+
+    def keep_tiles(self) -> "HostOperand":
+        """Build the column tiles once and keep them resident; returns self."""
+        if self.tiled and self._column_tiles is None:
+            self._column_tiles = self.column_tiles()
+        return self
+
+    def column_tiles(self) -> list:
+        """``(start, width, (k, MATMUL_TILE_COLS) block)`` per column tile.
+
+        Every tile is materialised as its own contiguous zero-padded
+        operand: a strided transpose view and a padded copy can dispatch
+        to different GEMM paths, which would break element purity between
+        full and partial tiles.
+        """
+        if self._column_tiles is not None:
+            return self._column_tiles
+        dense = self.dense()
+        rows, k = dense.shape
+        tiles = []
+        for start in range(0, rows, MATMUL_TILE_COLS):
+            width = min(MATMUL_TILE_COLS, rows - start)
+            block = np.zeros((k, MATMUL_TILE_COLS), dtype=dense.dtype)
+            block[:, :width] = dense[start : start + width].T
+            tiles.append((start, width, block))
+        return tiles
+
+
+def host_operand(matrix: object) -> HostOperand:
+    """``matrix`` as a :class:`HostOperand` (prepared operands pass through)."""
+    return matrix if isinstance(matrix, HostOperand) else HostOperand(matrix)
+
+
 def matmul_transpose(a: object, b: object) -> np.ndarray:
-    """Dense ``a @ b.T`` for any combination of dense/CSR operands.
+    """Dense ``a @ b.T`` for dense, CSR or prepared (:class:`HostOperand`) operands.
 
     This is the single product the whole kernel machinery is built on
     (the paper computes it with cuSPARSE/cuBLAS).  Output rows are
     bitwise-independent of how the ``a`` batch is composed (see
     :data:`MATMUL_TILE_ROWS`).
     """
+    a, b = host_operand(a), host_operand(b)
     if a.shape[1] != b.shape[1]:
         raise ValidationError(f"column mismatch: {a.shape} vs {b.shape}")
-    a_sparse = isinstance(a, CSRMatrix)
-    b_sparse = isinstance(b, CSRMatrix)
-    if a_sparse and b_sparse:
-        return a.matmul_transpose(b)
-    if a_sparse:
-        return a.dot_dense(np.ascontiguousarray(np.asarray(b).T))
-    if b_sparse:
-        return b.dot_dense(np.ascontiguousarray(np.asarray(a).T)).T
-    dense_a = np.asarray(a)
-    dense_b = np.asarray(b)
-    tile_c = MATMUL_TILE_COLS
+    if a.tiled and b.tiled:
+        return _tiled_product(a.dense(), b)
+    if not (a.tiled or b.tiled):
+        return a.source.matmul_transpose(b.source)
+    if a.tiled:
+        return b.source.dot_dense(np.ascontiguousarray(a.dense().T)).T
+    return a.source.dot_dense(np.ascontiguousarray(b.dense().T))
+
+
+def _tiled_product(dense_a: np.ndarray, b: HostOperand) -> np.ndarray:
+    """``dense_a @ b.T`` in row-pure row tiles against ``b``'s column tiles."""
     m, k = dense_a.shape
-    n = dense_b.shape[0]
-    dtype = np.result_type(dense_a, dense_b)
-    out = np.empty((m, n), dtype=dtype)
-    # Materialise every column tile as a contiguous (k, tile_c) operand up
-    # front: a strided transpose view and a padded copy can dispatch to
-    # different GEMM paths, which would break element purity between full
-    # and partial tiles.
-    col_tiles = []
-    for c_start in range(0, n, tile_c):
-        cols = min(tile_c, n - c_start)
-        block = np.zeros((k, tile_c), dtype=dtype)
-        block[:, :cols] = dense_b[c_start : c_start + cols].T
-        col_tiles.append((c_start, cols, block))
+    dtype = np.result_type(dense_a, b.dtype)
+    out = np.empty((m, b.shape[0]), dtype=dtype)
+    col_tiles = b.column_tiles()
     for r_start in range(0, m, MATMUL_TILE_ROWS):
         chunk = dense_a[r_start : r_start + MATMUL_TILE_ROWS]
         rows = chunk.shape[0]

@@ -179,7 +179,7 @@ class ShardedInferenceRouter:
                     sub_pool.pool_data,
                     category="decision_values",
                 )
-                computer.norms()  # shard norms resident from now on
+                computer.warm()  # shard norms and tiles resident from now on
                 span.set(
                     n_pool=sub_pool.n_pool,
                     pool_nbytes=sub_pool.pool_nbytes,

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.backends.reference import host_operand
 from repro.exceptions import ValidationError
 from repro.gpusim.clock import SimClock, TimeCharge
 from repro.gpusim.counters import OpCounters
@@ -190,8 +191,15 @@ class Engine:
         category: str,
         launches: int = 1,
     ) -> np.ndarray:
-        """Dense ``a @ b.T`` — the batched kernel-row product."""
-        flops, bytes_read, bytes_written = _product_costs(a, b)
+        """Dense ``a @ b.T`` — the batched kernel-row product.
+
+        Either operand may be a prepared
+        :class:`~repro.backends.reference.HostOperand`; the charge is
+        always that of its source matrix, whatever form the host computes
+        the product in.
+        """
+        a, b = host_operand(a), host_operand(b)
+        flops, bytes_read, bytes_written = _product_costs(a.source, b.source)
         self.charge(
             category,
             flops=flops,

@@ -15,10 +15,11 @@ should charge, so kernel evaluation is accounted wherever it happens
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
+from repro.backends.reference import HostOperand, host_operand
 from repro.exceptions import ValidationError
 from repro.gpusim.engine import Engine
 from repro.sparse import ops as mops
@@ -31,6 +32,9 @@ __all__ = [
     "SigmoidKernel",
     "kernel_from_name",
 ]
+
+# Byte budget of the Gaussian transform's temporary.
+_CHUNK_BYTES = 1 << 20
 
 
 class KernelFunction(ABC):
@@ -66,8 +70,8 @@ class KernelFunction(ABC):
     def pairwise(
         self,
         engine: Engine,
-        a: mops.MatrixLike,
-        b: mops.MatrixLike,
+        a: Union[mops.MatrixLike, HostOperand],
+        b: Union[mops.MatrixLike, HostOperand],
         *,
         category: str,
         norms_a: Optional[np.ndarray] = None,
@@ -78,12 +82,18 @@ class KernelFunction(ABC):
         ``norms_a`` / ``norms_b`` are squared row norms; pass precomputed
         values to avoid recharging them (the solvers compute them once per
         dataset).  They are only consulted by kernels that need them.
+        Either operand may be a prepared
+        :class:`~repro.backends.reference.HostOperand`.
         """
         if self.needs_norms:
             if norms_a is None:
-                norms_a = self.compute_norms(engine, a, category=category)
+                norms_a = self.compute_norms(
+                    engine, host_operand(a).source, category=category
+                )
             if norms_b is None:
-                norms_b = self.compute_norms(engine, b, category=category)
+                norms_b = self.compute_norms(
+                    engine, host_operand(b).source, category=category
+                )
         dots = engine.matmul_transpose(a, b, category=category)
         return self.transform(engine, dots, norms_a, norms_b, category=category)
 
@@ -151,10 +161,13 @@ class GaussianKernel(KernelFunction):
         if norms_a is None or norms_b is None:
             raise ValidationError("Gaussian kernel requires row norms")
         engine.elementwise(category, dots.size, flops_per_element=5, arrays_read=3)
-        # exp(-gamma * max(na + nb - 2 dots, 0)) in one buffer, same op order.
+        # exp(-gamma * max(na + nb - 2 dots, 0)) in one buffer, same op order;
+        # ``2 dots`` is formed a row chunk at a time, never as a whole block.
         dtype = np.result_type(norms_a, norms_b, dots)
         out = np.add.outer(norms_a, norms_b).astype(dtype, copy=False)
-        out -= 2.0 * dots
+        step = max(1, _CHUNK_BYTES // max(1, dots.itemsize * dots.shape[1]))
+        for start in range(0, dots.shape[0], step):
+            out[start : start + step] -= 2.0 * dots[start : start + step]
         np.maximum(out, 0.0, out=out)  # guard tiny negatives
         out *= -self.gamma
         return np.exp(out, out=out)

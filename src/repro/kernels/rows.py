@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.backends.reference import HostOperand
 from repro.exceptions import ValidationError
 from repro.gpusim.engine import FLOAT_BYTES, Engine
 from repro.kernels.functions import KernelFunction
@@ -37,6 +38,9 @@ class KernelRowComputer:
         self.engine = engine
         self.kernel = kernel
         self.data = data
+        # The dataset as the ``b`` side of its products; :meth:`rows` and
+        # :meth:`warm` keep its column tiles resident.
+        self.operand = HostOperand(data)
         self.category = category
         self._norms: Optional[np.ndarray] = None
         self._diagonal: Optional[np.ndarray] = None
@@ -63,6 +67,11 @@ class KernelRowComputer:
                 self.engine, self.data, category=self.category
             )
         return self._norms
+
+    def warm(self) -> None:
+        """Make the dataset side resident: row norms and GEMM column tiles."""
+        self.norms()
+        self.operand.keep_tiles()
 
     def diagonal(self) -> np.ndarray:
         """``K(x_i, x_i)`` for every instance (the eta terms of Eq. 5)."""
@@ -94,12 +103,11 @@ class KernelRowComputer:
         if idx.ndim != 1:
             raise ValidationError(f"indices must be 1-D, got shape {idx.shape}")
         cat = category if category is not None else self.category
-        subset = mops.take_rows(self.data, idx)
         norms = self.norms()
         return self.kernel.pairwise(
             self.engine,
-            subset,
-            self.data,
+            self.operand.take_rows(idx),
+            self.operand.keep_tiles(),
             category=cat,
             norms_a=None if norms is None else norms[idx],
             norms_b=norms,
@@ -120,10 +128,10 @@ class KernelRowComputer:
         """
         cat = category if category is not None else self.category
         norms = self.norms()
-        data = self.data
+        data = self.operand
         if column_indices is not None:
             col_idx = np.asarray(column_indices, dtype=np.int64)
-            data = mops.take_rows(self.data, col_idx)
+            data = self.operand.take_rows(col_idx)
             if norms is not None:
                 norms = norms[col_idx]
         if self.kernel.needs_norms and norms_other is None:

@@ -26,6 +26,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.backends.reference import HostOperand
 from repro.exceptions import ValidationError
 from repro.gpusim.clock import SimClock
 from repro.gpusim.counters import OpCounters
@@ -116,6 +117,8 @@ class SharedClassPairKernels:
         # not consumed them yet: the owner's consuming fetch is accounted
         # as the miss it would have been, not as a reuse hit.
         self._prefetched_fresh: set[tuple[int, int]] = set()
+        # Narrow CSR column blocks, tiled once (see _column_block).
+        self._column_blocks: dict[int, HostOperand] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -221,8 +224,8 @@ class SharedClassPairKernels:
             row_ids = np.asarray(gids, dtype=np.int64)
             block = self.computer.kernel.pairwise(
                 scratch,
-                mops.take_rows(self.computer.data, row_ids),
-                mops.take_rows(self.computer.data, columns),
+                self.computer.operand.take_rows(row_ids),
+                self._column_block(class_label),
                 category=category,
                 norms_a=None if norms is None else norms[row_ids],
                 norms_b=None if norms is None else norms[columns],
@@ -259,6 +262,22 @@ class SharedClassPairKernels:
         if label not in self.class_indices:
             raise ValidationError(f"unknown class label {label}")
 
+    def _column_block(self, class_label: int) -> HostOperand:
+        """One class's rows as the ``b`` side of its products.
+
+        A narrow CSR block (one the tiled GEMM multiplies) is gathered and
+        densified into column tiles once, and kept.  Other blocks are
+        gathered per product: a wide CSR block has no tiles to keep, and
+        keeping dense blocks would hold two more copies of the dense
+        training set (the blocks and their tiles) for the whole fit.
+        """
+        block = self._column_blocks.get(class_label)
+        if block is None:
+            block = self.computer.operand.take_rows(self.class_indices[class_label])
+            if block.tiled and mops.is_sparse(block.source):
+                self._column_blocks[class_label] = block.keep_tiles()
+        return block
+
     def _segments_for_class(
         self, ids: np.ndarray, class_label: int, category: str
     ) -> np.ndarray:
@@ -286,12 +305,11 @@ class SharedClassPairKernels:
                 missing_pos.append(pos)
                 self.stats.segment_misses += 1
         if missing_ids:
-            subset = mops.take_rows(self.computer.data, np.asarray(missing_ids))
             norms = self.computer.norms()
             block = self.computer.kernel.pairwise(
                 self.computer.engine,
-                subset,
-                mops.take_rows(self.computer.data, columns),
+                self.computer.operand.take_rows(np.asarray(missing_ids)),
+                self._column_block(class_label),
                 category=category,
                 norms_a=None if norms is None else norms[np.asarray(missing_ids)],
                 norms_b=None if norms is None else norms[columns],

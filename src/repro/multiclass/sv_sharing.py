@@ -255,6 +255,7 @@ class SupportVectorPool:
             products = np.asarray(columns_of(positions), np.float64, order="C")
             np.multiply(products, coefficients, out=products)
             out[:, members] = segment_sums(products, offsets, axis=1)
+            del products  # before the next group's gather, not after it
             for size in np.diff(offsets).tolist():
                 engine.charge(
                     category,

@@ -13,7 +13,8 @@ training side).
 
 - the unified support-vector pool is shipped to the (simulated) device and
   a pool-side :class:`~repro.kernels.rows.KernelRowComputer` is built with
-  its row norms resident;
+  its row norms resident, and with the pool's transposed GEMM column tiles
+  resident on the host (:class:`~repro.backends.reference.HostOperand`);
 - the stacked ``(A, B)`` sigmoid arrays and pair-position indices are
   materialized (:meth:`MPSVMModel.warm`);
 - one persistent engine/telemetry context carries the whole session, so
@@ -168,7 +169,7 @@ class InferenceSession:
                 model.sv_pool.pool_data,
                 category="decision_values",
             )
-            self._computer.norms()  # pool norms resident from now on
+            self._computer.warm()  # pool norms and tiles resident from now on
             span.set(simulated_seconds=self._engine.clock.elapsed_s)
         self._pipeline = PredictionPipeline(
             self._engine, self.model, self.config, self._chunk_decisions

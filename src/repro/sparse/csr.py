@@ -25,7 +25,10 @@ import numpy as np
 
 from repro.exceptions import SparseFormatError
 
-__all__ = ["CSRMatrix"]
+__all__ = ["CSRMatrix", "DOT_DENSE_MAX_BYTES"]
+
+# Byte budget of one ``CSRMatrix.dot_dense`` intermediate (see there).
+DOT_DENSE_MAX_BYTES = 32 << 20
 
 
 def _as_index_array(values: object) -> np.ndarray:
@@ -262,21 +265,31 @@ class CSRMatrix:
         return i
 
     def take_rows(self, row_indices: object) -> "CSRMatrix":
-        """Gather a subset of rows (in the given order) into a new matrix."""
+        """Gather a subset of rows (in the given order) into a new matrix.
+
+        Negative indices wrap, as in :meth:`row`.  One offset gather: each
+        output entry's source position is its row's start plus its offset
+        within the row, so the copy is exact.
+        """
         idx = _as_index_array(row_indices)
-        idx = np.array([self._check_row(i) for i in idx], dtype=np.int64)
-        counts = self.indptr[idx + 1] - self.indptr[idx]
+        n_rows = self.shape[0]
+        bad = (idx < -n_rows) | (idx >= n_rows)
+        if bad.any():
+            self._check_row(idx[np.argmax(bad)])  # raises the IndexError
+        idx = np.where(idx < 0, idx + n_rows, idx)
+        starts = self.indptr[idx]
+        counts = self.indptr[idx + 1] - starts
         indptr = np.zeros(idx.size + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        nnz = int(indptr[-1])
-        data = np.empty(nnz)
-        indices = np.empty(nnz, dtype=np.int64)
-        for out_pos, i in enumerate(idx):
-            src = slice(self.indptr[i], self.indptr[i + 1])
-            dst = slice(indptr[out_pos], indptr[out_pos + 1])
-            data[dst] = self.data[src]
-            indices[dst] = self.indices[src]
-        return CSRMatrix(data, indices, indptr, (idx.size, self.shape[1]), check=False)
+        positions = np.repeat(starts - indptr[:-1], counts)
+        positions += np.arange(indptr[-1], dtype=np.int64)
+        return CSRMatrix(
+            self.data[positions],
+            self.indices[positions],
+            indptr,
+            (idx.size, self.shape[1]),
+            check=False,
+        )
 
     # ------------------------------------------------------------------
     # Linear algebra
@@ -298,25 +311,40 @@ class CSRMatrix:
         products = self.data * vec[self.indices]
         return segment_sums(products, self.indptr)
 
-    def dot_dense(self, dense: object, *, chunk_rows: int = 4096) -> np.ndarray:
-        """``self @ dense`` for a dense ``(n_cols, m)`` matrix, chunked by rows.
+    def dot_dense(
+        self,
+        dense: object,
+        *,
+        chunk_rows: int = 4096,
+        max_bytes: int = DOT_DENSE_MAX_BYTES,
+    ) -> np.ndarray:
+        """``self @ dense`` for a dense ``(n_cols, m)`` matrix, chunked.
 
-        Chunking bounds the ``nnz_chunk x m`` intermediate, which is what a
-        real SpMM kernel does with its tiling.
+        Chunks of ``chunk_rows`` CSR rows, each split into column chunks
+        whose ``nnz_chunk x columns`` intermediate stays within
+        ``max_bytes`` (at least one column per chunk) — what a real SpMM
+        kernel does with its tiling.  Output columns are independent, so
+        the chunking does not change a bit of the result.
         """
         mat = np.asarray(dense, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] != self.shape[1]:
             raise SparseFormatError(
                 f"matrix of shape {mat.shape} incompatible with {self.shape}"
             )
-        out = np.empty((self.shape[0], mat.shape[1]))
+        m = mat.shape[1]
+        out = np.empty((self.shape[0], m))
         for start in range(0, self.shape[0], chunk_rows):
             stop = min(start + chunk_rows, self.shape[0])
             lo, hi = self.indptr[start], self.indptr[stop]
-            gathered = self.data[lo:hi, None] * mat[self.indices[lo:hi], :]
-            out[start:stop] = segment_sums(
-                gathered, self.indptr[start : stop + 1] - lo
-            )
+            values = self.data[lo:hi, None]
+            columns = self.indices[lo:hi]
+            segments = self.indptr[start : stop + 1] - lo
+            step = max(1, max_bytes // max(1, (hi - lo) * 8))
+            for c_start in range(0, m, step):
+                c_stop = min(c_start + step, m)
+                gathered = mat[columns, c_start:c_stop]
+                gathered *= values
+                out[start:stop, c_start:c_stop] = segment_sums(gathered, segments)
         return out
 
     def matmul_transpose(self, other: "CSRMatrix") -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends.reference import DENSE_HOST_MAX_COLS
 from repro.core.trainer import TrainerConfig, train_multiclass
 from repro.data import gaussian_blobs
 from repro.exceptions import ValidationError
@@ -90,6 +91,21 @@ class TestBitwiseParity:
         x, y = make_problem(n_classes, sparse=True)
         model_i, _ = train(x, y)
         model_s, _ = train(x, y, concurrent=False)
+        assert_models_bitwise_equal(model_i, model_s)
+
+    @pytest.mark.parametrize("share", [True, False])
+    def test_narrow_csr_parity_at_varied_row_density(self, share):
+        """Non-integer CSR rows 1% to 90% dense, narrow enough for the
+        dense host product: fused and unfused batches mix rows of every
+        density, and the model must not move a bit."""
+        x, y = gaussian_blobs(n=120, n_features=100, n_classes=3, seed=5)
+        rng = np.random.default_rng(5)
+        keep = rng.random(x.shape) < rng.uniform(0.01, 0.9, size=(x.shape[0], 1))
+        keep[np.arange(x.shape[0]), rng.integers(0, x.shape[1], x.shape[0])] = True
+        x = CSRMatrix.from_dense(np.where(keep, x, 0.0))
+        assert x.shape[1] <= DENSE_HOST_MAX_COLS
+        model_i, _ = train(x, y, share=share)
+        model_s, _ = train(x, y, concurrent=False, share=share)
         assert_models_bitwise_equal(model_i, model_s)
 
     @pytest.mark.parametrize("share", [True, False])

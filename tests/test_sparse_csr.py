@@ -1,5 +1,7 @@
 """Unit tests for the from-scratch CSR matrix."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,47 @@ class TestAccess:
         sub = csr_matrix.take_rows(np.array([], dtype=np.int64))
         assert sub.shape == (0, csr_matrix.shape[1])
 
+    @staticmethod
+    def _take_rows_by_loop(matrix, indices):
+        """The gather one row at a time: the reference the offset gather
+        must reproduce bit for bit."""
+        data, cols, indptr = [], [], [0]
+        for i in indices:
+            i = int(i) + (matrix.shape[0] if i < 0 else 0)
+            start, stop = matrix.indptr[i], matrix.indptr[i + 1]
+            data.extend(matrix.data[start:stop].tolist())
+            cols.extend(matrix.indices[start:stop].tolist())
+            indptr.append(indptr[-1] + int(stop - start))
+        return (
+            np.asarray(data, dtype=np.float64),
+            np.asarray(cols, dtype=np.int64),
+            np.asarray(indptr, dtype=np.int64),
+        )
+
+    @pytest.mark.parametrize(
+        "indices", [[3, 0, 3], [-1, -12, 5], [2, 2, 2, 2], [], list(range(12))[::-1]]
+    )
+    def test_take_rows_matches_a_per_row_loop_bitwise(self, rng, indices):
+        dense = rng.normal(size=(12, 9)) * (rng.random((12, 9)) < 0.4)
+        dense[4] = 0.0  # an empty row
+        matrix = CSRMatrix.from_dense(dense)
+        sub = matrix.take_rows(np.asarray(indices, dtype=np.int64))
+        data, cols, indptr = self._take_rows_by_loop(matrix, indices)
+        assert sub.shape == (len(indices), 9)
+        assert sub.data.tobytes() == data.tobytes()
+        assert sub.indices.tobytes() == cols.tobytes()
+        assert sub.indptr.tobytes() == indptr.tobytes()
+
+    @pytest.mark.parametrize("bad, reported", [(12, 12), (-13, -1), (99, 99)])
+    def test_take_rows_out_of_range_names_the_row(self, csr_matrix, bad, reported):
+        with pytest.raises(IndexError) as caught:
+            csr_matrix.take_rows([0, bad, 1])
+        assert str(caught.value) == f"row {reported} out of range for 12 rows"
+
+    def test_take_rows_rejects_2d_indices(self, csr_matrix):
+        with pytest.raises(SparseFormatError, match="1-D"):
+            csr_matrix.take_rows(np.zeros((2, 2), dtype=np.int64))
+
     def test_density_and_nbytes(self, csr_matrix):
         assert 0 < csr_matrix.density < 1
         assert csr_matrix.nbytes > 0
@@ -147,6 +190,30 @@ class TestLinearAlgebra:
         csr = CSRMatrix.from_dense(dense)
         b = rng.normal(size=(6, 4))
         assert np.allclose(csr.dot_dense(b, chunk_rows=7), dense @ b)
+
+    def test_dot_dense_column_chunks_are_bitwise(self, rng):
+        dense = rng.normal(size=(40, 300)) * (rng.random((40, 300)) < 0.2)
+        csr = CSRMatrix.from_dense(dense)
+        b = rng.normal(size=(300, 70))
+        whole = csr.dot_dense(b)
+        for budget in (8, 1000, 50_000):
+            assert csr.dot_dense(b, max_bytes=budget).tobytes() == whole.tobytes()
+
+    def test_dot_dense_bounds_its_intermediate(self, rng):
+        """Peak allocation follows ``max_bytes``, not ``nnz x m``."""
+        dense = rng.normal(size=(64, 600)) * (rng.random((64, 600)) < 0.25)
+        csr = CSRMatrix.from_dense(dense)  # ~9.6k stored values
+        b = rng.normal(size=(600, 400))
+        out_bytes = 64 * 400 * 8
+        unbounded = csr.nnz * 400 * 8  # ~31 MB in one gather
+        budget = 64 * 1024
+        tracemalloc.start()
+        try:
+            csr.dot_dense(b, max_bytes=budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out_bytes + 4 * budget < unbounded / 10
 
     def test_dot_dense_shape_check(self, csr_matrix):
         with pytest.raises(SparseFormatError):
