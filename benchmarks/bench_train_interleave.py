@@ -16,8 +16,11 @@ launch per wave replaces one per solver.  Row tiles are right-sized
 (``repro.backends.reference.row_tile``: the smallest power of two from 8
 to 256 rows), so a small batch no longer pays for a 256-row tile, and
 the margin is what the fused launches and the shared row store save, not
-padding.  The Python-level SMO inner loop still runs member by member
-and dominates both arms.  Both paths produce bitwise-identical models —
+padding.  The inner SMO differs too: the interleaved arm solves each
+wave's working-set subproblems in one stacked lockstep call, while the
+sequential arm solves one subproblem per call (a stack of one), so it
+pays the per-iteration NumPy dispatch once per solver rather than once
+per wave.  Both paths produce bitwise-identical models —
 the bench asserts it — so the speedup is pure execution-level win.
 
 Wall-clock numbers are load-sensitive, so each arm is timed

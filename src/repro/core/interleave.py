@@ -18,9 +18,12 @@ Per wave the driver
 3. fuses the missing-row demand of all members into one batched launch
    through :meth:`~repro.kernels.shared.SharedClassPairKernels.prefetch`,
    so segments one SVM computes are reused by the others *while hot*;
-4. calls ``complete_round`` on every member (the rows now hit the share),
-   then folds the members' per-round clock deltas into the wave's
-   concurrent makespan ``max(max_i(latency_i + compute_i), sum_i
+4. completes every member's round: ``gather_round`` on each (the rows
+   now hit the share), one lockstep
+   :func:`~repro.solvers.subproblem.solve_subproblem` over all their
+   working-set subproblems, then ``apply_round`` on each (weights and
+   the Eq.-8 update).  It folds the members' per-round clock deltas into
+   the wave's concurrent makespan ``max(max_i(latency_i + compute_i), sum_i
    compute_i)``: each member still pays its own serial chain, the device
    throughput bounds the total, and launch gaps are hidden by the other
    members' kernels.  A one-member wave is exactly serial.
@@ -45,6 +48,7 @@ from repro.gpusim.scheduler import WaveLimits
 from repro.kernels.shared import SharedClassPairKernels
 from repro.solvers.base import SolverResult
 from repro.solvers.batch_smo import BatchSMOSession
+from repro.solvers.subproblem import solve_subproblem
 from repro.telemetry.tracer import Tracer, maybe_span
 
 __all__ = ["PairMember", "InterleaveOutcome", "run_interleaved"]
@@ -169,10 +173,12 @@ def run_interleaved(
                 prefetch_segments = shared.prefetch(requests)
                 prefetch_seconds = master_clock.since(before).elapsed_s
 
-            # Consumption half: subproblem solves + Eq.-8 updates.
-            for member in running:
-                if member not in finished:
-                    member.session.complete_round()
+            # Consumption half: gather every member's working set, solve
+            # all subproblems in one lockstep stack, apply each result.
+            stepping = [m for m in running if m not in finished]
+            results = solve_subproblem([m.session.gather_round() for m in stepping])
+            for member, sub in zip(stepping, results):
+                member.session.apply_round(sub)
 
             # Concurrent wave accounting from the measured round deltas.
             deltas = [

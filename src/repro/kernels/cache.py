@@ -155,6 +155,17 @@ class KernelBuffer:
         view.flags.writeable = False
         return view
 
+    def missing(self, row_ids: Sequence[int]) -> np.ndarray:
+        """The ids not resident, in order; a probe, not counted as requests."""
+        ids = np.asarray(row_ids, dtype=np.int64).ravel()
+        slot_of = self._slot_of
+        return ids[np.array([rid not in slot_of for rid in ids.tolist()], dtype=bool)]
+
+    def peek(self, row_ids: Sequence[int]) -> np.ndarray:
+        """Copies of resident rows, in order; not counted as requests."""
+        slot_of = self._slot_of
+        return self._storage.take([slot_of[int(rid)] for rid in row_ids], axis=0)
+
     def fetch(
         self,
         row_ids: Sequence[int],
@@ -165,34 +176,43 @@ class KernelBuffer:
         ``compute_missing`` receives the missing ids as one array and must
         return the corresponding rows — this is the paper's batched kernel
         computation; the buffer guarantees it is called at most once.
+        Resident rows count as hits and are touched in position order, as
+        a sequence of :meth:`get` calls would; they are copied out with
+        one gather from the backing storage.
         """
-        ids = [int(r) for r in row_ids]
-        out = np.empty((len(ids), self.row_length))
-        missing_ids: list[int] = []
-        missing_pos: list[int] = []
-        for pos, rid in enumerate(ids):
-            row = self.get(rid)
-            if row is None:
-                missing_ids.append(rid)
-                missing_pos.append(pos)
-            else:
-                out[pos] = row
-        if missing_ids:
+        ids = np.asarray(row_ids, dtype=np.int64).ravel()
+        slot_of = self._slot_of
+        slots = np.array(
+            [slot_of.get(rid, -1) for rid in ids.tolist()], dtype=np.intp
+        )
+        hit = slots >= 0
+        hit_ids = ids[hit].tolist()
+        self.stats.hits += len(hit_ids)
+        self.stats.misses += ids.size - len(hit_ids)
+        frequency = self._frequency
+        for rid in hit_ids:
+            frequency[rid] += 1
+        if self.policy == "lru":
+            for rid in hit_ids:
+                self._order.move_to_end(rid)
+        # A missing position gathers slot 0 as a placeholder, overwritten below.
+        out = self._storage.take(np.maximum(slots, 0), axis=0)
+        if len(hit_ids) < ids.size:
+            missing_pos = np.flatnonzero(~hit)
+            missing_ids = ids[missing_pos]
             with maybe_span(self.tracer, "kernel_buffer.fill") as span:
-                rows = np.asarray(
-                    compute_missing(np.asarray(missing_ids, dtype=np.int64))
-                )
-                if rows.shape != (len(missing_ids), self.row_length):
+                rows = np.asarray(compute_missing(missing_ids))
+                if rows.shape != (missing_ids.size, self.row_length):
                     raise ValidationError(
                         f"compute_missing returned shape {rows.shape}, expected "
-                        f"{(len(missing_ids), self.row_length)}"
+                        f"{(missing_ids.size, self.row_length)}"
                     )
                 out[missing_pos] = rows
                 evictions_before = self.stats.evictions
                 self.put_batch(missing_ids, rows)
                 span.set(
-                    missing=len(missing_ids),
-                    hits=len(ids) - len(missing_ids),
+                    missing=missing_ids.size,
+                    hits=len(hit_ids),
                     evictions=self.stats.evictions - evictions_before,
                 )
         return out

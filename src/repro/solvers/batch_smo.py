@@ -29,9 +29,13 @@ returns the round's kernel-row demand, and whose
 :meth:`~BatchSMOSession.complete_round` consumes the rows and runs the
 inner solve plus the Eq.-8 update.  :meth:`BatchSMOSolver.solve` is a thin
 loop over the stepper, so the monolithic and stepped paths share one code
-path and cannot diverge.  The interleaved concurrent trainer
-(:mod:`repro.core.interleave`) steps many sessions in lockstep waves and
-fuses their kernel-row demands into shared batched launches.
+path and cannot diverge.  ``complete_round`` is itself three steps:
+:meth:`~BatchSMOSession.gather_round` (row fetch, working-set block,
+budget), :func:`~repro.solvers.subproblem.solve_subproblem` and
+:meth:`~BatchSMOSession.apply_round` (weights, Eq.-8 update, FIFO).  The
+interleaved concurrent trainer (:mod:`repro.core.interleave`) steps many
+sessions in lockstep waves: it fuses their kernel-row demands into shared
+batched launches and solves all their subproblems in one stacked call.
 """
 
 from __future__ import annotations
@@ -54,7 +58,12 @@ from repro.solvers.base import (
     upper_mask,
     validate_binary_problem,
 )
-from repro.solvers.subproblem import inner_iteration_budget, solve_subproblem
+from repro.solvers.subproblem import (
+    Subproblem,
+    SubproblemResult,
+    inner_iteration_budget,
+    solve_subproblem,
+)
 from repro.solvers.working_set import select_new_violators
 from repro.telemetry.tracer import Tracer, maybe_span
 
@@ -67,7 +76,7 @@ class RoundRequest:
     ``ws_idx`` is the refreshed working set (local indices); ``missing``
     is the subset whose kernel rows are not resident in the session's
     buffer (a probe — no hit/miss statistics are charged until the rows
-    are actually fetched in ``complete_round``).  ``delta`` is the global
+    are actually fetched in ``gather_round``).  ``delta`` is the global
     KKT violation ``f_l - f_u`` measured at the top of the round.
     """
 
@@ -183,7 +192,9 @@ class BatchSMOSession:
     - :meth:`complete_round` — the consumption half: fetch the rows
       (optionally through a caller-supplied loader, e.g. one backed by a
       wave-fused batched launch), solve the working-set subproblem and
-      apply the batched Eq.-8 indicator update.
+      apply the batched Eq.-8 indicator update.  A concurrent driver
+      calls its parts, :meth:`gather_round` and :meth:`apply_round`,
+      around one stacked solve of many sessions' subproblems.
 
     Stepping a session produces *bitwise-identical* iterates to the
     monolithic :meth:`BatchSMOSolver.solve`, which is itself implemented
@@ -283,6 +294,7 @@ class BatchSMOSession:
         self._pending: Optional[RoundRequest] = None
         self._pending_retained: Optional[np.ndarray] = None
         self._pending_new: Optional[np.ndarray] = None
+        self._gathered: Optional[tuple] = None  # (held rows, stats_before)
         self._finished = False
         self._closed = False
         self._result: Optional[SolverResult] = None
@@ -416,10 +428,7 @@ class BatchSMOSession:
                 self._finished = True
                 return None  # no violators selectable at all
             ws_idx = np.concatenate([retained, new]) if retained.size else new
-            missing = np.asarray(
-                [i for i in ws_idx if not self.buffer.contains(int(i))],
-                dtype=np.int64,
-            )
+            missing = self.buffer.missing(ws_idx)
             self._pending = RoundRequest(ws_idx, missing, delta)
             self._pending_retained = retained
             self._pending_new = new
@@ -430,52 +439,78 @@ class BatchSMOSession:
     ) -> None:
         """Run the consumption half of the round opened by ``begin_round``.
 
+        The round's subproblem is solved alone (a stack of one): this is
+        :meth:`gather_round`, :func:`solve_subproblem` and
+        :meth:`apply_round` in sequence.
+        """
+        self.apply_round(solve_subproblem([self.gather_round(loader)])[0])
+
+    def gather_round(
+        self, loader: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    ) -> Subproblem:
+        """Fetch the working set's kernel rows and pose its subproblem.
+
         ``loader`` computes the missing kernel rows (called by the buffer
         with the missing ids, at most once); it defaults to the session's
         own row provider.  A concurrent driver passes a loader backed by a
         wave-fused batched launch — the values must be identical either
         way, so the iterates cannot depend on the execution schedule.
+        The returned :class:`~repro.solvers.subproblem.Subproblem` may be
+        solved in a stack with other sessions'; its result goes to
+        :meth:`apply_round`.
         """
         request = self._pending
         if request is None:
-            raise ValidationError("complete_round called without begin_round")
-        self._pending = None
-        retained, new = self._pending_retained, self._pending_new
-        self._pending_retained = self._pending_new = None
+            raise ValidationError("round completed without begin_round")
+        if self._gathered is not None:
+            raise ValidationError("gather_round called twice in one round")
         solver = self.solver
-        engine = self.engine
-        labels, alpha, f, penalty = self.labels, self.alpha, self.f, self.penalty
-        ws_idx = request.ws_idx
-        delta = request.delta
         if loader is None:
             loader = lambda ids: self.rows.rows(  # noqa: E731
                 ids, category="kernel_values"
             )
-
+        ws_idx = request.ws_idx
         stats_before = (
             self.buffer.stats.snapshot() if self.round_trace is not None else None
         )
         k_rows = self.buffer.fetch(ws_idx, loader)
+        # Only this session touches its buffer before apply_round, so rows
+        # still resident are re-read there; the fetched copy is kept only
+        # when inserting the misses evicted part of the working set.
+        held = k_rows if self.buffer.missing(ws_idx).size else None
+        self._gathered = (held, stats_before)
         # The ws x ws block is not copied on the device: the inner
         # solver reads it straight from the buffered rows (its own
         # charge covers that traffic).
-        k_ws = k_rows[:, ws_idx]
-
-        budget = inner_iteration_budget(
-            ws_idx.size, delta, solver.epsilon, solver.inner_rule
-        )
-        sub = solve_subproblem(
-            engine,
-            k_ws,
-            self.diagonal[ws_idx],
-            labels[ws_idx],
-            alpha[ws_idx],
-            f[ws_idx],
-            penalty[ws_idx],
+        return Subproblem(
+            engine=self.engine,
+            kernel=k_rows[:, ws_idx],
+            diag=self.diagonal[ws_idx],
+            y=self.labels[ws_idx],
+            alpha=self.alpha[ws_idx],
+            f=self.f[ws_idx],
+            penalty=self.penalty[ws_idx],
             epsilon=solver.epsilon,
-            max_iterations=budget,
-            category="subproblem",
+            max_iterations=inner_iteration_budget(
+                ws_idx.size, request.delta, solver.epsilon, solver.inner_rule
+            ),
         )
+
+    def apply_round(self, sub: SubproblemResult) -> None:
+        """Apply the solved subproblem of the round :meth:`gather_round` posed.
+
+        Stall handling, the weight update, the batched Eq.-8 update of
+        every indicator from the fetched rows and the working-set FIFO.
+        """
+        if self._gathered is None:
+            raise ValidationError("apply_round called without gather_round")
+        request = self._pending
+        k_rows, stats_before = self._gathered
+        retained, new = self._pending_retained, self._pending_new
+        self._pending = self._gathered = None
+        self._pending_retained = self._pending_new = None
+        labels, alpha = self.labels, self.alpha
+        ws_idx = request.ws_idx
         self.inner_total += sub.iterations
         delta_alpha = sub.alpha - alpha[ws_idx]
         changed = np.abs(delta_alpha) > 0
@@ -485,7 +520,7 @@ class BatchSMOSession:
             self.round_trace.append(
                 {
                     "round": self.rounds,
-                    "delta": float(delta),
+                    "delta": float(request.delta),
                     "retained": int(retained.size),
                     "new_violators": int(new.size),
                     "inner_iterations": int(sub.iterations),
@@ -509,8 +544,11 @@ class BatchSMOSession:
 
         # Batched Eq.-8 update of every indicator from the buffered rows.
         coeffs = delta_alpha[changed] * labels[ws_idx][changed]
-        f += coeffs @ k_rows[changed]
-        engine.charge(
+        if k_rows is None:
+            self.f += coeffs @ self.buffer.peek(ws_idx[changed])
+        else:
+            self.f += coeffs @ k_rows[changed]
+        self.engine.charge(
             "f_update",
             flops=2 * int(changed.sum()) * self.n,
             bytes_read=int(changed.sum()) * self.n * 8,

@@ -11,19 +11,52 @@ local optimization on the working set ... we terminate the improvement
 process earlier" with a budget driven by ``delta = f_l - f_u``, the global
 violation gap — far from the optimum (large delta) few iterations are
 spent per working set; close to it, more.
+
+The MP-SVM level (Section 3.3.2) trains many binary SVMs at once, so
+:func:`solve_subproblem` steps a *stack* of subproblems, one per member of
+a wave, in lockstep: each iteration is one set of broadcast operations on
+``(S, ws)`` arrays.  Shorter working sets are padded to the longest with
+lanes of label, weight and bound 0, which are in neither violator set.  A
+member retires on its own (budget spent, gap <= epsilon, an empty
+violator set, a non-finite gain or a non-positive step) and then takes
+zero steps.  Its iterates are bitwise those of a stack of one.  Device
+charges are deferred: the loop counts each member's steps, then charges
+each member on its own engine, in problem order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.gpusim.engine import Engine
-from repro.solvers.base import TAU, lower_mask, upper_mask
+from repro.solvers.base import TAU
 
-__all__ = ["SubproblemResult", "solve_subproblem", "inner_iteration_budget"]
+__all__ = [
+    "Subproblem", "SubproblemResult", "solve_subproblem", "inner_iteration_budget"
+]
+
+# The step at which a member retired: budget spent, at selection (gap <=
+# epsilon or an empty violator set), or at the partner pick and step.
+_BUDGET, _SELECT, _PICK = range(3)
+
+
+@dataclass
+class Subproblem:
+    """One member's working-set subproblem; its arrays are not mutated."""
+
+    engine: Engine  # charged for this member's steps
+    kernel: np.ndarray  # (ws, ws) block between working-set instances
+    diag: np.ndarray  # diagonal kernel values
+    y: np.ndarray  # labels, exactly +1 / -1
+    alpha: np.ndarray
+    f: np.ndarray
+    penalty: object  # scalar C or per-instance vector (class weighting)
+    epsilon: float
+    max_iterations: int
 
 
 @dataclass
@@ -62,32 +95,12 @@ def inner_iteration_budget(
 
 
 def solve_subproblem(
-    engine: Engine,
-    kernel_ws: np.ndarray,
-    diag_ws: np.ndarray,
-    y_ws: np.ndarray,
-    alpha_ws: np.ndarray,
-    f_ws: np.ndarray,
-    penalty,
-    *,
-    epsilon: float,
-    max_iterations: int,
-    category: str = "subproblem",
-) -> SubproblemResult:
-    """Run SMO restricted to the working set.
+    problems: Sequence[Subproblem], *, category: str = "subproblem"
+) -> list[SubproblemResult]:
+    """Run SMO restricted to each member's working set, all in lockstep.
 
-    ``penalty`` may be a scalar C or a per-instance vector (class
-    weighting) aligned with the working set.
-
-    Parameters
-    ----------
-    kernel_ws:
-        The ``(ws, ws)`` kernel block between working-set instances,
-        gathered from the buffered rows.
-    diag_ws, y_ws, alpha_ws, f_ws:
-        Diagonal kernel values, labels, current weights and current
-        indicators of the working-set instances.  ``alpha_ws`` and
-        ``f_ws`` are not mutated; updated weights are returned.
+    Returns one :class:`SubproblemResult` per problem, in order; a single
+    problem is simply a stack of one.
 
     Notes
     -----
@@ -96,92 +109,122 @@ def solve_subproblem(
     outside indicators drift by amounts that the caller reapplies in one
     batched update (Eq. 8 over all n) after the subproblem finishes.
     """
-    ws = y_ws.size
-    if kernel_ws.shape != (ws, ws):
-        raise ValidationError(
-            f"kernel block shape {kernel_ws.shape} does not match ws={ws}"
-        )
-    c_ws = np.broadcast_to(np.asarray(penalty, dtype=np.float64), (ws,))
-    alpha = alpha_ws.copy()
-    f = f_ws.copy()
-    iterations = 0
-    gap = float("inf")
+    if not problems:
+        return []
+    count = len(problems)
+    sizes = [p.y.size for p in problems]
+    for problem, ws in zip(problems, sizes):
+        if problem.kernel.shape != (ws, ws):
+            raise ValidationError(
+                f"kernel block shape {problem.kernel.shape} does not match ws={ws}"
+            )
+    width = max(sizes)
+    kernel = np.zeros((count, width, width))
+    alpha, f, c, diag, y = (np.zeros((count, width)) for _ in range(5))
+    for i, (problem, ws) in enumerate(zip(problems, sizes)):
+        kernel[i, :ws, :ws] = problem.kernel
+        alpha[i, :ws] = problem.alpha
+        f[i, :ws] = problem.f
+        c[i, :ws] = problem.penalty
+        diag[i, :ws] = problem.diag
+        y[i, :ws] = problem.y
+    kernel_rows = kernel.reshape(count * width, width)
+    positive = y > 0
+    epsilon = np.array([p.epsilon for p in problems], dtype=np.float64)
+    budget = np.array([p.max_iterations for p in problems], dtype=np.int64)
+    budget_ends = {max(int(b), 0) for b in budget}
+    offset = np.arange(count) * width  # flat index of each row's lane 0
 
-    # The whole subproblem executes as ONE kernel: the working-set block
-    # lives in shared memory and the iterations below are dependent steps
-    # inside it, paying sync latency rather than launch latency.
-    engine.charge(
-        category,
-        bytes_read=kernel_ws.size * 8 + 4 * ws * 8,
-        launches=1,
-    )
-    # Every sync-step inside the kernel has a cost that depends only on
-    # ``ws``, so the device charges are deferred: the loop below runs on
-    # raw NumPy and counts how many of each step executed, and the
-    # aggregate is charged once after the loop (the cost model is linear
-    # in flops/bytes/syncs, so the totals are identical).
-    n_select = 0  # violator-pair selection: mask refresh + two reductions
-    n_pick = 0  # second-order gain map + its reduction
-    n_update = 0  # weight/indicator update
-    while iterations < max_iterations:
-        up = upper_mask(y_ws, alpha, penalty)
-        low = lower_mask(y_ws, alpha, penalty)
-        n_select += 1
-        u, f_up = _masked_extremum(f, up, mode="min")
-        low_idx, f_low = _masked_extremum(f, low, mode="max")
-        if u < 0 or low_idx < 0:
-            gap = 0.0
-            break
-        gap = f_low - f_up
-        if gap <= epsilon:
-            break
+    # Per problem: iterations run, gap at exit and the step it retired at.
+    # A retired row stays in the stack with a zero step, so it no longer
+    # changes; its weights were copied out when it retired.
+    alive = np.ones(count, dtype=bool)
+    iterations = [0] * count
+    gaps = [0.0] * count
+    stage = [_BUDGET] * count
+    final_alpha: list[np.ndarray] = [np.empty(0)] * count
 
-        k_u = kernel_ws[u]
-        eta = diag_ws[u] + diag_ws - 2.0 * k_u
+    def retire(rows: np.ndarray, gap: np.ndarray, at_stage=None) -> None:
+        for i in np.flatnonzero(rows):
+            final_alpha[i] = alpha[i, : sizes[i]].copy()
+            iterations[i] = done
+            gaps[i] = float(gap[i])
+            if at_stage is not None:
+                stage[i] = int(at_stage[i])
+        alive[rows] = False
+
+    done = 0  # iterations every live row has completed
+    gap = np.full(count, np.inf)  # each row's gap at its latest selection
+    retired = False
+    while True:
+        if done in budget_ends:
+            retire(alive & (budget <= done), gap)
+            retired = True
+            if not alive.any():
+                break
+
+        # How far y*alpha may rise (I_up) or fall (I_low) in each lane.
+        slack = c - alpha
+        rise = np.where(positive, slack, alpha)
+        fall = np.where(positive, alpha, slack)
+
+        # Violator pair: masked extrema, the first lane on ties.  An
+        # empty set leaves an infinite extremum, so gap = -inf retires it.
+        f_up_all = np.where(rise > 0, f, np.inf)
+        f_low_all = np.where(fall > 0, f, -np.inf)
+        at_u = offset + f_up_all.argmin(axis=1)
+        f_up = f_up_all.take(at_u)
+        gap = f_low_all.max(axis=1) - f_up
+
+        # Partner: the largest second-order gain over I_low.
+        k_u = kernel_rows.take(at_u, axis=0)
+        eta = diag.take(at_u)[:, None] + diag
+        eta -= 2.0 * k_u
         np.maximum(eta, TAU, out=eta)
-        diff = f - f_up
-        gain = np.where(low & (diff > 0), (diff * diff) / eta, -np.inf)
-        n_pick += 1
-        l, _ = _masked_extremum(gain, None, mode="max")
-        if l < 0 or not np.isfinite(gain[l]):
-            break
+        diff = f_low_all - f_up[:, None]
+        gain = diff * diff
+        gain /= eta
+        gain = np.where(diff > 0, gain, -np.inf)
+        at_l = offset + gain.argmax(axis=1)
 
-        eta_ul = max(diag_ws[u] + diag_ws[l] - 2.0 * kernel_ws[u, l], TAU)
-        lam = (f[l] - f_up) / eta_ul
-        bound_u = (c_ws[u] - alpha[u]) if y_ws[u] > 0 else alpha[u]
-        bound_l = alpha[l] if y_ws[l] > 0 else (c_ws[l] - alpha[l])
-        lam = min(lam, bound_u, bound_l)
-        if lam <= 0:
-            break
-        delta_u = y_ws[u] * lam
-        delta_l = -y_ws[l] * lam
-        alpha[u] += delta_u
-        alpha[l] += delta_l
-        f += delta_u * y_ws[u] * k_u + delta_l * y_ws[l] * kernel_ws[l]
-        n_update += 1
-        iterations += 1
+        # The step along the pair, clipped to both boxes.
+        lam = diff.take(at_l) / eta.take(at_l)
+        lam = np.minimum(np.minimum(lam, rise.take(at_u)), fall.take(at_l))
+        converged = gap <= epsilon
+        stop = converged | ~np.isfinite(gain.take(at_l)) | (lam <= 0)
+        if retired:
+            stop &= alive
+        if stop.any():
+            retire(stop, gap, np.where(converged, _SELECT, _PICK))
+            retired = True
+            if not alive.any():
+                break
+        if retired:
+            lam = np.where(alive, lam, 0.0)
 
-    _charge_steps(engine, category, ws, n_select, n_pick, n_update)
-    return SubproblemResult(alpha=alpha, iterations=iterations, local_gap=max(gap, 0.0))
+        # Labels are +1/-1, so y_u * (y_u * lam) == lam exactly: the
+        # indicator update is lam * K_u - lam * K_l.
+        alpha.put(at_u, alpha.take(at_u) + y.take(at_u) * lam)
+        alpha.put(at_l, alpha.take(at_l) - y.take(at_l) * lam)
+        lam = lam[:, None]
+        step = lam * k_u
+        step -= lam * kernel_rows.take(at_l, axis=0)
+        f += step
+        done += 1
 
-
-def _masked_extremum(
-    values: np.ndarray, mask, *, mode: str
-) -> tuple[int, float]:
-    """Argmin/argmax matching :meth:`Engine.reduce_extremum` bitwise,
-    without the per-call accounting (charged in aggregate instead)."""
-    if mask is not None:
-        candidates = np.flatnonzero(mask)
-        if candidates.size == 0:
-            return -1, float("nan")
-        local = values[candidates]
-        pick = int(np.argmin(local) if mode == "min" else np.argmax(local))
-        index = int(candidates[pick])
-    else:
-        if values.size == 0:
-            return -1, float("nan")
-        index = int(np.argmin(values) if mode == "min" else np.argmax(values))
-    return index, float(values[index])
+    results = []
+    for i, (problem, ws) in enumerate(zip(problems, sizes)):
+        # The whole subproblem executes as ONE kernel: the working-set
+        # block lives in shared memory and the iterations are dependent
+        # steps inside it, paying sync latency rather than launch latency.
+        problem.engine.charge(
+            category, bytes_read=ws * ws * 8 + 4 * ws * 8, launches=1
+        )
+        n = iterations[i]
+        n_select, n_pick = n + (stage[i] >= _SELECT), n + (stage[i] == _PICK)
+        _charge_steps(problem.engine, category, ws, n_select, n_pick, n)
+        results.append(SubproblemResult(final_alpha[i], n, max(gaps[i], 0.0)))
+    return results
 
 
 def _charge_steps(

@@ -112,6 +112,23 @@ class TestBufferBehaviour:
         assert large.buffer_hit_rate >= small.buffer_hit_rate
 
     @pytest.mark.parametrize("policy", ["fifo", "lru", "lfu"])
+    def test_buffer_size_never_changes_the_iterates(self, policy):
+        # A buffer as small as the working set evicts rows of the round
+        # being fetched, so the Eq.-8 update reads the round's own copy;
+        # a roomy one re-reads them from the buffer.  Same bits either way.
+        x, y = make_binary_problem(n=200, separation=0.6, seed=5)
+        tight, _ = solve_batched(
+            x, y, working_set_size=32, buffer_rows=32, buffer_policy=policy
+        )
+        roomy, _ = solve_batched(
+            x, y, working_set_size=32, buffer_rows=256, buffer_policy=policy
+        )
+        assert tight.buffer_hit_rate < roomy.buffer_hit_rate
+        assert np.array_equal(tight.alpha, roomy.alpha)
+        assert np.array_equal(tight.f, roomy.f)
+        assert (tight.rounds, tight.iterations) == (roomy.rounds, roomy.iterations)
+
+    @pytest.mark.parametrize("policy", ["fifo", "lru", "lfu"])
     def test_all_policies_converge_to_same_solution(self, policy):
         x, y = make_binary_problem(n=150, seed=4)
         result, _ = solve_batched(x, y, working_set_size=48, buffer_policy=policy)

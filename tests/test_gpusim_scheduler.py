@@ -16,10 +16,15 @@ import pytest
 from repro.core.interleave import PairMember, run_interleaved
 from repro.exceptions import ValidationError
 from repro.gpusim import SimClock, TimeCharge, WaveLimits, scaled_tesla_p100
+from repro.solvers.subproblem import Subproblem
 
 
 class _ScriptedSession:
-    """A resumable session whose rounds charge scripted times."""
+    """A resumable session whose rounds charge scripted times.
+
+    Its subproblem has no iteration budget and an engine that charges
+    nothing, so the stacked solve adds no time of its own.
+    """
 
     def __init__(self, clock, rounds):
         self._clock = clock
@@ -30,7 +35,20 @@ class _ScriptedSession:
             return None
         return SimpleNamespace(missing=np.empty(0, dtype=np.int64))
 
-    def complete_round(self):
+    def gather_round(self):
+        return Subproblem(
+            engine=SimpleNamespace(charge=lambda *args, **kwargs: None),
+            kernel=np.eye(2),
+            diag=np.ones(2),
+            y=np.array([1.0, -1.0]),
+            alpha=np.zeros(2),
+            f=np.zeros(2),
+            penalty=1.0,
+            epsilon=1.0,
+            max_iterations=0,
+        )
+
+    def apply_round(self, result):
         for category, charge in self._rounds.pop(0).items():
             self._clock.charge(category, charge)
 

@@ -149,6 +149,14 @@ class TestFetch:
         with pytest.raises(ValidationError):
             buf.fetch([0], lambda ids: np.ones((2, 4)))
 
+    def test_peek_reads_without_counting(self):
+        buf = KernelBuffer(4, 4, policy="lru")
+        buf.put_batch([0, 1, 2], np.vstack([row(0), row(1), row(2)]))
+        order = buf.resident_ids()
+        assert np.array_equal(buf.peek([2, 0]), np.vstack([row(2), row(0)]))
+        assert buf.stats.requests == 0
+        assert buf.resident_ids() == order  # no recency touch
+
     def test_hit_rate(self):
         buf = KernelBuffer(4, 4)
         buf.fetch([0, 1], lambda ids: np.vstack([row(i) for i in ids]))
@@ -259,3 +267,78 @@ class TestBufferTracing:
         fills = [r for r in tracer.to_records() if r["name"] == "kernel_buffer.fill"]
         assert len(fills) == 1  # all-hit fetches never open a span
         assert fills[0]["attrs"]["missing"] == 2
+
+
+# ----------------------------------------------------------------------
+# Batched fetch against per-row assembly
+# ----------------------------------------------------------------------
+class RecordingBuffer(KernelBuffer):
+    """A buffer that records its victims in eviction order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.evicted = []
+
+    def _evict_one(self):
+        resident = set(self.resident_ids())
+        super()._evict_one()
+        self.evicted.extend(resident - set(self.resident_ids()))
+
+
+def reference_fetch(buf, row_ids, compute_missing):
+    """Row by row through ``get`` and one ``put_batch``, as fetch once was."""
+    ids = [int(r) for r in row_ids]
+    out = np.empty((len(ids), buf.row_length))
+    missing_ids, missing_pos = [], []
+    for pos, rid in enumerate(ids):
+        found = buf.get(rid)
+        if found is None:
+            missing_ids.append(rid)
+            missing_pos.append(pos)
+        else:
+            out[pos] = found
+    if missing_ids:
+        rows = np.asarray(compute_missing(np.asarray(missing_ids, dtype=np.int64)))
+        out[missing_pos] = rows
+        buf.put_batch(missing_ids, rows)
+    return out
+
+
+def _rows_for(ids):
+    ids = np.asarray(ids, dtype=np.float64)
+    return np.stack([ids, ids / 3.0, -ids * 1e-3], axis=1)
+
+
+@pytest.mark.parametrize("policy", ["fifo", "lru", "lfu"])
+@given(
+    capacity=st.integers(1, 8),
+    sequence=st.lists(
+        st.lists(st.integers(0, 15), min_size=0, max_size=10, unique=True),
+        min_size=1,
+        max_size=25,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_batched_fetch_matches_per_row_reference(policy, capacity, sequence):
+    """Rows, stats, residency order and eviction order match bit for bit."""
+    batched = RecordingBuffer(capacity, 3, policy=policy)
+    reference = RecordingBuffer(capacity, 3, policy=policy)
+    for ids in sequence:
+        assert np.array_equal(
+            batched.missing(np.asarray(ids, dtype=np.int64)),
+            np.asarray([i for i in ids if not reference.contains(i)], dtype=np.int64),
+        )
+        calls = []
+
+        def compute(missing):
+            calls.append(missing.tolist())
+            return _rows_for(missing)
+
+        got = batched.fetch(np.asarray(ids, dtype=np.int64), compute)
+        want = reference_fetch(reference, ids, _rows_for)
+        assert got.shape == want.shape == (len(ids), 3)
+        assert np.array_equal(got, want)
+        assert batched.stats == reference.stats
+        assert batched.resident_ids() == reference.resident_ids()
+        assert batched.evicted == reference.evicted
+        assert len(calls) <= 1

@@ -2,11 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
+from repro.gpusim import make_engine, scaled_tesla_p100
 from repro.kernels import GaussianKernel
 from repro.solvers import select_new_violators, solve_subproblem
-from repro.solvers.subproblem import inner_iteration_budget
+from repro.solvers.base import TAU, lower_mask, upper_mask
+from repro.solvers.subproblem import (
+    Subproblem,
+    SubproblemResult,
+    _charge_steps,
+    inner_iteration_budget,
+)
 
 
 class TestViolatorSelection:
@@ -93,6 +102,16 @@ class TestIterationBudget:
         assert inner_iteration_budget(64, 0.0, 1e-3, "adaptive") >= 1
 
 
+def solve_one(engine, kernel, diag, y, alpha, f, penalty, *, epsilon, max_iterations):
+    """One subproblem solved alone: a stack of one."""
+    problem = Subproblem(
+        engine, kernel, diag, y, alpha, f, penalty,
+        epsilon=epsilon, max_iterations=max_iterations,
+    )
+    (result,) = solve_subproblem([problem])
+    return result
+
+
 class TestSubproblem:
     def make_state(self, gpu_engine, n=16, seed=0):
         rng = np.random.default_rng(seed)
@@ -105,7 +124,7 @@ class TestSubproblem:
 
     def test_improves_objective(self, gpu_engine):
         kernel, diag, y, alpha, f = self.make_state(gpu_engine)
-        result = solve_subproblem(
+        result = solve_one(
             gpu_engine, kernel, diag, y, alpha, f, 5.0,
             epsilon=1e-3, max_iterations=1000,
         )
@@ -115,7 +134,7 @@ class TestSubproblem:
 
     def test_respects_iteration_budget(self, gpu_engine):
         kernel, diag, y, alpha, f = self.make_state(gpu_engine)
-        result = solve_subproblem(
+        result = solve_one(
             gpu_engine, kernel, diag, y, alpha, f, 5.0,
             epsilon=1e-9, max_iterations=2,
         )
@@ -124,7 +143,7 @@ class TestSubproblem:
     def test_does_not_mutate_inputs(self, gpu_engine):
         kernel, diag, y, alpha, f = self.make_state(gpu_engine)
         alpha_copy, f_copy = alpha.copy(), f.copy()
-        solve_subproblem(
+        solve_one(
             gpu_engine, kernel, diag, y, alpha, f, 5.0,
             epsilon=1e-3, max_iterations=100,
         )
@@ -133,7 +152,7 @@ class TestSubproblem:
 
     def test_preserves_equality_constraint(self, gpu_engine):
         kernel, diag, y, alpha, f = self.make_state(gpu_engine, seed=3)
-        result = solve_subproblem(
+        result = solve_one(
             gpu_engine, kernel, diag, y, alpha, f, 5.0,
             epsilon=1e-3, max_iterations=500,
         )
@@ -141,7 +160,7 @@ class TestSubproblem:
 
     def test_shape_validation(self, gpu_engine):
         with pytest.raises(ValidationError):
-            solve_subproblem(
+            solve_one(
                 gpu_engine,
                 np.ones((2, 3)),
                 np.ones(3),
@@ -156,8 +175,213 @@ class TestSubproblem:
     def test_single_launch_charged(self, gpu_engine):
         kernel, diag, y, alpha, f = self.make_state(gpu_engine)
         launches_before = gpu_engine.counters.kernel_launches
-        solve_subproblem(
+        solve_one(
             gpu_engine, kernel, diag, y, alpha, f, 5.0,
             epsilon=1e-3, max_iterations=100,
         )
         assert gpu_engine.counters.kernel_launches == launches_before + 1
+
+    def test_empty_stack(self):
+        assert solve_subproblem([]) == []
+
+
+# ----------------------------------------------------------------------
+# Differential suite: the stacked solver against the single-member loop
+# ----------------------------------------------------------------------
+def reference_solve(
+    engine, kernel_ws, diag_ws, y_ws, alpha_ws, f_ws, penalty,
+    *, epsilon, max_iterations, category="subproblem",
+):
+    """The inner SMO loop for one working set, member by member.
+
+    The solver's per-member form before the stacked one replaced it; the
+    stacked solver must reproduce it bit for bit, charges included.
+    """
+    ws = y_ws.size
+    c_ws = np.broadcast_to(np.asarray(penalty, dtype=np.float64), (ws,))
+    alpha = alpha_ws.copy()
+    f = f_ws.copy()
+    iterations = 0
+    gap = float("inf")
+    engine.charge(category, bytes_read=kernel_ws.size * 8 + 4 * ws * 8, launches=1)
+    n_select = n_pick = n_update = 0
+    while iterations < max_iterations:
+        up = upper_mask(y_ws, alpha, penalty)
+        low = lower_mask(y_ws, alpha, penalty)
+        n_select += 1
+        u, f_up = _masked_extremum(f, up, mode="min")
+        low_idx, f_low = _masked_extremum(f, low, mode="max")
+        if u < 0 or low_idx < 0:
+            gap = 0.0
+            break
+        gap = f_low - f_up
+        if gap <= epsilon:
+            break
+
+        k_u = kernel_ws[u]
+        eta = diag_ws[u] + diag_ws - 2.0 * k_u
+        np.maximum(eta, TAU, out=eta)
+        diff = f - f_up
+        gain = np.where(low & (diff > 0), (diff * diff) / eta, -np.inf)
+        n_pick += 1
+        l, _ = _masked_extremum(gain, None, mode="max")
+        if l < 0 or not np.isfinite(gain[l]):
+            break
+
+        eta_ul = max(diag_ws[u] + diag_ws[l] - 2.0 * kernel_ws[u, l], TAU)
+        lam = (f[l] - f_up) / eta_ul
+        bound_u = (c_ws[u] - alpha[u]) if y_ws[u] > 0 else alpha[u]
+        bound_l = alpha[l] if y_ws[l] > 0 else (c_ws[l] - alpha[l])
+        lam = min(lam, bound_u, bound_l)
+        if lam <= 0:
+            break
+        delta_u = y_ws[u] * lam
+        delta_l = -y_ws[l] * lam
+        alpha[u] += delta_u
+        alpha[l] += delta_l
+        f += delta_u * y_ws[u] * k_u + delta_l * y_ws[l] * kernel_ws[l]
+        n_update += 1
+        iterations += 1
+
+    _charge_steps(engine, category, ws, n_select, n_pick, n_update)
+    return SubproblemResult(alpha=alpha, iterations=iterations, local_gap=max(gap, 0.0))
+
+
+def _masked_extremum(values, mask, *, mode):
+    if mask is not None:
+        candidates = np.flatnonzero(mask)
+        if candidates.size == 0:
+            return -1, float("nan")
+        local = values[candidates]
+        pick = int(np.argmin(local) if mode == "min" else np.argmax(local))
+        index = int(candidates[pick])
+    else:
+        if values.size == 0:
+            return -1, float("nan")
+        index = int(np.argmin(values) if mode == "min" else np.argmax(values))
+    return index, float(values[index])
+
+
+MEMBER_KINDS = (
+    "random", "feasible", "no_violator", "converged", "underflow", "stubborn"
+)
+
+
+@st.composite
+def members(draw):
+    """One member's subproblem inputs, of a kind that exercises one exit."""
+    kind = draw(st.sampled_from(MEMBER_KINDS))
+    ws = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.normal(size=(ws, 3))
+    gamma = draw(st.sampled_from([0.05, 0.5, 4.0]))
+    kernel = np.exp(-gamma * ((points[:, None, :] - points[None, :, :]) ** 2).sum(-1))
+    diag = np.ones(ws)
+    y = rng.choice([-1.0, 1.0], size=ws)
+    if draw(st.booleans()):
+        penalty = draw(st.sampled_from([0.5, 1.0, 10.0]))
+    else:  # class weights: per-instance box bounds
+        penalty = np.where(y > 0, 1.0, draw(st.sampled_from([0.25, 3.0])))
+    c = np.broadcast_to(penalty, (ws,))
+    epsilon = draw(st.sampled_from([1e-3, 1e-6]))
+    budget = draw(st.integers(0, 40))
+    alpha = rng.random(ws) * c
+    alpha[rng.random(ws) < 0.3] = 0.0
+    at_bound = rng.random(ws) < 0.2
+    alpha[at_bound] = c[at_bound]
+    f = kernel @ (alpha * y) - y
+    if kind == "random":  # indicators unrelated to the weights
+        f = rng.normal(size=ws) * draw(st.sampled_from([0.1, 1.0, 100.0]))
+    elif kind == "feasible":  # the solver's own start: alpha = 0, f = -y
+        alpha, f = np.zeros(ws), -y
+    elif kind == "no_violator":  # one class at alpha = 0: I_low is empty
+        y = np.ones(ws)
+        alpha, f = np.zeros(ws), -y
+    elif kind == "converged":  # equal indicators: gap 0 at iteration 0
+        f = np.full(ws, 0.25)
+    elif kind == "underflow":  # gap 5e-324 over eta >= 6: lam underflows to 0
+        y[:2] = [1.0, -1.0]
+        diag = np.full(ws, 4.0)
+        alpha = np.zeros(ws)
+        f = np.zeros(ws)
+        f[1] = 5e-324
+        epsilon = 0.0
+    elif kind == "stubborn":  # far from optimal: runs until its budget
+        alpha, f = np.zeros(ws), -50.0 * y
+        budget = draw(st.integers(1, 4))
+    return dict(
+        kernel=kernel, diag=diag, y=y, alpha=alpha, f=f, penalty=penalty,
+        epsilon=epsilon, max_iterations=budget,
+    )
+
+
+def _clock_state(engine):
+    clock = engine.clock
+    return clock.latency_s, clock.compute_s, clock.breakdown()
+
+
+def assert_matches_reference(specs):
+    """Solve ``specs`` in one stack and each alone with the loop; compare."""
+    ref_engines = [make_engine(scaled_tesla_p100()) for _ in specs]
+    expected = [
+        reference_solve(
+            engine, spec["kernel"], spec["diag"], spec["y"], spec["alpha"],
+            spec["f"], spec["penalty"], epsilon=spec["epsilon"],
+            max_iterations=spec["max_iterations"],
+        )
+        for engine, spec in zip(ref_engines, specs)
+    ]
+    engines = [make_engine(scaled_tesla_p100()) for _ in specs]
+    problems = [Subproblem(engine=e, **spec) for e, spec in zip(engines, specs)]
+    inputs = [(p.alpha.copy(), p.f.copy()) for p in problems]
+    results = solve_subproblem(problems)
+
+    assert len(results) == len(specs)
+    for got, want, engine, ref, problem, (alpha0, f0) in zip(
+        results, expected, engines, ref_engines, problems, inputs
+    ):
+        assert got.alpha.shape == want.alpha.shape
+        assert np.array_equal(got.alpha, want.alpha)
+        assert got.iterations == want.iterations
+        assert got.local_gap == want.local_gap
+        assert engine.counters == ref.counters
+        assert _clock_state(engine) == _clock_state(ref)
+        assert np.array_equal(problem.alpha, alpha0)
+        assert np.array_equal(problem.f, f0)
+    return results
+
+
+@given(st.lists(members(), min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_stacked_solve_matches_member_loop_bitwise(specs):
+    """Every member's weights, counts, gap and charges equal the loop's."""
+    assert_matches_reference(specs)
+
+
+def test_every_exit_in_one_stack():
+    """Members retiring each their own way share one stack unharmed."""
+    ws = 6
+    points = np.linspace(-1.0, 1.0, ws)
+    kernel = np.exp(-0.5 * (points[:, None] - points[None, :]) ** 2)
+    y = np.array([1.0, -1.0] * 3)
+    base = dict(
+        kernel=kernel, diag=np.ones(ws), y=y, alpha=np.zeros(ws), f=-y,
+        penalty=1.0, epsilon=1e-3, max_iterations=40,
+    )
+    tiny = np.zeros(ws)
+    tiny[1] = 5e-324
+    specs = [
+        base,  # runs to its local optimum
+        {**base, "y": np.ones(ws), "f": -np.ones(ws)},  # no violator
+        {**base, "f": np.full(ws, 0.25)},  # converged at once
+        {**base, "diag": np.full(ws, 4.0), "f": tiny, "epsilon": 0.0},  # lam == 0
+        {**base, "f": -50.0 * y, "max_iterations": 2},  # budget spent
+        {**base, "max_iterations": 0},  # no budget at all
+    ]
+    solved, empty, converged, underflow, spent, idle = assert_matches_reference(specs)
+    assert solved.iterations > 0 and solved.local_gap <= 1e-3
+    assert (empty.iterations, empty.local_gap) == (0, 0.0)
+    assert (converged.iterations, converged.local_gap) == (0, 0.0)
+    assert (underflow.iterations, underflow.local_gap) == (0, 5e-324)
+    assert spent.iterations == 2 and spent.local_gap > 1e-3
+    assert (idle.iterations, idle.local_gap) == (0, float("inf"))
