@@ -13,8 +13,9 @@ Per wave the driver
 1. admits pending solvers into the running set under
    :class:`~repro.gpusim.scheduler.WaveLimits` (SM blocks, device memory,
    optional concurrency cap);
-2. calls ``begin_round`` on every running session, collecting each one's
-   working-set refresh and the kernel rows it is missing;
+2. runs the selection half of every running session in one stacked
+   :func:`~repro.solvers.batch_smo.begin_rounds` call, collecting each
+   one's working-set refresh and the kernel rows it is missing;
 3. fuses the missing-row demand of all members into one batched launch
    through :meth:`~repro.kernels.shared.SharedClassPairKernels.prefetch`,
    so segments one SVM computes are reused by the others *while hot*;
@@ -47,7 +48,7 @@ from repro.gpusim.engine import Engine
 from repro.gpusim.scheduler import WaveLimits
 from repro.kernels.shared import SharedClassPairKernels
 from repro.solvers.base import SolverResult
-from repro.solvers.batch_smo import BatchSMOSession
+from repro.solvers.batch_smo import BatchSMOSession, begin_rounds
 from repro.solvers.subproblem import solve_subproblem
 from repro.telemetry.tracer import Tracer, maybe_span
 
@@ -148,11 +149,12 @@ def run_interleaved(
         ) as wave_span:
             snapshots = [m.engine.clock.copy() for m in running]
 
-            # Selection half: every member refreshes its working set.
+            # Selection half: every member refreshes its working set, all
+            # in one stacked selection.
             requests = []
             finished: list[PairMember] = []
-            for member in running:
-                request = member.session.begin_round()
+            rounds = begin_rounds([m.session for m in running])
+            for member, request in zip(running, rounds):
                 if request is None:
                     member.result = member.session.finish()
                     finished.append(member)

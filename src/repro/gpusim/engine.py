@@ -92,6 +92,17 @@ class Engine:
             if allocator is not None
             else DeviceAllocator(device.global_mem_bytes)
         )
+        # The cost model's denominators and overheads, fixed per engine
+        # (the device spec is frozen): each charge divides by these floats.
+        self._scales = (self.backend.flop_time_scale, self.backend.dram_byte_scale)
+        self._launch_s = device.launch_overhead_s
+        self._sync_s = device.sync_overhead_s
+        self._flop_rate = device.effective_gflops * self.flop_efficiency * 1e9
+        self._dram_rate = (
+            device.effective_bandwidth_gbps * self.bandwidth_efficiency * 1e9
+        )
+        self._shared_rate = device.effective_shared_bandwidth_gbps * 1e9
+        self._pcie_rate = device.pcie_bandwidth_gbps * 1e9
 
     # ------------------------------------------------------------------
     # Cost model
@@ -121,30 +132,10 @@ class Engine:
         that case so its simulated timeline stays bit-for-bit identical
         to the pre-backend engine.
         """
-        flop_scale = self.backend.flop_time_scale
-        byte_scale = self.backend.dram_byte_scale
-        if flop_scale != 1.0:
-            flops = flops * flop_scale
-        if byte_scale != 1.0:
-            bytes_read = bytes_read * byte_scale
-            bytes_written = bytes_written * byte_scale
-            shared_bytes = shared_bytes * byte_scale
-            pcie_bytes = pcie_bytes * byte_scale
-        spec = self.device
-        latency = launches * spec.launch_overhead_s + syncs * spec.sync_overhead_s
-        compute = flops / (spec.effective_gflops * self.flop_efficiency * 1e9)
-        compute += (bytes_read + bytes_written) / (
-            spec.effective_bandwidth_gbps * self.bandwidth_efficiency * 1e9
+        latency, compute = self._cost(
+            flops, bytes_read, bytes_written, shared_bytes, launches, syncs,
+            pcie_bytes,
         )
-        if shared_bytes:
-            compute += shared_bytes / (spec.effective_shared_bandwidth_gbps * 1e9)
-        if pcie_bytes:
-            if spec.pcie_bandwidth_gbps <= 0:
-                raise ValidationError(
-                    f"device {spec.name!r} has no PCIe link but "
-                    f"{pcie_bytes} PCIe bytes were charged"
-                )
-            compute += pcie_bytes / (spec.pcie_bandwidth_gbps * 1e9)
         return TimeCharge(latency_s=latency, compute_s=compute)
 
     def charge(
@@ -158,27 +149,67 @@ class Engine:
         launches: int = 1,
         syncs: int = 0,
         pcie_bytes: int = 0,
-    ) -> TimeCharge:
-        """Record counters and charge the clock; returns the charge."""
-        self.counters.record(
-            flops=flops,
-            bytes_read=bytes_read,
-            bytes_written=bytes_written,
-            shared_bytes=shared_bytes,
-            kernel_launches=launches,
-            pcie_bytes=pcie_bytes,
+    ) -> None:
+        """Record counters and charge the clock.
+
+        Equal, bit for bit, to ``counters.record(...)`` followed by
+        ``clock.charge(category, op_charge(...))``, and raising the same
+        errors, but every check runs before anything is recorded.  The
+        solvers issue tens of thousands of charges per fit, so this path
+        builds no :class:`TimeCharge` and updates the tallies in place.
+        """
+        if (
+            flops < 0 or bytes_read < 0 or bytes_written < 0
+            or shared_bytes < 0 or launches < 0 or pcie_bytes < 0
+        ):
+            raise ValueError("counter increments must be non-negative")
+        latency, compute = self._cost(
+            flops, bytes_read, bytes_written, shared_bytes, launches, syncs,
+            pcie_bytes,
         )
-        charge = self.op_charge(
-            flops=flops,
-            bytes_read=bytes_read,
-            bytes_written=bytes_written,
-            shared_bytes=shared_bytes,
-            launches=launches,
-            syncs=syncs,
-            pcie_bytes=pcie_bytes,
-        )
-        self.clock.charge(category, charge)
-        return charge
+        if not category:
+            raise ValidationError("category must be a non-empty string")
+        counters = self.counters
+        counters.flops += flops
+        counters.bytes_read += bytes_read
+        counters.bytes_written += bytes_written
+        counters.shared_bytes += shared_bytes
+        counters.kernel_launches += launches
+        counters.pcie_bytes += pcie_bytes
+        # SimClock.charge, inline: each part scaled by the straggler rate.
+        clock = self.clock
+        rate = clock._rate
+        clock._latency[category] = clock._latency.get(category, 0.0) + latency * rate
+        clock._compute[category] = clock._compute.get(category, 0.0) + compute * rate
+
+    def _cost(
+        self, flops, bytes_read, bytes_written, shared_bytes, launches, syncs,
+        pcie_bytes,
+    ) -> tuple[float, float]:
+        """The cost model: ``(latency, compute)`` seconds of one op."""
+        flop_scale, byte_scale = self._scales
+        if flop_scale != 1.0:
+            flops = flops * flop_scale
+        if byte_scale != 1.0:
+            bytes_read = bytes_read * byte_scale
+            bytes_written = bytes_written * byte_scale
+            shared_bytes = shared_bytes * byte_scale
+            pcie_bytes = pcie_bytes * byte_scale
+        latency = launches * self._launch_s + syncs * self._sync_s
+        compute = flops / self._flop_rate
+        compute += (bytes_read + bytes_written) / self._dram_rate
+        if shared_bytes:
+            compute += shared_bytes / self._shared_rate
+        if pcie_bytes:
+            if self._pcie_rate <= 0:
+                raise ValidationError(
+                    f"device {self.device.name!r} has no PCIe link but "
+                    f"{pcie_bytes} PCIe bytes were charged"
+                )
+            compute += pcie_bytes / self._pcie_rate
+        if latency < 0 or compute < 0:
+            raise ValidationError("time charges must be non-negative")
+        return latency, compute
 
     # ------------------------------------------------------------------
     # Numeric ops (execute + charge)
@@ -231,17 +262,9 @@ class Engine:
         if mode not in ("min", "max"):
             raise ValidationError(f"mode must be 'min' or 'max', got {mode!r}")
         n = values.size
-        traffic = self._route_memory(
-            memory,
-            n * FLOAT_BYTES + (n if mask is not None else 0),
-            FLOAT_BYTES,
-        )
-        self.charge(
-            category,
-            flops=n,
-            launches=launches,
-            syncs=syncs,
-            **traffic,
+        self.charge_extremum(
+            n, masked=mask is not None, category=category, launches=launches,
+            syncs=syncs, memory=memory,
         )
         if mask is not None:
             candidates = np.flatnonzero(mask)
@@ -255,6 +278,24 @@ class Engine:
                 return -1, float("nan")
             index = int(np.argmin(values) if mode == "min" else np.argmax(values))
         return index, float(values[index])
+
+    def charge_extremum(
+        self,
+        n: int,
+        *,
+        masked: bool,
+        category: str,
+        launches: int = 1,
+        syncs: int = 0,
+        memory: str = "global",
+    ) -> None:
+        """Charge one :meth:`reduce_extremum` over ``n`` values, not running it
+        (for callers that compute many members' extrema in one stacked pass).
+        """
+        traffic = self._route_memory(
+            memory, n * FLOAT_BYTES + (n if masked else 0), FLOAT_BYTES
+        )
+        self.charge(category, flops=n, launches=launches, syncs=syncs, **traffic)
 
     def reduce_sum(
         self,
@@ -339,7 +380,11 @@ class Engine:
         The batched solver sorts optimality indicators every round
         (Algorithm 2 line 6).
         """
-        n = values.size
+        self.charge_sort(values.size, category=category)
+        return np.argsort(values, kind="stable")
+
+    def charge_sort(self, n: int, *, category: str) -> None:
+        """Charge one :meth:`sort_values` of ``n`` values, not running it."""
         passes = max(1, int(np.ceil(np.log2(max(n, 2)))))
         self.charge(
             category,
@@ -348,7 +393,6 @@ class Engine:
             bytes_written=n * FLOAT_BYTES * passes,
             launches=1,
         )
-        return np.argsort(values, kind="stable")
 
     def note_event(self, name: str, count: int = 1) -> None:
         """Tally a named algorithm-level event (no time is charged).

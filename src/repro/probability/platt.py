@@ -69,11 +69,11 @@ def _objective(fapb: np.ndarray, targets: np.ndarray) -> float:
     """Stable negative log-likelihood: ``sum t*fApB + log(1 + exp(-fApB))``.
 
     (The Lin-Lin-Weng rewrite; equal to Eq. 13 up to sign and constant.)
+    For ``fApB < 0`` the term is ``(t - 1)*fApB + log(1 + exp(fApB))``;
+    ``-|fApB|`` covers both branches in one pass.
     """
-    pos = fapb >= 0
-    terms = np.empty_like(fapb)
-    terms[pos] = targets[pos] * fapb[pos] + np.log1p(np.exp(-fapb[pos]))
-    terms[~pos] = (targets[~pos] - 1.0) * fapb[~pos] + np.log1p(np.exp(fapb[~pos]))
+    terms = np.where(fapb >= 0, targets, targets - 1.0) * fapb
+    terms += np.log1p(np.exp(-np.abs(fapb)))
     return float(terms.sum())
 
 
@@ -133,13 +133,11 @@ def fit_sigmoid(
     for iteration in range(1, max_iterations + 1):
         # p, q of the Lin-Lin-Weng formulation; one elementwise pass.
         pos = fapb >= 0
-        p = np.empty(n)
-        q = np.empty(n)
         exp_neg = np.exp(-np.abs(fapb))
-        p[pos] = exp_neg[pos] / (1.0 + exp_neg[pos])
-        q[pos] = 1.0 / (1.0 + exp_neg[pos])
-        p[~pos] = 1.0 / (1.0 + exp_neg[~pos])
-        q[~pos] = exp_neg[~pos] / (1.0 + exp_neg[~pos])
+        ratio = exp_neg / (1.0 + exp_neg)
+        inverse = 1.0 / (1.0 + exp_neg)
+        p = np.where(pos, ratio, inverse)
+        q = np.where(pos, inverse, ratio)
         engine.elementwise(category, n, flops_per_element=6, arrays_read=2)
 
         d1 = targets - p
@@ -161,7 +159,7 @@ def fit_sigmoid(
         db = -(-h21 * g1 + h11 * g2) / det
         gd = g1 * da + g2 * db
 
-        step = _line_search(
+        accepted = _line_search(
             engine,
             values,
             targets,
@@ -174,7 +172,7 @@ def fit_sigmoid(
             parallel=parallel_line_search,
             category=category,
         )
-        if step is None:
+        if accepted is None:
             # LibSVM: "Line search fails in two-class probability estimates".
             warnings.warn(
                 "line search failed in sigmoid (Platt) fitting at iteration "
@@ -183,11 +181,12 @@ def fit_sigmoid(
                 stacklevel=2,
             )
             break
+        # The accepted candidate's fApB and objective are exactly those
+        # of the new (A, B); the device recomputes them, the host reuses.
+        step, fapb, fval = accepted
         a += step * da
         b += step * db
-        fapb = values * a + b
         engine.elementwise(category, n, flops_per_element=2, arrays_read=1)
-        fval = _objective(fapb, targets)
     else:
         if max_iterations > 0:
             # LibSVM: "Reaching maximal iterations in two-class probability
@@ -215,11 +214,17 @@ def _line_search(
     *,
     parallel: bool,
     category: str,
-) -> float | None:
-    """Backtracking Armijo search; returns the accepted step or None.
+) -> tuple[float, np.ndarray, float] | None:
+    """Backtracking Armijo search.
 
+    Returns ``(step, fApB, objective)`` of the accepted step, or None.
     Sequential and parallel variants accept the identical step: both take
     the largest step in {1, 1/2, 1/4, ...} satisfying the Armijo condition.
+    They differ in the device charge: the parallel variant scores every
+    candidate in one batched pass (the paper's Sec 3.3.2(ii) concurrency;
+    dependent-iteration latency collapses to one launch), the sequential
+    one a pass per candidate.  The host scores candidates one at a time
+    either way and stops at the first that passes.
     """
     n = values.size
     steps: list[float] = []
@@ -227,27 +232,15 @@ def _line_search(
     while step >= MIN_STEP:
         steps.append(step)
         step /= 2.0
-
     if parallel:
-        # One batched pass scores every candidate (the paper's Sec 3.3.2(ii)
-        # concurrency); dependent-iteration latency collapses to one launch.
-        step_arr = np.asarray(steps)
-        fapb = values[None, :] * (a + step_arr[:, None] * da) + (
-            b + step_arr[:, None] * db
-        )
         engine.elementwise(
-            category, n * step_arr.size, flops_per_element=6, arrays_read=2
+            category, n * len(steps), flops_per_element=6, arrays_read=2
         )
-        for idx, candidate in enumerate(steps):
-            new_f = _objective(fapb[idx], targets)
-            if new_f < fval + ARMIJO * candidate * gd:
-                return candidate
-        return None
-
     for candidate in steps:
         fapb = values * (a + candidate * da) + (b + candidate * db)
-        engine.elementwise(category, n, flops_per_element=6, arrays_read=2)
+        if not parallel:
+            engine.elementwise(category, n, flops_per_element=6, arrays_read=2)
         new_f = _objective(fapb, targets)
         if new_f < fval + ARMIJO * candidate * gd:
-            return candidate
+            return candidate, fapb, new_f
     return None

@@ -29,23 +29,28 @@ returns the round's kernel-row demand, and whose
 :meth:`~BatchSMOSession.complete_round` consumes the rows and runs the
 inner solve plus the Eq.-8 update.  :meth:`BatchSMOSolver.solve` is a thin
 loop over the stepper, so the monolithic and stepped paths share one code
-path and cannot diverge.  ``complete_round`` is itself three steps:
+path and cannot diverge.  ``begin_round`` is :func:`begin_rounds` on a
+stack of one.  ``complete_round`` is three steps:
 :meth:`~BatchSMOSession.gather_round` (row fetch, working-set block,
 budget), :func:`~repro.solvers.subproblem.solve_subproblem` and
 :meth:`~BatchSMOSession.apply_round` (weights, Eq.-8 update, FIFO).  The
 interleaved concurrent trainer (:mod:`repro.core.interleave`) steps many
-sessions in lockstep waves: it fuses their kernel-row demands into shared
-batched launches and solves all their subproblems in one stacked call.
+sessions in lockstep waves: it runs all their selection halves in one
+stacked :func:`begin_rounds` call, fuses their kernel-row demands into
+shared batched launches and solves all their subproblems in one stacked
+call.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConvergenceWarning, ValidationError
+from repro.gpusim.engine import Engine
 from repro.kernels.cache import KernelBuffer
 from repro.kernels.rows import KernelRowComputer
 from repro.solvers.base import (
@@ -64,10 +69,14 @@ from repro.solvers.subproblem import (
     inner_iteration_budget,
     solve_subproblem,
 )
-from repro.solvers.working_set import select_new_violators
+from repro.solvers.working_set import (
+    ViolatorSelection,
+    select_new_violators,
+    stack_rows,
+)
 from repro.telemetry.tracer import Tracer, maybe_span
 
-__all__ = ["BatchSMOSolver", "BatchSMOSession", "RoundRequest"]
+__all__ = ["BatchSMOSolver", "BatchSMOSession", "RoundRequest", "begin_rounds"]
 
 
 class RoundRequest:
@@ -366,73 +375,14 @@ class BatchSMOSession:
         self._finished = bool(state["finished"])
 
     def begin_round(self) -> Optional[RoundRequest]:
-        """Run the selection half of the next round.
+        """Run the selection half of the next round (a stack of one).
 
         Returns the round's :class:`RoundRequest`, or ``None`` once the
         run has terminated (convergence, stall, no violators, or the
         round cap).  ``None`` also marks the session finished — call
-        :meth:`finish` to collect the result.
+        :meth:`finish` to collect the result.  See :func:`begin_rounds`.
         """
-        if self._finished:
-            return None
-        if self._pending is not None:
-            raise ValidationError("begin_round called with a round in flight")
-        solver = self.solver
-        engine = self.engine
-        labels, alpha, f, penalty = self.labels, self.alpha, self.f, self.penalty
-        n = self.n
-        while True:
-            if self.rounds >= self.max_rounds:
-                self._finished = True
-                return None
-            up = upper_mask(labels, alpha, penalty)
-            low = lower_mask(labels, alpha, penalty)
-            engine.elementwise(
-                "selection", n, flops_per_element=4, arrays_read=2,
-                memory="cached",
-            )
-            _, f_up = engine.reduce_extremum(
-                f, up, mode="min", category="selection"
-            )
-            _, f_low = engine.reduce_extremum(
-                f, low, mode="max", category="selection"
-            )
-            if not np.isfinite(f_up) or not np.isfinite(f_low):
-                self.converged = True
-                self._finished = True
-                return None
-            delta = f_low - f_up
-            if delta <= solver.epsilon:
-                self.converged = True
-                self._finished = True
-                return None
-
-            retained = np.asarray(
-                self._ws_order[-(self.ws_size - self.q):], dtype=np.int64
-            )
-            wanted = self.q if retained.size else self.ws_size
-            new = select_new_violators(
-                engine,
-                f,
-                labels,
-                alpha,
-                penalty,
-                wanted,
-                exclude=retained if retained.size else None,
-                category="selection",
-            )
-            if new.size == 0:
-                if retained.size:
-                    self._ws_order.clear()  # force a full reselection next round
-                    continue
-                self._finished = True
-                return None  # no violators selectable at all
-            ws_idx = np.concatenate([retained, new]) if retained.size else new
-            missing = self.buffer.missing(ws_idx)
-            self._pending = RoundRequest(ws_idx, missing, delta)
-            self._pending_retained = retained
-            self._pending_new = new
-            return self._pending
+        return begin_rounds([self])[0]
 
     def complete_round(
         self, loader: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -618,3 +568,137 @@ class BatchSMOSession:
         self._closed = True
         self._solve_span.__exit__(None, None, None)
         self.buffer.free()
+
+
+def begin_rounds(
+    sessions: Sequence[BatchSMOSession],
+) -> list[Optional[RoundRequest]]:
+    """Run the selection half of every session's next round in one stack.
+
+    Per session: the round cap, the optimality check (Eq. 9) and
+    ``delta = f_l - f_u``, violator selection and the working-set
+    refresh.  Returns one :class:`RoundRequest` per session, or ``None``
+    for a session that has terminated (and is now marked finished).
+
+    The live sessions' state is stacked into padded ``(S, n)`` arrays
+    (padded lanes have label 0, so they are in neither violator set): the
+    ``I_up``/``I_low`` masks are built once, the masked extrema take the
+    first lane on ties as :meth:`~repro.gpusim.engine.Engine.reduce_extremum`
+    does, and :func:`select_new_violators` picks every member's violators
+    in one call.  A member whose picks are all excluded by its retained
+    working set drops that set and selects again, in one second call for
+    all such members.  Each member's request, state and charges are
+    bitwise those of a stack of one.  The device charges come last, each
+    member's in full on its own engine before the next member's, in the
+    order a member issues them alone, so even members sharing one clock
+    add the same floats in the same order.
+    """
+    for session in sessions:
+        if session._pending is not None and not session._finished:
+            raise ValidationError("begin_round called with a round in flight")
+    live = []
+    for session in sessions:
+        if not session._finished and session.rounds >= session.max_rounds:
+            session._finished = True
+        if not session._finished:
+            live.append(session)
+    if not live:
+        return [None] * len(sessions)
+
+    count = len(live)
+    sizes = [s.n for s in live]
+    width = max(sizes)
+    labels = stack_rows([s.labels for s in live], width)
+    alpha = stack_rows([s.alpha for s in live], width)
+    f = stack_rows([s.f for s in live], width)
+    penalty = stack_rows([s.penalty for s in live], width)
+    up = upper_mask(labels, alpha, penalty)
+    low = lower_mask(labels, alpha, penalty)
+    # Masked extrema; an empty mask leaves the (non-finite) fill value.
+    rows = np.arange(count)
+    f_up = np.where(up, f, np.inf)
+    f_up = f_up[rows, f_up.argmin(axis=1)].tolist()
+    f_low = np.where(low, f, -np.inf)
+    f_low = f_low[rows, f_low.argmax(axis=1)].tolist()
+
+    # Per live member: selection attempts past the checks (0, 1 or 2),
+    # delta, retained working set and picks.
+    tries, deltas = [0] * count, [0.0] * count
+    retained: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * count
+    selecting, selections = [], []
+    for row, (session, n) in enumerate(zip(live, sizes)):
+        finite = math.isfinite(f_up[row]) and math.isfinite(f_low[row])
+        if finite:
+            deltas[row] = f_low[row] - f_up[row]
+        if not finite or deltas[row] <= session.solver.epsilon:
+            session.converged = True
+            session._finished = True
+            continue
+        tries[row] = 1
+        kept = np.asarray(
+            session._ws_order[-(session.ws_size - session.q):], dtype=np.int64
+        )
+        retained[row] = kept
+        selecting.append(row)
+        selections.append(
+            ViolatorSelection(
+                f=f[row, :n], up=up[row, :n], low=low[row, :n],
+                wanted=session.q if kept.size else session.ws_size,
+                exclude=kept if kept.size else None,
+            )
+        )
+    picks = dict(zip(selecting, select_new_violators(selections)))
+
+    # A member whose retained set excluded every violator drops the set
+    # and selects again; its masks and delta are unchanged, so it passes
+    # the checks again.
+    retry = [
+        k for k, row in enumerate(selecting)
+        if not picks[row].size and retained[row].size
+    ]
+    for k in retry:
+        row = selecting[k]
+        live[row]._ws_order.clear()
+        tries[row], retained[row] = 2, np.asarray([], dtype=np.int64)
+        selections[k].wanted, selections[k].exclude = live[row].ws_size, None
+    if retry:
+        again = select_new_violators([selections[k] for k in retry])
+        picks.update(zip([selecting[k] for k in retry], again))
+
+    for row, new in picks.items():
+        session = live[row]
+        if new.size == 0:
+            session._finished = True  # no violators selectable at all
+            continue
+        kept = retained[row]
+        ws_idx = np.concatenate([kept, new]) if kept.size else new
+        session._pending = RoundRequest(
+            ws_idx, session.buffer.missing(ws_idx), deltas[row]
+        )
+        session._pending_retained = kept
+        session._pending_new = new
+
+    for session, n, attempts in zip(live, sizes, tries):
+        _charge_selection(session.engine, n, attempts)
+    return [None if s._finished else s._pending for s in sessions]
+
+
+def _charge_selection(engine: Engine, n: int, attempts: int) -> None:
+    """Charge one member's selection half as a member alone issues it.
+
+    Each attempt is the mask pass and the two masked reductions, then
+    (past the checks) the sort and the candidate-mask pass; a member that
+    stops at the checks made one attempt without them.
+    """
+    for _ in range(max(attempts, 1)):
+        engine.elementwise(
+            "selection", n, flops_per_element=4, arrays_read=2, memory="cached"
+        )
+        engine.charge_extremum(n, masked=True, category="selection")
+        engine.charge_extremum(n, masked=True, category="selection")
+        if attempts:
+            engine.charge_sort(n, category="selection")
+            engine.elementwise(
+                "selection", n, flops_per_element=4, arrays_read=2,
+                memory="cached",
+            )

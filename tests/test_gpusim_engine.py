@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.gpusim import (
     CPUEngine,
     GPUEngine,
+    SimClock,
     make_engine,
     scaled_tesla_p100,
     tesla_p100,
     xeon_e5_2640v4,
 )
+from repro.gpusim.counters import OpCounters
 from repro.sparse import CSRMatrix
 
 
@@ -75,6 +79,98 @@ class TestCostModel:
             make_engine(tesla_p100(), flop_efficiency=0.0)
         with pytest.raises(ValidationError):
             make_engine(tesla_p100(), bandwidth_efficiency=1.5)
+
+
+CHARGE_FIELDS = (
+    "flops", "bytes_read", "bytes_written", "shared_bytes", "launches", "syncs",
+    "pcie_bytes",
+)
+ENGINE_SETUPS = {
+    "gpu": lambda: make_engine(scaled_tesla_p100()),
+    "gpu_numpy32": lambda: make_engine(scaled_tesla_p100(), backend="numpy32"),
+    "gpu_derated": lambda: make_engine(
+        tesla_p100(), flop_efficiency=0.3, bandwidth_efficiency=0.7
+    ),
+    "cpu": lambda: make_engine(xeon_e5_2640v4(8)),
+    "cpu_numpy32": lambda: make_engine(xeon_e5_2640v4(1), backend="numpy32"),
+}
+
+
+@st.composite
+def charge_arguments(draw):
+    amount = st.one_of(st.just(0), st.integers(0, 10**12))
+    kwargs = {name: draw(amount) for name in CHARGE_FIELDS}
+    kwargs["launches"] = draw(st.integers(0, 3))
+    kwargs["syncs"] = draw(st.integers(0, 50))
+    return draw(st.sampled_from(["selection", "subproblem", "x"])), kwargs
+
+
+@given(
+    st.sampled_from(sorted(ENGINE_SETUPS)),
+    st.sampled_from([1.0, 0.5, 2.75]),
+    st.lists(charge_arguments(), min_size=1, max_size=12),
+)
+@settings(max_examples=150, deadline=None)
+def test_flat_charge_equals_op_charge_on_the_clock(setup, rate, charges):
+    """``charge`` leaves clock and counters bitwise as the two-step path."""
+    engine = ENGINE_SETUPS[setup]()
+    reference = ENGINE_SETUPS[setup]()
+    assert engine.backend.flop_time_scale == reference.backend.flop_time_scale
+    engine.clock.rate = rate
+    clock = SimClock()
+    clock.rate = rate
+    counters = OpCounters()
+    for category, kwargs in charges:
+        if engine.device.kind == "cpu":
+            kwargs = {**kwargs, "pcie_bytes": 0}
+        assert engine.charge(category, **kwargs) is None
+        launches = kwargs["launches"]
+        counters.record(
+            kernel_launches=launches,
+            **{k: v for k, v in kwargs.items() if k not in ("launches", "syncs")},
+        )
+        clock.charge(category, reference.op_charge(**kwargs))
+    assert engine.counters == counters
+    assert engine.clock._latency == clock._latency
+    assert engine.clock._compute == clock._compute
+
+
+class TestFlatChargeChecks:
+    def test_numpy32_scales_apply(self):
+        engine = make_engine(scaled_tesla_p100(), backend="numpy32")
+        assert engine.backend.flop_time_scale != 1.0
+        assert engine.backend.dram_byte_scale != 1.0
+        spec, backend = engine.device, engine.backend
+        charge = engine.op_charge(flops=10**9, bytes_read=10**8, launches=0)
+        assert charge.compute_s == (
+            10**9 * backend.flop_time_scale
+            / (spec.effective_gflops * engine.flop_efficiency * 1e9)
+            + (10**8 * backend.dram_byte_scale + 0 * backend.dram_byte_scale)
+            / (spec.effective_bandwidth_gbps * engine.bandwidth_efficiency * 1e9)
+        )
+
+    @pytest.mark.parametrize("field", ["flops", "bytes_read", "bytes_written",
+                                       "shared_bytes", "launches", "pcie_bytes"])
+    def test_negative_increment_rejected_and_nothing_recorded(self, gpu_engine, field):
+        with pytest.raises(ValueError, match="non-negative"):
+            gpu_engine.charge("cat", **{field: -1})
+        assert gpu_engine.counters == OpCounters()
+        assert gpu_engine.clock.elapsed_s == 0.0
+
+    def test_empty_category_rejected(self, gpu_engine):
+        with pytest.raises(ValidationError, match="category"):
+            gpu_engine.charge("", flops=10)
+        assert gpu_engine.counters == OpCounters()
+
+    def test_pcie_bytes_on_linkless_device_rejected(self, cpu_engine):
+        with pytest.raises(ValidationError, match="no PCIe link"):
+            cpu_engine.charge("transfer", launches=0, pcie_bytes=100)
+        assert cpu_engine.counters == OpCounters()
+        assert cpu_engine.clock.elapsed_s == 0.0
+
+    def test_negative_time_rejected(self, gpu_engine):
+        with pytest.raises(ValidationError, match="non-negative"):
+            gpu_engine.charge("cat", launches=0, syncs=-1)
 
 
 class TestEngineFactory:

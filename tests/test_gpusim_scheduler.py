@@ -5,7 +5,9 @@ share a wave; the interleaved wave driver
 (:func:`~repro.core.interleave.run_interleaved`) executes the waves and
 charges each one ``max(max_i(latency_i + compute_i), sum_i compute_i)``.
 The driver tests below step scripted stub sessions, so every member's
-round costs are exact, known time charges.
+round costs are exact, known time charges.  The stubs have no solver
+state to stack, so the driver's stacked selection half is swapped for
+one that asks each stub alone.
 """
 
 from types import SimpleNamespace
@@ -13,10 +15,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.core import interleave
 from repro.core.interleave import PairMember, run_interleaved
 from repro.exceptions import ValidationError
 from repro.gpusim import SimClock, TimeCharge, WaveLimits, scaled_tesla_p100
 from repro.solvers.subproblem import Subproblem
+
+
+@pytest.fixture(autouse=True)
+def _stub_selection(monkeypatch):
+    monkeypatch.setattr(
+        interleave, "begin_rounds", lambda sessions: [s.begin_round() for s in sessions]
+    )
 
 
 class _ScriptedSession:

@@ -11,6 +11,8 @@ come from the driver's wave trace.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -279,3 +281,66 @@ class TestConfigValidation:
     def test_valid_configs_accepted(self):
         self._config(blocks_per_svm=1, max_concurrent_svms=1)
         self._config(concurrent=False)
+
+
+class TestStackedSelection:
+    """The driver runs every wave's selection half as one stacked call."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        """Per ``begin_rounds`` call (one per wave), its selection calls."""
+        from repro.core import interleave
+        from repro.solvers import batch_smo
+
+        waves: list[list[tuple[int, int]]] = []
+        begin_rounds, select = interleave.begin_rounds, batch_smo.select_new_violators
+
+        def counting_begin_rounds(sessions):
+            waves.append([])
+            return begin_rounds(sessions)
+
+        def counting_select(selections):
+            picks = select(selections)
+            # (members, how many came back empty with a retained set)
+            emptied = sum(
+                p.size == 0 and s.exclude is not None for s, p in zip(selections, picks)
+            )
+            waves[-1].append((len(selections), emptied))
+            return picks
+
+        monkeypatch.setattr(interleave, "begin_rounds", counting_begin_rounds)
+        monkeypatch.setattr(batch_smo, "select_new_violators", counting_select)
+        return waves
+
+    def test_one_selection_call_per_wave(self, monkeypatch):
+        waves = self._count_calls(monkeypatch)
+        x, y = make_problem(4)
+        _, report = train(x, y, probability=False)
+        assert len(waves) == len(report.wave_trace) > 1
+        assert all(len(calls) == 1 for calls in waves)
+        assert [calls[0][1] for calls in waves] == [0] * len(waves)
+        assert max(calls[0][0] for calls in waves) == report.max_concurrency
+
+    def test_reselection_is_one_more_call_for_just_those_members(self, monkeypatch):
+        # q == working set == every instance of a pair: once the FIFO holds
+        # all of them, the retained set excludes every violator and those
+        # members reselect in one second call.
+        waves = self._count_calls(monkeypatch)
+        x, y = make_problem(3, n_per_class=6)
+        config = TrainerConfig(
+            device=scaled_tesla_p100(), solver="batched", probability=False,
+            working_set_size=12, new_per_round=12,
+        )
+        kernel = kernel_from_name("gaussian", gamma=0.4)
+        model, report = train_multiclass(config, x, y, kernel, 10.0)
+        assert len(waves) == len(report.wave_trace)
+        retried = 0
+        for calls in waves:
+            (members, emptied), *again = calls
+            assert [c[0] for c in again] == ([emptied] if emptied else [])
+            retried += emptied
+        assert retried > 0
+        sequential, _ = train_multiclass(
+            replace(config, concurrent=False), x, y, kernel, 10.0
+        )
+        assert_models_bitwise_equal(model, sequential)

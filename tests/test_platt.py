@@ -1,12 +1,14 @@
 """Unit tests for Platt sigmoid fitting."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ValidationError
-from repro.probability import fit_sigmoid, sigmoid_predict
+from repro.exceptions import ConvergenceWarning, ValidationError
+from repro.probability import fit_sigmoid, platt, sigmoid_predict
 
 
 def make_decisions(n=300, gap=2.0, seed=0):
@@ -134,3 +136,204 @@ def test_fit_probabilities_calibrated_on_midpoint(seed, gap):
     model = fit_sigmoid(engine, values, labels)
     midpoint_probability = model.predict(np.array([0.0]))[0]
     assert 0.4 < midpoint_probability < 0.6
+
+
+# ----------------------------------------------------------------------
+# Differential suite: the Newton loop against its boolean-mask form
+# ----------------------------------------------------------------------
+def _reference_objective(fapb, targets):
+    pos = fapb >= 0
+    terms = np.empty_like(fapb)
+    terms[pos] = targets[pos] * fapb[pos] + np.log1p(np.exp(-fapb[pos]))
+    terms[~pos] = (targets[~pos] - 1.0) * fapb[~pos] + np.log1p(np.exp(fapb[~pos]))
+    return float(terms.sum())
+
+
+def _reference_line_search(engine, values, targets, a, b, da, db, fval, gd,
+                           *, parallel, category):
+    n = values.size
+    steps = []
+    step = 1.0
+    while step >= platt.MIN_STEP:
+        steps.append(step)
+        step /= 2.0
+    if parallel:
+        step_arr = np.asarray(steps)
+        fapb = values[None, :] * (a + step_arr[:, None] * da) + (
+            b + step_arr[:, None] * db
+        )
+        engine.elementwise(
+            category, n * step_arr.size, flops_per_element=6, arrays_read=2
+        )
+        for idx, candidate in enumerate(steps):
+            new_f = _reference_objective(fapb[idx], targets)
+            if new_f < fval + platt.ARMIJO * candidate * gd:
+                return candidate
+        return None
+    for candidate in steps:
+        fapb = values * (a + candidate * da) + (b + candidate * db)
+        engine.elementwise(category, n, flops_per_element=6, arrays_read=2)
+        new_f = _reference_objective(fapb, targets)
+        if new_f < fval + platt.ARMIJO * candidate * gd:
+            return candidate
+    return None
+
+
+def reference_fit_sigmoid(engine, values, labels, *, parallel_line_search,
+                          max_iterations, category="sigmoid"):
+    """The Newton loop in its boolean-mask form, recomputing every iterate.
+
+    The fitter's earlier form; the lean loop must reproduce it bit for
+    bit, charges and warnings included.
+    """
+    values = np.asarray(values, dtype=np.float64).ravel()
+    y = np.asarray(labels, dtype=np.float64).ravel()
+    n = values.size
+    n_pos = int(np.count_nonzero(y > 0))
+    n_neg = n - n_pos
+    targets = np.where(y > 0, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
+    a = 0.0
+    b = float(np.log((n_neg + 1.0) / (n_pos + 1.0)))
+    fapb = values * a + b
+    engine.elementwise(category, n, flops_per_element=2, arrays_read=1)
+    fval = _reference_objective(fapb, targets)
+    iteration = 0
+    converged = False
+    for iteration in range(1, max_iterations + 1):
+        pos = fapb >= 0
+        p = np.empty(n)
+        q = np.empty(n)
+        exp_neg = np.exp(-np.abs(fapb))
+        p[pos] = exp_neg[pos] / (1.0 + exp_neg[pos])
+        q[pos] = 1.0 / (1.0 + exp_neg[pos])
+        p[~pos] = 1.0 / (1.0 + exp_neg[~pos])
+        q[~pos] = exp_neg[~pos] / (1.0 + exp_neg[~pos])
+        engine.elementwise(category, n, flops_per_element=6, arrays_read=2)
+        d1 = targets - p
+        d2 = p * q
+        h11 = engine.reduce_sum(values * values * d2, category=category) + platt.HESSIAN_RIDGE
+        h22 = engine.reduce_sum(d2, category=category) + platt.HESSIAN_RIDGE
+        h21 = engine.reduce_sum(values * d2, category=category)
+        g1 = engine.reduce_sum(values * d1, category=category)
+        g2 = engine.reduce_sum(d1, category=category)
+        if abs(g1) < platt.GRADIENT_EPS and abs(g2) < platt.GRADIENT_EPS:
+            converged = True
+            break
+        det = h11 * h22 - h21 * h21
+        da = -(h22 * g1 - h21 * g2) / det
+        db = -(-h21 * g1 + h11 * g2) / det
+        gd = g1 * da + g2 * db
+        step = _reference_line_search(
+            engine, values, targets, a, b, da, db, fval, gd,
+            parallel=parallel_line_search, category=category,
+        )
+        if step is None:
+            warnings.warn(
+                "line search failed in sigmoid (Platt) fitting at iteration "
+                f"{iteration}; returning the last (A, B) iterate",
+                ConvergenceWarning,
+            )
+            break
+        a += step * da
+        b += step * db
+        fapb = values * a + b
+        engine.elementwise(category, n, flops_per_element=2, arrays_read=1)
+        fval = _reference_objective(fapb, targets)
+    else:
+        if max_iterations > 0:
+            warnings.warn(
+                f"sigmoid (Platt) fitting hit the {max_iterations}-iteration "
+                "cap before the gradient test passed",
+                ConvergenceWarning,
+            )
+    return platt.SigmoidModel(a=a, b=b, iterations=iteration, converged=converged)
+
+
+def _fit_recording(fit, *args, **kwargs):
+    """``fit(...)`` and the messages of the ConvergenceWarnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(all="ignore"):
+            model = fit(*args, **kwargs)
+    return model, [
+        str(w.message) for w in caught if issubclass(w.category, ConvergenceWarning)
+    ]
+
+
+def _bits(model):
+    """A model's fields, floats by their bits (NaN equals NaN)."""
+    return model.a.hex(), model.b.hex(), model.iterations, model.converged
+
+
+def _clock_state(engine):
+    clock = engine.clock
+    return clock.latency_s, clock.compute_s, clock.breakdown()
+
+
+@st.composite
+def sigmoid_problems(draw):
+    """Decision values of a kind that reaches one of the loop's exits."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.choice([-1.0, 1.0], size=n)
+    kind = draw(st.sampled_from(["noisy", "separable", "ties", "huge"]))
+    if kind == "noisy":
+        values = rng.normal(size=n) + 0.5 * labels
+    elif kind == "separable":  # the optimum runs off: iteration cap
+        values = labels * draw(st.sampled_from([1.0, 5.0, 50.0]))
+    elif kind == "ties":
+        values = rng.integers(-2, 3, size=n).astype(np.float64)
+    else:  # overflowing sums leave a NaN direction: line-search failure
+        values = labels * 1e300 + rng.normal(size=n)
+    return values, labels
+
+
+@given(
+    sigmoid_problems(),
+    st.booleans(),
+    st.sampled_from([0, 1, 3, platt.MAX_NEWTON_ITERATIONS]),
+)
+@settings(max_examples=200, deadline=None)
+def test_newton_loop_matches_mask_form_bitwise(problem, parallel, max_iterations):
+    """(A, B), iterations, converged, warnings and the clock equal the old form's."""
+    from repro.gpusim import make_engine, scaled_tesla_p100
+
+    values, labels = problem
+    engines = [make_engine(scaled_tesla_p100()) for _ in range(2)]
+    got, got_warnings = _fit_recording(
+        fit_sigmoid, engines[0], values, labels,
+        parallel_line_search=parallel, max_iterations=max_iterations,
+    )
+    want, want_warnings = _fit_recording(
+        reference_fit_sigmoid, engines[1], values, labels,
+        parallel_line_search=parallel, max_iterations=max_iterations,
+    )
+    assert _bits(got) == _bits(want)
+    assert got_warnings == want_warnings
+    assert engines[0].counters == engines[1].counters
+    assert _clock_state(engines[0]) == _clock_state(engines[1])
+
+
+def test_differential_suite_reaches_every_exit():
+    """The strategy's kinds hit convergence, the cap and a failed search."""
+    from repro.gpusim import make_engine, scaled_tesla_p100
+
+    labels = np.array([-1.0, 1.0] * 10)
+    cases = {
+        "converged": (np.linspace(-2, 2, 20) + 0.3 * labels, 100),
+        "cap": (5.0 * labels, 3),
+        "line search": (labels * 1e300, 100),
+        "no step": (labels, 0),
+    }
+    for name, (values, cap) in cases.items():
+        for parallel in (False, True):
+            model, messages = _fit_recording(
+                fit_sigmoid, make_engine(scaled_tesla_p100()), values, labels,
+                parallel_line_search=parallel, max_iterations=cap,
+            )
+            if name == "converged":
+                assert model.converged and not messages
+            elif name == "no step":
+                assert (model.iterations, model.converged, messages) == (0, False, [])
+            else:
+                assert len(messages) == 1 and name.split()[0] in messages[0]

@@ -7,15 +7,27 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.gpusim import make_engine, scaled_tesla_p100
-from repro.kernels import GaussianKernel
-from repro.solvers import select_new_violators, solve_subproblem
+from repro.kernels import GaussianKernel, KernelRowComputer
+from repro.solvers import BatchSMOSolver, select_new_violators, solve_subproblem
 from repro.solvers.base import TAU, lower_mask, upper_mask
+from repro.solvers.batch_smo import RoundRequest, begin_rounds
 from repro.solvers.subproblem import (
     Subproblem,
     SubproblemResult,
     _charge_steps,
     inner_iteration_budget,
 )
+from repro.solvers.working_set import ViolatorSelection
+
+
+def select_one(f, y, alpha, penalty, q, *, exclude=None):
+    """One member's picks: a stack of one."""
+    selection = ViolatorSelection(
+        f, upper_mask(y, alpha, penalty), lower_mask(y, alpha, penalty), q,
+        exclude=exclude,
+    )
+    (picks,) = select_new_violators([selection])
+    return picks
 
 
 class TestViolatorSelection:
@@ -26,56 +38,54 @@ class TestViolatorSelection:
         self.alpha = np.full(10, 0.5)
         self.penalty = 1.0
 
-    def test_selects_extremes(self, gpu_engine):
-        chosen = select_new_violators(
-            gpu_engine, self.f, self.y, self.alpha, self.penalty, 4
-        )
+    def test_selects_extremes(self):
+        chosen = select_one(self.f, self.y, self.alpha, self.penalty, 4)
         assert set(chosen.tolist()) == {0, 1, 8, 9}
 
-    def test_exclusion_respected(self, gpu_engine):
-        chosen = select_new_violators(
-            gpu_engine,
-            self.f,
-            self.y,
-            self.alpha,
-            self.penalty,
-            4,
-            exclude=np.array([0, 9]),
+    def test_exclusion_respected(self):
+        chosen = select_one(
+            self.f, self.y, self.alpha, self.penalty, 4, exclude=np.array([0, 9])
         )
         assert set(chosen.tolist()) == {1, 2, 7, 8}
 
-    def test_eligibility_respected(self, gpu_engine):
+    def test_eligibility_respected(self):
         # Instance 0 has y=+1, alpha=C: cannot increase -> not in I_up.
         alpha = self.alpha.copy()
         alpha[0] = self.penalty
-        chosen = select_new_violators(
-            gpu_engine, self.f, self.y, alpha, self.penalty, 2
-        )
+        chosen = select_one(self.f, self.y, alpha, self.penalty, 2)
         assert 0 not in chosen[:1]
 
-    def test_no_double_selection(self, gpu_engine):
-        chosen = select_new_violators(
-            gpu_engine, self.f, self.y, self.alpha, self.penalty, 20
-        )
+    def test_no_double_selection(self):
+        chosen = select_one(self.f, self.y, self.alpha, self.penalty, 20)
         assert len(set(chosen.tolist())) == len(chosen)
 
-    def test_q_validation(self, gpu_engine):
+    def test_q_validation(self):
         with pytest.raises(ValidationError):
-            select_new_violators(
-                gpu_engine, self.f, self.y, self.alpha, self.penalty, 1
-            )
+            select_one(self.f, self.y, self.alpha, self.penalty, 1)
 
-    def test_empty_when_all_excluded(self, gpu_engine):
-        chosen = select_new_violators(
-            gpu_engine,
-            self.f,
-            self.y,
-            self.alpha,
-            self.penalty,
-            4,
-            exclude=np.arange(10),
+    def test_empty_when_all_excluded(self):
+        chosen = select_one(
+            self.f, self.y, self.alpha, self.penalty, 4, exclude=np.arange(10)
         )
         assert chosen.size == 0
+
+    def test_empty_stack(self):
+        assert select_new_violators([]) == []
+
+    def test_stack_matches_each_alone(self):
+        # Uneven lengths: the padded lanes of the short row are never picked.
+        short = ViolatorSelection(
+            self.f[:4], np.ones(4, bool), np.ones(4, bool), 2, exclude=np.array([0])
+        )
+        long = ViolatorSelection(
+            self.f, np.ones(10, bool), np.ones(10, bool), 6
+        )
+        stacked = select_new_violators([short, long])
+        alone = [select_new_violators([s])[0] for s in (short, long)]
+        assert [p.tolist() for p in stacked] == [p.tolist() for p in alone]
+        assert stacked[0].tolist() == [1, 3]
+        assert stacked[1].tolist() == [0, 1, 2, 9, 8, 7]
+        assert all(p.dtype == np.int64 for p in stacked)
 
 
 class TestIterationBudget:
@@ -385,3 +395,230 @@ def test_every_exit_in_one_stack():
     assert (underflow.iterations, underflow.local_gap) == (0, 5e-324)
     assert spent.iterations == 2 and spent.local_gap > 1e-3
     assert (idle.iterations, idle.local_gap) == (0, float("inf"))
+
+
+# ----------------------------------------------------------------------
+# Differential suite: the stacked selection half against each member's
+# own begin_round
+# ----------------------------------------------------------------------
+def reference_select(engine, f, y, alpha, penalty, q, *, exclude=None):
+    """One member's violator selection in its per-member form."""
+    n = f.size
+    order = engine.sort_values(f, category="selection")
+    up = upper_mask(y, alpha, penalty)
+    low = lower_mask(y, alpha, penalty)
+    engine.elementwise("selection", n, flops_per_element=4, arrays_read=2, memory="cached")
+    excluded = np.zeros(n, dtype=bool)
+    if exclude is not None and len(exclude):
+        excluded[np.asarray(exclude, dtype=np.int64)] = True
+    half = q // 2
+    top = order[up[order] & ~excluded[order]][:half]
+    taken = np.zeros(n, dtype=bool)
+    taken[top] = True
+    reverse = order[::-1]
+    bottom = reverse[low[reverse] & ~excluded[reverse] & ~taken[reverse]][:half]
+    return np.concatenate([top, bottom]).astype(np.int64)
+
+
+def reference_begin_round(session):
+    """A session's selection half, member by member.
+
+    The session's form before the stacked one replaced it; the stacked
+    selection must reproduce it bit for bit, charges included.
+    """
+    if session._finished:
+        return None
+    engine = session.engine
+    labels, alpha, f, penalty = session.labels, session.alpha, session.f, session.penalty
+    n = session.n
+    while True:
+        if session.rounds >= session.max_rounds:
+            session._finished = True
+            return None
+        up = upper_mask(labels, alpha, penalty)
+        low = lower_mask(labels, alpha, penalty)
+        engine.elementwise("selection", n, flops_per_element=4, arrays_read=2, memory="cached")
+        _, f_up = engine.reduce_extremum(f, up, mode="min", category="selection")
+        _, f_low = engine.reduce_extremum(f, low, mode="max", category="selection")
+        if not np.isfinite(f_up) or not np.isfinite(f_low):
+            session.converged = True
+            session._finished = True
+            return None
+        delta = f_low - f_up
+        if delta <= session.solver.epsilon:
+            session.converged = True
+            session._finished = True
+            return None
+        retained = np.asarray(
+            session._ws_order[-(session.ws_size - session.q):], dtype=np.int64
+        )
+        wanted = session.q if retained.size else session.ws_size
+        new = reference_select(
+            engine, f, labels, alpha, penalty, wanted,
+            exclude=retained if retained.size else None,
+        )
+        if new.size == 0:
+            if retained.size:
+                session._ws_order.clear()
+                continue
+            session._finished = True
+            return None
+        ws_idx = np.concatenate([retained, new]) if retained.size else new
+        missing = session.buffer.missing(ws_idx)
+        session._pending = RoundRequest(ws_idx, missing, delta)
+        session._pending_retained = retained
+        session._pending_new = new
+        return session._pending
+
+
+SESSION_KINDS = (
+    "random", "ties", "converged", "empty_up", "empty_low", "at_cap", "retry",
+)
+
+
+@st.composite
+def session_specs(draw):
+    """One session's state, of a kind that exercises one path of the half."""
+    kind = draw(st.sampled_from(SESSION_KINDS))
+    n = draw(st.integers(4, 40))
+    seed = draw(st.integers(0, 2**32 - 1))  # also seeds the points
+    rng = np.random.default_rng(seed)
+    y = rng.choice([-1.0, 1.0], size=n)
+    y[:2] = [1.0, -1.0]
+    weighted = draw(st.booleans())
+    c = np.where(y > 0, 1.0, draw(st.sampled_from([0.25, 3.0]))) if weighted else np.ones(n)
+    alpha = rng.random(n) * c
+    alpha[rng.random(n) < 0.3] = 0.0
+    at_bound = rng.random(n) < 0.2
+    alpha[at_bound] = c[at_bound]
+    f = rng.normal(size=n) * draw(st.sampled_from([0.01, 1.0, 100.0]))
+    working_set_size = draw(st.sampled_from([4, 6, 8, 16]))
+    new_per_round = draw(st.sampled_from([None, 2, 4]))
+    ws_order = rng.permutation(n)[: draw(st.integers(0, n))].tolist()
+    rounds, max_rounds = draw(st.integers(0, 3)), None
+    if kind == "ties":  # many equal indicators: first index wins every tie
+        f = np.round(f) if draw(st.booleans()) else np.full(n, 0.5)
+        f[: n // 2] = 0.0
+    elif kind == "converged":  # gap <= epsilon at the top of the round
+        f = np.full(n, 0.25)
+        f[0] += 5e-4 * draw(st.integers(0, 2))
+    elif kind == "empty_up":  # no y*alpha can rise
+        alpha = np.where(y > 0, c, 0.0)
+    elif kind == "empty_low":  # no y*alpha can fall
+        alpha = np.where(y > 0, 0.0, c)
+    elif kind == "at_cap":
+        max_rounds = rounds
+    elif kind == "retry":
+        # q == ws_size == n and the FIFO holds every instance: the retained
+        # set excludes every violator, so the member reselects from scratch.
+        n -= n % 2
+        y, c, alpha, f = y[:n], c[:n], alpha[:n], f[:n]
+        working_set_size = new_per_round = n
+        ws_order = rng.permutation(n).tolist()
+    return dict(
+        seed=seed, y=y, c=c, weighted=weighted, alpha=alpha, f=f,
+        ws_order=ws_order, rounds=rounds, max_rounds=max_rounds,
+        working_set_size=working_set_size, new_per_round=new_per_round,
+        epsilon=draw(st.sampled_from([1e-3, 1e-6])),
+        resident=draw(st.integers(0, 3)),
+    )
+
+
+def build_sessions(specs, shared_engine):
+    """Sessions in the specs' states; one engine for all when shared."""
+    common = make_engine(scaled_tesla_p100()) if shared_engine else None
+    sessions = []
+    for spec in specs:
+        engine = common or make_engine(scaled_tesla_p100())
+        x = np.random.default_rng(spec["seed"]).normal(size=(spec["y"].size, 3))
+        rows = KernelRowComputer(engine, GaussianKernel(gamma=0.5), x)
+        solver = BatchSMOSolver(
+            penalty=1.0, epsilon=spec["epsilon"],
+            working_set_size=spec["working_set_size"],
+            new_per_round=spec["new_per_round"], max_rounds=spec["max_rounds"],
+        )
+        session = solver.start(
+            rows, spec["y"], penalty_vector=spec["c"] if spec["weighted"] else None,
+            initial_alpha=spec["alpha"], initial_f=spec["f"],
+        )
+        session._ws_order = list(spec["ws_order"])
+        session.rounds = spec["rounds"]
+        # Some rows already buffered, so ``missing`` is a proper subset.
+        session.buffer.fetch(
+            np.arange(spec["resident"]),
+            lambda ids, rows=rows: rows.rows(ids, category="kernel_values"),
+        )
+        sessions.append(session)
+    return sessions
+
+
+def _session_state(session):
+    request = session._pending
+    return (
+        None if request is None else (
+            request.ws_idx.tolist(), request.ws_idx.dtype, request.missing.tolist(),
+            request.delta.hex(),
+        ),
+        None if request is None else session._pending_retained.tolist(),
+        None if request is None else session._pending_new.tolist(),
+        list(session._ws_order), session.converged, session._finished,
+    )
+
+
+@given(st.lists(session_specs(), min_size=1, max_size=8), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_stacked_selection_matches_member_loop_bitwise(specs, shared_engine):
+    """Every member's request, FIFO, flags, counters and clock equal its own."""
+    expected = build_sessions(specs, shared_engine)
+    got = build_sessions(specs, shared_engine)
+    want_requests = [reference_begin_round(s) for s in expected]
+    got_requests = begin_rounds(got)
+    assert [r is None for r in got_requests] == [r is None for r in want_requests]
+    for session, ref, request in zip(got, expected, got_requests):
+        assert request is (None if session._finished else session._pending)
+        assert _session_state(session) == _session_state(ref)
+        assert session.engine.counters == ref.engine.counters
+        assert session.engine.clock._latency == ref.engine.clock._latency
+        assert session.engine.clock._compute == ref.engine.clock._compute
+
+
+def test_every_selection_path_in_one_stack():
+    """Members leaving the half each their own way share one stack unharmed."""
+    n = 8
+    y = np.array([1.0, -1.0] * 4)
+    base = dict(
+        seed=3, y=y, c=np.ones(n), weighted=False, alpha=np.full(n, 0.5),
+        f=np.linspace(-1.0, 1.0, n), ws_order=[], rounds=0, max_rounds=None,
+        working_set_size=4, new_per_round=2, epsilon=1e-3, resident=2,
+    )
+    specs = [
+        base,  # selects from scratch
+        {**base, "ws_order": [0, 7, 3]},  # keeps part of its set
+        {**base, "f": np.full(n, 0.25)},  # converged
+        {**base, "alpha": np.where(y > 0, 1.0, 0.0)},  # I_up empty
+        {**base, "rounds": 5, "max_rounds": 5},  # round cap
+        # q == ws_size == n with every instance retained: reselect.
+        {**base, "working_set_size": n, "new_per_round": n,
+         "ws_order": [5, 2, 7, 0, 1, 3, 4, 6]},
+    ]
+    sessions = build_sessions(specs, shared_engine=False)
+    requests = begin_rounds(sessions)
+    scratch, kept, converged, empty, capped, retried = requests
+    assert scratch.ws_idx.tolist() == [0, 1, 7, 6]
+    assert kept.ws_idx.tolist()[:2] == [7, 3]
+    assert converged is None and sessions[2].converged
+    assert empty is None and sessions[3].converged
+    assert capped is None and not sessions[4].converged and sessions[4].done
+    assert retried.ws_idx.tolist() == [0, 1, 2, 3, 7, 6, 5, 4]
+    assert sessions[5]._pending_retained.size == 0 and not sessions[5]._ws_order
+    # The retry paid for two selection attempts, the converged member one
+    # check pass: ten and three selection charges.
+    launches = [s.engine.counters.kernel_launches for s in sessions]
+    fresh = build_sessions(specs, shared_engine=False)
+    before = [s.engine.counters.kernel_launches for s in fresh]
+    assert [a - b for a, b in zip(launches, before)] == [5, 5, 3, 3, 0, 10]
+    reference = build_sessions(specs, shared_engine=False)
+    for session, ref in zip(sessions, reference):
+        reference_begin_round(ref)
+        assert _session_state(session) == _session_state(ref)
+        assert session.engine.clock._latency == ref.engine.clock._latency
