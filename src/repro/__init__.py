@@ -14,15 +14,12 @@ Public entry points:
 - :class:`GMPSVC` — the paper's system (batched solver, concurrent binary
   SVMs, kernel/SV sharing); :class:`TrainerConfig` /
   :class:`PredictorConfig` are its underlying pipeline configurations;
-- :class:`SVC` — the binary special case;
 - :class:`InferenceSession` — the serving layer: seal a fitted model
   once, serve requests against the warm state; ``repro.server.Dispatcher``
   micro-batches many small requests through it (DESIGN.md §11);
-- :class:`ClusterSpec` / :func:`train_multiclass_sharded` /
-  :class:`ShardedInferenceRouter` — multi-device training and
-  pair-partitioned inference over a simulated GPU cluster; models and
-  probabilities stay bitwise identical to the single-device paths
-  (DESIGN.md §12);
+- :class:`ClusterSpec` / :func:`train_multiclass_sharded` —
+  multi-device training over a simulated GPU cluster; models stay
+  bitwise identical to the single-device path (DESIGN.md §12);
 - :class:`ServerApp` / :class:`TenantPolicy` — the HTTP front-end over
   the serving layer: lossless wire protocol, per-tenant admission
   control, worker-pool dispatch and graceful 429/503 shedding, behind
@@ -40,10 +37,9 @@ Public entry points:
   fault injection over the simulated cluster (stragglers, device loss,
   link faults) with checkpoint/resume recovery that keeps models
   bitwise identical to fault-free runs (DESIGN.md §15);
-- :class:`ComputeBackend` / :class:`BackendSpec` /
-  :func:`register_backend` / :func:`get_backend` / :func:`list_backends`
-  — the pluggable compute-backend registry: ``"numpy64"`` is the
-  bitwise float64 reference, ``"numpy32"`` the delta-gated
+- :class:`ComputeBackend` — the compute-backend contract, selected by
+  name anywhere a ``backend`` is accepted: ``"numpy64"`` is the bitwise
+  float64 reference, ``"numpy32"`` the delta-gated
   float32/mixed-precision fast path (DESIGN.md §16);
 - :mod:`repro.baselines` — LibSVM, the GPU baseline, CMP-SVM, GTSVM,
   OHD-SVM and GPUSVM comparators;
@@ -51,22 +47,11 @@ Public entry points:
 - :func:`save_model` / :func:`load_model` — versioned persistence.
 """
 
-from repro.backends import (
-    BackendSpec,
-    ComputeBackend,
-    get_backend,
-    list_backends,
-    register_backend,
-)
+from repro.backends import ComputeBackend
 from repro.cascade import CascadeConfig, train_cascade
 from repro.core.gmp import GMPSVC
-from repro.distributed import (
-    ClusterSpec,
-    ShardedInferenceRouter,
-    train_multiclass_sharded,
-)
+from repro.distributed import ClusterSpec, train_multiclass_sharded
 from repro.core.predictor import PredictorConfig
-from repro.core.svc import SVC
 from repro.core.trainer import TrainerConfig
 from repro.exceptions import (
     CheckpointError,
@@ -89,10 +74,9 @@ from repro.serving import InferenceSession
 from repro.sparse import CSRMatrix, dump_libsvm, load_libsvm
 from repro.telemetry import Tracer
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
-    "BackendSpec",
     "CSRMatrix",
     "CascadeConfig",
     "CheckpointError",
@@ -112,9 +96,7 @@ __all__ = [
     "RegistryError",
     "RegistryWatcher",
     "ReproError",
-    "SVC",
     "ServerApp",
-    "ShardedInferenceRouter",
     "SolverError",
     "SparseFormatError",
     "TenantPolicy",
@@ -123,11 +105,8 @@ __all__ = [
     "ValidationError",
     "__version__",
     "dump_libsvm",
-    "get_backend",
-    "list_backends",
     "load_libsvm",
     "load_model",
-    "register_backend",
     "save_model",
     "train_cascade",
     "train_multiclass_sharded",

@@ -48,7 +48,7 @@ __all__ = [
 # batch composition on *either* axis.  Only kernel values rely on it:
 # training rows (the interleaved trainer fuses concurrent SVMs' row demand
 # into union batches) and prediction blocks (fused dispatches stack
-# requests; a partitioned shard's sub-pool columns sit at other offsets).
+# requests).
 # The decision sums over a block are a per-row segment sum
 # (``repro.multiclass.sv_sharing``).
 #

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro import GMPSVC, load_model
-from repro.backends import list_backends
+from repro.backends import BACKENDS
 from repro.baselines import (
     CMPSVMClassifier,
     GPUBaselineClassifier,
@@ -87,7 +87,7 @@ def _train_parser() -> argparse.ArgumentParser:
     parser.add_argument("--system", default="gmp-svm", choices=SYSTEMS,
                         help="which reproduced system trains the model")
     parser.add_argument("--backend", default="numpy64",
-                        choices=sorted(list_backends()),
+                        choices=sorted(BACKENDS),
                         help="compute backend: numpy64 (float64 reference) "
                              "or numpy32 (float32/mixed-precision fast "
                              "path; gmp-svm and cmp-svm only)")
@@ -410,7 +410,7 @@ def _predict_parser() -> argparse.ArgumentParser:
     parser.add_argument("-b", "--probability", type=int, default=0, choices=(0, 1),
                         help="1 = output per-class probabilities")
     parser.add_argument("--backend", default="numpy64",
-                        choices=sorted(list_backends()),
+                        choices=sorted(BACKENDS),
                         help="compute backend prediction runs under "
                              "(must match the working dtype the model "
                              "was trained in)")
@@ -635,7 +635,7 @@ def _serve_parser() -> argparse.ArgumentParser:
                         metavar="S",
                         help="minimum seconds between registry polls")
     parser.add_argument("--backend", default="numpy64",
-                        choices=sorted(list_backends()),
+                        choices=sorted(BACKENDS),
                         help="compute backend the session predicts under "
                              "(must match the working dtype the model "
                              "was trained in)")

@@ -4,20 +4,16 @@
   probabilistic SVM trained with the batched solver, concurrent binary
   SVMs, kernel-value sharing and support-vector sharing on the (simulated)
   GPU.
-- :class:`~repro.core.svc.SVC` — a binary probabilistic SVM on the same
-  machinery.
 - :mod:`repro.core.trainer` / :mod:`repro.core.predictor` — the
   configurable pipelines the estimators and all baselines share.
 """
 
 from repro.core.gmp import GMPSVC
-from repro.core.svc import SVC
 from repro.core.trainer import TrainerConfig, train_multiclass
 from repro.core.predictor import PredictorConfig, predict_proba_model
 
 __all__ = [
     "GMPSVC",
-    "SVC",
     "PredictorConfig",
     "TrainerConfig",
     "predict_proba_model",

@@ -66,8 +66,8 @@ class PredictorConfig:
     # Optional hierarchical span tracer; off (None) by default, in which
     # case prediction does no telemetry bookkeeping.
     tracer: Optional[Tracer] = None
-    # Compute backend: None (the float64 reference), a backend name, a
-    # repro.backends.BackendSpec or a ComputeBackend instance.
+    # Compute backend: None (the float64 reference), a backend name
+    # ("numpy64" or "numpy32") or a ComputeBackend instance.
     backend: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -154,10 +154,9 @@ def labels_from_probabilities(
 class PredictionPipeline:
     """The prediction steps after the decision values, for every path.
 
-    One-shot ``predict_*_model``, a sealed serving session and the
-    pair-partitioned router differ only in ``decisions``, the source of a
-    row block's decision values: :func:`decision_matrix`, the session's
-    tile-cached warm pool, or the router's cross-shard reduce.  Chunk
+    One-shot ``predict_*_model`` and a sealed serving session differ
+    only in ``decisions``, the source of a row block's decision values:
+    :func:`decision_matrix` or the session's tile-cached warm pool.  Chunk
     boundaries, the probability tail and the label rule live here once,
     which is what keeps those paths bitwise equal.
     """

@@ -101,8 +101,8 @@ class TrainerConfig:
     max_concurrent_svms: Optional[int] = None
     # GPUSVM-style dense storage (Figure 10's pathology).
     force_dense: bool = False
-    # Compute backend: None (the float64 reference), a backend name, a
-    # repro.backends.BackendSpec or a ComputeBackend instance.
+    # Compute backend: None (the float64 reference), a backend name
+    # ("numpy64" or "numpy32") or a ComputeBackend instance.
     backend: Optional[object] = None
     # Instance-sharded cascade routing: a repro.cascade.CascadeConfig
     # sends pairwise problems with at least ``cascade.threshold``

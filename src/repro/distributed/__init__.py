@@ -1,13 +1,12 @@
-"""Multi-device sharded training and inference over a simulated cluster.
+"""Multi-device sharded training over a simulated cluster.
 
 The one-against-one decomposition's k(k-1)/2 independent binary problems
 shard naturally across devices.  This package adds the cluster substrate
 (:mod:`~repro.distributed.cluster`), the pair-to-device placement planner
 (:mod:`~repro.distributed.placement`), the sharded training driver with
-its cross-device SV merge (:mod:`~repro.distributed.trainer`) and the
-pair-partitioned inference router (:mod:`~repro.distributed.inference`).  Sharding
-changes only the simulated timeline — models, decision values and coupled
-probabilities stay bitwise identical to the single-device paths.
+its cross-device SV merge (:mod:`~repro.distributed.trainer`).  Sharding
+changes only the simulated timeline — models stay bitwise identical to
+the single-device path.
 """
 
 from repro.distributed.cluster import (
@@ -16,7 +15,6 @@ from repro.distributed.cluster import (
     DevicePool,
     InterconnectSpec,
 )
-from repro.distributed.inference import ShardedInferenceRouter
 from repro.distributed.placement import (
     PLACEMENT_STRATEGIES,
     PlacementPlan,
@@ -31,7 +29,6 @@ __all__ = [
     "DevicePool",
     "InterconnectSpec",
     "PlacementPlan",
-    "ShardedInferenceRouter",
     "plan_placement",
     "train_multiclass_sharded",
 ]

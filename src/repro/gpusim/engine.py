@@ -454,7 +454,6 @@ def make_engine(
     scalar LibSVM, GTSVM's irregular clustered access).
 
     ``backend`` selects the compute backend (a name, a
-    :class:`~repro.backends.BackendSpec`, a
     :class:`~repro.backends.ComputeBackend` instance, or ``None`` for the
     float64 reference); it supplies the engine's numeric primitives and
     the precision scales of the cost model.

@@ -104,8 +104,8 @@ def load_model(source: PathOrFile, *, backend: object = None) -> MPSVMModel:
     ``dense``, else a :class:`CSRMatrix`.
 
     ``backend`` declares the compute backend the caller will run the model
-    under (a name, :class:`~repro.backends.BackendSpec` or instance;
-    ``None`` means the float64 reference).  Files record the precision the
+    under (a backend name or instance; ``None`` means the float64
+    reference).  Files record the precision the
     model was trained in; a model trained in a narrower dtype (e.g. a
     float32 ``numpy32`` model) refuses to load under a backend of a
     different working dtype rather than silently reinterpreting its

@@ -21,32 +21,27 @@ identical shed decisions, batch shapes and latency percentiles — run to
 run, machine to machine.
 
 Compute cost of a fused dispatch is the engine-clock delta of the
-underlying :class:`~repro.serving.InferenceSession` call (or router
-call), so results — and their bitwise parity with direct session calls —
-come from exactly the code path DESIGN.md §11 gates.
+underlying :class:`~repro.serving.InferenceSession` call, so results —
+and their bitwise parity with direct session calls — come from exactly
+the code path DESIGN.md §11 gates.
 
-Backends:
-
-- :class:`~repro.serving.InferenceSession` — ``n_workers`` lanes share
-  the one sealed session.  A lane is a replica: :meth:`Dispatcher.fail_lane`
-  / :meth:`Dispatcher.restore_lane` / :meth:`Dispatcher.lane_health` are
-  the package's only replica-health API, and a restored lane may take a
-  replacement session;
-- :class:`~repro.distributed.ShardedInferenceRouter` — one lane whose
-  calls fan out across the pair-partitioned shards internally.
+The backend is one sealed :class:`~repro.serving.InferenceSession`
+shared by ``n_workers`` lanes.  A lane is a replica:
+:meth:`Dispatcher.fail_lane` / :meth:`Dispatcher.restore_lane` /
+:meth:`Dispatcher.lane_health` are the package's only replica-health
+API, and a restored lane may take a replacement session.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.core.predictor import labels_from_probabilities
 from repro.core.validation import check_predict_inputs
-from repro.distributed.inference import ShardedInferenceRouter
 from repro.exceptions import ValidationError
 from repro.serving.session import InferenceSession
 from repro.server.admission import AdmissionController, AdmissionDecision
@@ -56,12 +51,10 @@ from repro.telemetry.tracer import Tracer, maybe_span
 
 __all__ = ["Dispatcher", "DispatcherStats", "ServerRequest", "SwapReport"]
 
-Backend = Union[InferenceSession, ShardedInferenceRouter]
-
 REQUEST_KINDS = ("predict_proba", "predict", "decision_function")
 
 
-def compute_group(backend: Backend, kind: str) -> str:
+def compute_group(backend: InferenceSession, kind: str) -> str:
     """Which fused computation a request needs (requests fuse per group)."""
     if kind == "decision_function":
         return "decision"
@@ -185,11 +178,11 @@ class SwapReport:
 
 
 class _Lane:
-    """One worker lane: a concurrency slot bound to a serving backend."""
+    """One worker lane: a concurrency slot bound to a sealed session."""
 
     __slots__ = ("index", "free_at_s", "target", "failed_at_s", "detected")
 
-    def __init__(self, index: int, target: Backend) -> None:
+    def __init__(self, index: int, target: InferenceSession) -> None:
         self.index = index
         self.free_at_s = 0.0
         self.target = target
@@ -208,15 +201,14 @@ class _Lane:
 
 
 class Dispatcher:
-    """Admission-controlled worker-pool serving over a sealed backend.
+    """Admission-controlled worker-pool serving over a sealed session.
 
     Parameters
     ----------
     backend:
-        An :class:`InferenceSession` or :class:`ShardedInferenceRouter`.
+        The sealed :class:`InferenceSession` every lane serves.
     n_workers:
-        Concurrency lanes (replicas) over a session.  Ignored for a
-        router, which is one lane.
+        Concurrency lanes (replicas) over the session.
     max_batch:
         Most requests fused into one dispatch when the queue has built up.
     admission:
@@ -227,35 +219,27 @@ class Dispatcher:
 
     def __init__(
         self,
-        backend: Backend,
+        backend: InferenceSession,
         *,
         n_workers: int = 2,
         max_batch: int = 16,
         admission: Optional[AdmissionController] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if isinstance(backend, InferenceSession):
-            if n_workers < 1:
-                raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
-            targets = [backend] * int(n_workers)
-        elif isinstance(backend, ShardedInferenceRouter):
-            targets = [backend]
-        else:
+        if not isinstance(backend, InferenceSession):
             raise ValidationError(
-                "Dispatcher backend must be an InferenceSession or "
-                f"ShardedInferenceRouter, got {type(backend).__name__}"
+                "Dispatcher backend must be an InferenceSession, got "
+                f"{type(backend).__name__}"
             )
+        if n_workers < 1:
+            raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
         if max_batch < 1:
             raise ValidationError(f"max_batch must be >= 1, got {max_batch}")
-        self._lanes = [_Lane(i, target) for i, target in enumerate(targets)]
+        self._lanes = [_Lane(i, backend) for i in range(int(n_workers))]
         self.backend = backend
         self.max_batch = int(max_batch)
         self.admission = admission or AdmissionController()
-        self._tracer = (
-            tracer
-            if tracer is not None
-            else getattr(getattr(backend, "config", None), "tracer", None)
-        )
+        self._tracer = tracer if tracer is not None else backend.config.tracer
         self.stats = DispatcherStats(
             busy_s_per_worker=[0.0] * len(self._lanes)
         )
@@ -468,20 +452,13 @@ class Dispatcher:
         function of the clock, the post-swap stream is bitwise identical
         to a cold restart of the new model fed the same requests.
 
-        Only :class:`InferenceSession` backends swap (sharded routers
-        own per-device placement; restart those).  The new session must
-        serve the same feature count the admitted traffic was validated
-        against.
+        The new session must serve the same feature count the admitted
+        traffic was validated against.
         """
         if not isinstance(backend, InferenceSession):
             raise ValidationError(
                 "swap_model requires a sealed InferenceSession, got "
                 f"{type(backend).__name__}"
-            )
-        if not isinstance(self.backend, InferenceSession):
-            raise ValidationError(
-                "swap_model supports InferenceSession backends only; "
-                "sharded routers manage their own placement"
             )
         if backend.n_features != self.n_features:
             raise ValidationError(
@@ -579,11 +556,6 @@ class Dispatcher:
                 raise ValidationError(
                     f"replacement model expects {session.n_features} "
                     f"features, the live route serves {self.n_features}"
-                )
-            if not isinstance(lane.target, InferenceSession):
-                raise ValidationError(
-                    "router-backed lanes re-bind their router; restore "
-                    "without a session"
                 )
             lane.target = session
         lane.failed_at_s = None

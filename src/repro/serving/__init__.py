@@ -5,8 +5,8 @@
   repeated predictions with zero per-call setup.
 
 Queueing and request fusion live in one place, :class:`repro.server.Dispatcher`,
-which fronts a session (or a sharded router) with worker lanes, admission
-control and adaptive micro-batching.  See DESIGN.md §11 for the
+which fronts a session with worker lanes, admission control and
+adaptive micro-batching.  See DESIGN.md §11 for the
 seal/dispatch lifecycle.
 """
 

@@ -1,7 +1,7 @@
-"""The compute-backend registry, conformance gates and precision contract.
+"""Compute-backend selection, conformance gates and precision contract.
 
 Gate policy (DESIGN.md §16): ``numpy64`` is held to **bitwise** parity
-with the pre-registry reference implementation; ``numpy32`` is held to
+with the float64 reference implementation; ``numpy32`` is held to
 accuracy **deltas** (probability L-infinity, argmax agreement) because a
 float32 pipeline cannot — and should not promise to — reproduce float64
 bit patterns.
@@ -13,20 +13,19 @@ import numpy as np
 import pytest
 
 import repro
-from repro import GMPSVC, BackendSpec, load_model, save_model
+from repro import GMPSVC, load_model, save_model
 from repro.backends import (
+    BACKENDS,
     DEFAULT_BACKEND,
     ComputeBackend,
     Numpy32Backend,
     Numpy64Backend,
-    get_backend,
-    list_backends,
-    register_backend,
     resolve_backend,
 )
-from repro.backends import base as backends_base
 from repro.backends import reference
+from repro.cli import train_main
 from repro.core.predictor import PredictorConfig, predict_proba_model
+from repro.core.trainer import TrainerConfig
 from repro.data import gaussian_blobs
 from repro.exceptions import ModelFormatError, ValidationError
 from repro.gpusim import make_engine, scaled_tesla_p100
@@ -71,97 +70,106 @@ class _DummyBackend(ComputeBackend):
 
 
 class TestRegistry:
+    """The registry is the constant name-to-instance mapping ``BACKENDS``."""
+
     def test_in_tree_backends_registered(self):
-        assert set(IN_TREE_BACKENDS) <= set(list_backends())
-        assert list_backends() == sorted(list_backends())
+        assert sorted(BACKENDS) == sorted(IN_TREE_BACKENDS)
 
     def test_get_backend_returns_singletons(self):
-        assert get_backend("numpy64") is get_backend("numpy64")
-        assert isinstance(get_backend("numpy64"), Numpy64Backend)
-        assert isinstance(get_backend("numpy32"), Numpy32Backend)
+        assert resolve_backend("numpy64") is resolve_backend("numpy64")
+        assert resolve_backend("numpy32") is BACKENDS["numpy32"]
+        assert isinstance(resolve_backend("numpy64"), Numpy64Backend)
+        assert isinstance(resolve_backend("numpy32"), Numpy32Backend)
 
     def test_unknown_name_lists_registry(self):
-        with pytest.raises(ValidationError, match="numpy64"):
-            get_backend("cuda13")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValidationError, match="already registered"):
-            register_backend(Numpy64Backend())
-
-    def test_non_instance_rejected(self):
-        with pytest.raises(ValidationError, match="ComputeBackend instance"):
-            register_backend(object())
-        # The class itself is not enough either: the registry holds
-        # configured instances.
-        with pytest.raises(ValidationError, match="ComputeBackend instance"):
-            register_backend(Numpy64Backend)
-
-    def test_abstract_name_rejected(self):
-        class Nameless(_DummyBackend):
-            name = "abstract"
-
-        with pytest.raises(ValidationError, match="non-empty name"):
-            register_backend(Nameless())
+        with pytest.raises(ValidationError) as info:
+            resolve_backend("cuda13")
+        for name in BACKENDS:
+            assert name in str(info.value)
 
     def test_user_backend_registers_and_resolves(self):
+        # A user backend is not added to the mapping; its instance is
+        # accepted wherever a backend is.
         backend = _DummyBackend()
-        try:
-            assert register_backend(backend) is backend
-            assert get_backend("dummy-f16") is backend
-            assert "dummy-f16" in list_backends()
-            assert BackendSpec(name="dummy-f16").resolve() is backend
-        finally:
-            del backends_base._REGISTRY["dummy-f16"]
-        assert "dummy-f16" not in list_backends()
+        assert resolve_backend(backend) is backend
+        assert backend.name not in BACKENDS
 
 
 class TestBackendSpec:
+    """A backend is specified by its name string."""
+
     def test_default_is_reference(self):
-        assert BackendSpec().name == DEFAULT_BACKEND == "numpy64"
-        assert isinstance(BackendSpec().resolve(), Numpy64Backend)
+        assert DEFAULT_BACKEND == "numpy64"
+        assert isinstance(resolve_backend(DEFAULT_BACKEND), Numpy64Backend)
 
     def test_unknown_name_rejected_with_choices(self):
         with pytest.raises(ValidationError, match="numpy32"):
-            BackendSpec(name="numpy16")
-
-    def test_unknown_keyword_rejected(self):
-        with pytest.raises(ValidationError, match="precision"):
-            BackendSpec(precision="single")
-
-    def test_spec_is_frozen(self):
-        with pytest.raises(Exception):
-            BackendSpec().name = "numpy32"
+            resolve_backend("numpy16")
 
 
 class TestResolveBackend:
     def test_none_is_default(self):
-        assert resolve_backend(None) is get_backend(DEFAULT_BACKEND)
+        assert resolve_backend(None) is BACKENDS[DEFAULT_BACKEND]
+        assert isinstance(resolve_backend(None), Numpy64Backend)
 
     def test_name_and_spec_and_instance(self):
-        assert resolve_backend("numpy32") is get_backend("numpy32")
-        assert (
-            resolve_backend(BackendSpec(name="numpy32"))
-            is get_backend("numpy32")
-        )
+        assert resolve_backend("numpy32") is BACKENDS["numpy32"]
         unregistered = _DummyBackend()
         assert resolve_backend(unregistered) is unregistered
 
     def test_other_types_rejected(self):
-        with pytest.raises(ValidationError, match="BackendSpec"):
+        with pytest.raises(ValidationError, match="ComputeBackend"):
             resolve_backend(32)
+
+    @pytest.mark.parametrize(
+        "entry_point",
+        (
+            "TrainerConfig",
+            "PredictorConfig",
+            "GMPSVC.fit",
+            "load_model",
+            "resolve_backend",
+        ),
+    )
+    def test_unknown_name_names_both_choices(self, entry_point, blobs, fitted64):
+        x, y, _ = blobs
+        text = io.StringIO()
+        save_model(fitted64.model_, text)
+        device = scaled_tesla_p100()
+        calls = {
+            "TrainerConfig": lambda: TrainerConfig(device=device, backend="numpy16"),
+            "PredictorConfig": lambda: PredictorConfig(
+                device=device, backend="numpy16"
+            ),
+            "GMPSVC.fit": lambda: GMPSVC(backend="numpy16").fit(x, y),
+            "load_model": lambda: load_model(
+                io.StringIO(text.getvalue()), backend="numpy16"
+            ),
+            "resolve_backend": lambda: resolve_backend("numpy16"),
+        }
+        with pytest.raises(ValidationError) as info:
+            calls[entry_point]()
+        assert "numpy32" in str(info.value)
+        assert "numpy64" in str(info.value)
+
+    def test_cli_rejects_unknown_name_with_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            train_main(["--backend", "numpy16", str(tmp_path / "train.svm")])
+        assert info.value.code == 2
+        assert "invalid choice: 'numpy16'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", IN_TREE_BACKENDS)
 class TestConformance:
-    """Every registered backend satisfies the primitive contract.
+    """Every in-tree backend satisfies the primitive contract.
 
-    The reference backend additionally matches the pre-registry
-    implementation bitwise; the float32 backend is checked against
-    float32-rounding tolerances.
+    The reference backend additionally matches
+    :mod:`repro.backends.reference` bitwise; the float32 backend is
+    checked against float32-rounding tolerances.
     """
 
     def test_matmul_transpose_dense(self, name):
-        backend = get_backend(name)
+        backend = BACKENDS[name]
         a, b = _random_operands()
         got = backend.matmul_transpose(a, b)
         expected = reference.matmul_transpose(a, b)
@@ -174,7 +182,7 @@ class TestConformance:
             assert np.allclose(got, expected, atol=1e-4)
 
     def test_matmul_transpose_csr(self, name):
-        backend = get_backend(name)
+        backend = BACKENDS[name]
         a, b = _random_operands(seed=3)
         a[np.abs(a) < 0.8] = 0.0
         got = backend.matmul_transpose(CSRMatrix.from_dense(a), b)
@@ -186,7 +194,7 @@ class TestConformance:
             assert np.allclose(got, expected, atol=1e-4)
 
     def test_row_norms_sq(self, name):
-        backend = get_backend(name)
+        backend = BACKENDS[name]
         a, _ = _random_operands(seed=4)
         got = backend.row_norms_sq(a)
         expected = mops.row_norms_sq(a)
@@ -200,7 +208,7 @@ class TestConformance:
         # The mixed-precision contract narrows storage, never the solve:
         # coupling systems are tiny and near-degenerate, so elimination
         # accumulates in float64 on every in-tree backend — bitwise.
-        backend = get_backend(name)
+        backend = BACKENDS[name]
         matrices, rhs = _random_systems()
         got = backend.gaussian_elimination_batch(matrices, rhs)
         assert got.dtype == np.float64
@@ -211,7 +219,7 @@ class TestConformance:
         assert np.allclose(got, np.linalg.solve(matrices, stacked)[..., 0])
 
     def test_gaussian_elimination_masks_singular(self, name):
-        backend = get_backend(name)
+        backend = BACKENDS[name]
         matrices, rhs = _random_systems(batch=3)
         matrices[1] = 0.0
         solved, singular = backend.gaussian_elimination_batch(
@@ -221,7 +229,7 @@ class TestConformance:
         assert np.all(np.isnan(solved[1]))
 
     def test_reduce_sum_accumulates_float64(self, name):
-        backend = get_backend(name)
+        backend = BACKENDS[name]
         values = np.full(10_000, 0.1, dtype=np.float32)
         got = backend.reduce_sum(values)
         assert isinstance(got, float)
@@ -370,7 +378,7 @@ class TestPersistenceBackendHeader:
         text = self._save_text(fitted32.model_)
         model = load_model(io.StringIO(text), backend="numpy32")
         assert model.metadata == {"backend": "numpy32", "dtype": "float32"}
-        # Any float32 backend qualifies, registered or not.
+        # Any float32 backend instance qualifies, not only the name.
         loaded = load_model(io.StringIO(text), backend=Numpy32Backend())
         p_direct, _ = predict_proba_model(
             PredictorConfig(device=scaled_tesla_p100(), backend="numpy32"),
@@ -420,9 +428,5 @@ class TestPersistenceBackendHeader:
 
 
 class TestPublicSurface:
-    def test_registry_names_exported_at_top_level(self):
-        assert repro.BackendSpec is BackendSpec
+    def test_compute_backend_exported_at_top_level(self):
         assert repro.ComputeBackend is ComputeBackend
-        assert repro.get_backend is get_backend
-        assert repro.list_backends is list_backends
-        assert repro.register_backend is register_backend

@@ -2,10 +2,10 @@
 
 Each SVM's decision values are ``sum_i alpha_i y_i K(x, sv_i) + b`` over
 its columns of the test-vs-pool kernel block.  Fused dispatch, the
-session tile cache, the pair-partitioned router and the unshared GPU
-baseline all rely on that sum being a pure function of one test row and
-one SVM's columns, so every result here is compared with ``==`` on the
-bytes, never with a tolerance.  The simulated-cost pins hold the charges
+session tile cache and the unshared GPU baseline all rely on that sum
+being a pure function of one test row and one SVM's columns, so every
+result here is compared with ``==`` on the bytes, never with a
+tolerance.  The simulated-cost pins hold the charges
 of the prediction phase to the values recorded before the sums stopped
 going through the fixed-tile GEMM: the cost model describes the paper's
 GPU, not the host's reduction.

@@ -1,10 +1,9 @@
-"""Tests for repro.distributed: cluster substrate, placement, sharded
-training and sharded inference.
+"""Tests for repro.distributed: cluster substrate, placement and sharded
+training.
 
 The load-bearing property throughout: distribution changes only the
 simulated timeline — every device count and placement strategy must
-reproduce the single-device models, decision values and probabilities
-*bitwise*.
+reproduce the single-device models and probabilities *bitwise*.
 """
 
 import json
@@ -20,14 +19,12 @@ from repro.distributed import (
     ClusterSpec,
     DevicePool,
     InterconnectSpec,
-    ShardedInferenceRouter,
     plan_placement,
     train_multiclass_sharded,
 )
-from repro.exceptions import NotFittedError, ValidationError
+from repro.exceptions import ValidationError
 from repro.gpusim.device import scaled_tesla_p100, xeon_e5_2640v4
 from repro.kernels.functions import kernel_from_name
-from repro.serving import InferenceSession
 from repro.telemetry import Tracer
 from repro.telemetry.schema import REPORT_SCHEMA_VERSION
 
@@ -517,101 +514,6 @@ class TestClusterTelemetry:
         assert root["attrs"]["cluster_speedup"] == pytest.approx(
             report.cluster_speedup
         )
-
-
-class TestShardedInferenceRouter:
-    @pytest.fixture(scope="class")
-    def served(self, trained):
-        x, y, kernel, config, model, _ = trained
-        x_test = x[::4] - 0.125
-        session = InferenceSession(model)
-        return model, x_test, session
-
-    @pytest.mark.parametrize("strategy", ("replicated", "pair_partitioned"))
-    @pytest.mark.parametrize("n_devices", (1, 2, 4))
-    def test_outputs_bitwise_equal_to_session(
-        self, served, strategy, n_devices
-    ):
-        from repro.server import Dispatcher
-
-        model, x_test, session = served
-        kinds = ("predict_proba", "decision_function", "predict")
-        if strategy == "replicated":
-            # One replica per Dispatcher lane over one sealed session.
-            dispatcher = Dispatcher(InferenceSession(model), n_workers=n_devices)
-            tickets = [dispatcher.submit(x_test, kind=kind) for kind in kinds]
-            dispatcher.drain()
-            results = [ticket.result for ticket in tickets]
-        else:
-            cluster = ClusterSpec(
-                device=scaled_tesla_p100(), n_devices=n_devices
-            )
-            router = ShardedInferenceRouter(model, cluster)
-            results = [getattr(router, kind)(x_test) for kind in kinds]
-        for kind, result in zip(kinds, results):
-            assert np.array_equal(getattr(session, kind)(x_test), result)
-
-    def test_partitioning_shrinks_per_device_memory(self, served):
-        model, _, _ = served
-        cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=4)
-        partitioned = ShardedInferenceRouter(model, cluster)
-        full = model.sv_pool.pool_nbytes
-        assert all(b < full for b in partitioned.memory_per_device_bytes())
-
-    def test_micro_batched_requests_match_one_shot(self, served):
-        # Same-instant 1-row requests fused by a two-lane Dispatcher
-        # reproduce the one-shot session rows bitwise.
-        from repro.server import Dispatcher
-
-        model, x_test, session = served
-        dispatcher = Dispatcher(InferenceSession(model), n_workers=2, max_batch=6)
-        rows = [x_test[i : i + 1] for i in range(6)]
-        tickets = [dispatcher.submit(row, arrival_s=0.0) for row in rows]
-        dispatcher.drain()
-        assert max(t.batch_requests for t in tickets) > 1
-        for ticket, row in zip(tickets, rows):
-            assert np.array_equal(ticket.result, session.predict_proba(row))
-
-    def test_partitioned_predict_ships_rows_to_every_shard(self, served):
-        # Voting labels need the test rows on every shard, as probabilities
-        # do; decision_function moves only the partial-decision reduce.
-        from dataclasses import replace
-
-        from repro.sparse.ops import matrix_nbytes
-
-        model, x_test, _ = served
-        cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=2)
-        router = ShardedInferenceRouter(
-            replace(model, probability=False), cluster
-        )
-        devices = [shard.device for shard in router.shards]
-        assert devices == [0, 1]
-
-        def moved(call):
-            pool = router.pool
-            before = [pool.device_transfer_bytes(d) for d in devices]
-            call(x_test)
-            return [
-                pool.device_transfer_bytes(d) - b
-                for d, b in zip(devices, before)
-            ]
-
-        reduce_only = moved(router.decision_function)
-        shipped = moved(router.predict)
-        assert shipped == [r + matrix_nbytes(x_test) for r in reduce_only]
-
-    def test_partitioned_reduce_charges_the_interconnect(self, served):
-        model, x_test, _ = served
-        cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=2)
-        router = ShardedInferenceRouter(model, cluster)
-        router.predict_proba(x_test)
-        assert router.pool.total_transfer_bytes > 0
-        assert router.simulated_seconds > 0.0
-
-    def test_validation(self):
-        cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=2)
-        with pytest.raises(NotFittedError):
-            ShardedInferenceRouter(object(), cluster)
 
 
 class TestShardedCLI:

@@ -1,9 +1,9 @@
-"""Unit tests for the public estimator API (GMPSVC / SVC)."""
+"""Unit tests for the public estimator API (GMPSVC)."""
 
 import numpy as np
 import pytest
 
-from repro import GMPSVC, SVC, NotFittedError, ValidationError
+from repro import GMPSVC, NotFittedError, ValidationError
 from repro.data import binary01_features, gaussian_blobs
 from repro.gpusim import xeon_e5_2640v4
 
@@ -124,7 +124,9 @@ class TestGMPSVC:
         )
 
 
-class TestSVC:
+class TestBinaryGMPSVC:
+    """A two-class problem is one pair; its decision column is ``[:, 0]``."""
+
     @pytest.fixture(scope="class")
     def binary(self):
         x, y = gaussian_blobs(120, 5, 2, seed=3)
@@ -132,36 +134,26 @@ class TestSVC:
 
     def test_binary_fit_predict(self, binary):
         x, y = binary
-        clf = SVC(C=10.0, gamma=0.4, working_set_size=32).fit(x, y)
+        clf = GMPSVC(C=10.0, gamma=0.4, working_set_size=32).fit(x, y)
         assert clf.score(x, y) > 0.95
-        assert clf.decision_function(x).ndim == 1
-
-    def test_binary_accessors(self, binary):
-        x, y = binary
-        clf = SVC(C=10.0, gamma=0.4, working_set_size=32).fit(x, y)
-        assert clf.n_support_ == clf.support_.size
-        assert clf.dual_coef_.size == clf.n_support_
-        assert isinstance(clf.intercept_, float)
+        assert clf.decision_function(x).shape == (120, 1)
 
     def test_decision_sign_matches_prediction(self, binary):
         x, y = binary
-        clf = SVC(C=10.0, gamma=0.4, working_set_size=32, probability=False).fit(x, y)
-        decisions = clf.decision_function(x)
+        clf = GMPSVC(
+            C=10.0, gamma=0.4, working_set_size=32, probability=False
+        ).fit(x, y)
+        decisions = clf.decision_function(x)[:, 0]
         predictions = clf.predict(x)
         # Positive decision votes for the first (sorted) class, -1.
         assert np.array_equal(predictions, np.where(decisions >= 0, -1, 1))
 
     def test_probability_consistent_with_decisions(self, binary):
         x, y = binary
-        clf = SVC(C=10.0, gamma=0.4, working_set_size=32).fit(x, y)
+        clf = GMPSVC(C=10.0, gamma=0.4, working_set_size=32).fit(x, y)
         proba = clf.predict_proba(x)
         assert proba.shape == (120, 2)
-        decisions = clf.decision_function(x)
+        decisions = clf.decision_function(x)[:, 0]
         # P(first class) should increase with the decision value.
         order = np.argsort(decisions)
         assert np.all(np.diff(proba[order, 0]) >= -1e-12)
-
-    def test_rejects_multiclass(self):
-        x, y = gaussian_blobs(60, 4, 3, seed=1)
-        with pytest.raises(ValidationError, match="binary-only"):
-            SVC().fit(x, y)

@@ -16,7 +16,6 @@ import repro
 # public surface changed — update this snapshot *deliberately*, in the
 # same change, with a CHANGES.md note.
 PUBLIC_API = [
-    "BackendSpec",
     "CSRMatrix",
     "CascadeConfig",
     "CheckpointError",
@@ -36,9 +35,7 @@ PUBLIC_API = [
     "RegistryError",
     "RegistryWatcher",
     "ReproError",
-    "SVC",
     "ServerApp",
-    "ShardedInferenceRouter",
     "SolverError",
     "SparseFormatError",
     "TenantPolicy",
@@ -47,11 +44,8 @@ PUBLIC_API = [
     "ValidationError",
     "__version__",
     "dump_libsvm",
-    "get_backend",
-    "list_backends",
     "load_libsvm",
     "load_model",
-    "register_backend",
     "save_model",
     "train_cascade",
     "train_multiclass_sharded",
@@ -121,16 +115,6 @@ class TestSignatures:
         for method in ("predict", "predict_proba", "decision_function"):
             assert callable(getattr(repro.InferenceSession, method))
         assert callable(repro.InferenceSession.from_estimator)
-
-    def test_router_surface(self):
-        assert _params(repro.ShardedInferenceRouter.__init__) == [
-            "model",
-            "cluster",
-            "config",
-            "placement",
-        ]
-        for method in ("predict", "predict_proba", "decision_function"):
-            assert callable(getattr(repro.ShardedInferenceRouter, method))
 
     def test_server_surface(self):
         assert _params(repro.ServerApp.__init__) == [
@@ -266,14 +250,9 @@ class TestDeepImportShims:
         assert Tracer is repro.Tracer
 
     def test_distributed_aliases(self):
-        from repro.distributed import (
-            ClusterSpec,
-            ShardedInferenceRouter,
-            train_multiclass_sharded,
-        )
+        from repro.distributed import ClusterSpec, train_multiclass_sharded
 
         assert ClusterSpec is repro.ClusterSpec
-        assert ShardedInferenceRouter is repro.ShardedInferenceRouter
         assert train_multiclass_sharded is repro.train_multiclass_sharded
 
     def test_cascade_aliases(self):

@@ -234,7 +234,7 @@ class TestDispatchAndParity:
         result = protocol.decode_array(json.loads(payload)["result"])
         assert result.tobytes() == direct.tobytes()
 
-    def test_router_backend_replicated(self, problem, model):
+    def test_replicated_lanes_fuse_bitwise(self, problem, model):
         # Two replicas are two Dispatcher lanes over one sealed session.
         x, _ = problem
         session = make_session(model)
@@ -306,6 +306,57 @@ class TestDispatchAndParity:
         assert report.requested_s == 5.0
         assert report.completed_s >= report.requested_s
         assert report.window_s >= 0.0
+
+
+class TestReplicatedServing:
+    """Replicated serving is Dispatcher lanes over one sealed session."""
+
+    @pytest.mark.parametrize("n_workers", (1, 2, 4))
+    def test_outputs_bitwise_equal_to_session(self, problem, model, n_workers):
+        x, _ = problem
+        x_test = x[::4] - 0.125
+        session = make_session(model)
+        kinds = ("predict_proba", "decision_function", "predict")
+        dispatcher = Dispatcher(make_session(model), n_workers=n_workers)
+        tickets = [dispatcher.submit(x_test, kind=kind) for kind in kinds]
+        dispatcher.drain()
+        for kind, ticket in zip(kinds, tickets):
+            assert np.array_equal(getattr(session, kind)(x_test), ticket.result)
+
+    def test_micro_batched_requests_match_one_shot(self, problem, model):
+        # Same-instant 1-row requests fused by a two-lane Dispatcher
+        # reproduce the one-shot session rows bitwise.
+        x, _ = problem
+        session = make_session(model)
+        dispatcher = Dispatcher(make_session(model), n_workers=2, max_batch=6)
+        x_test = x[::4] - 0.125
+        rows = [x_test[i : i + 1] for i in range(6)]
+        tickets = [dispatcher.submit(row, arrival_s=0.0) for row in rows]
+        dispatcher.drain()
+        assert max(t.batch_requests for t in tickets) > 1
+        for ticket, row in zip(tickets, rows):
+            assert np.array_equal(ticket.result, session.predict_proba(row))
+
+
+class TestDispatcherInputChecks:
+    def test_backend_must_be_a_session(self):
+        with pytest.raises(ValidationError, match="InferenceSession"):
+            Dispatcher(object())
+
+    def test_needs_at_least_one_worker(self, model):
+        with pytest.raises(ValidationError, match="n_workers"):
+            Dispatcher(make_session(model), n_workers=0)
+
+    def test_swap_requires_a_session(self, model):
+        with pytest.raises(ValidationError, match="InferenceSession"):
+            make_dispatcher(model).swap_model(object())
+
+    def test_restore_requires_a_session(self, model):
+        dispatcher = make_dispatcher(model)
+        dispatcher.fail_lane(0)
+        with pytest.raises(ValidationError, match="InferenceSession"):
+            dispatcher.restore_lane(0, session=object())
+        assert dispatcher.lane_health()[0]["failed"]
 
 
 class TestSwapFailurePaths:
