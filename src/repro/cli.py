@@ -775,7 +775,9 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         stats = dispatcher.stats
         print(f"repro-serve: served {served} HTTP request(s); "
               f"admitted {stats.n_admitted}, shed {stats.n_shed} "
-              f"(rate {stats.shed_rate:.1%})")
+              f"(rate {stats.shed_rate:.1%}); {stats.n_dispatches} "
+              f"dispatch(es), {stats.mean_batch_size:.2f} request(s) "
+              "per dispatch")
         if app.n_swaps or app.n_swap_errors:
             print(f"repro-serve: hot-swapped {app.n_swaps} model "
                   f"version(s), {app.n_swap_errors} swap error(s)")

@@ -292,10 +292,13 @@ class Engine:
         """Charge one :meth:`reduce_extremum` over ``n`` values, not running it
         (for callers that compute many members' extrema in one stacked pass).
         """
-        traffic = self._route_memory(
+        read, written, shared = self._route_memory(
             memory, n * FLOAT_BYTES + (n if masked else 0), FLOAT_BYTES
         )
-        self.charge(category, flops=n, launches=launches, syncs=syncs, **traffic)
+        self.charge(
+            category, flops=n, bytes_read=read, bytes_written=written,
+            shared_bytes=shared, launches=launches, syncs=syncs,
+        )
 
     def reduce_sum(
         self,
@@ -308,13 +311,12 @@ class Engine:
     ) -> float:
         """Parallel-reduction sum."""
         n = values.size
-        traffic = self._route_memory(memory, n * FLOAT_BYTES, FLOAT_BYTES)
+        read, written, shared = self._route_memory(
+            memory, n * FLOAT_BYTES, FLOAT_BYTES
+        )
         self.charge(
-            category,
-            flops=n,
-            launches=launches,
-            syncs=syncs,
-            **traffic,
+            category, flops=n, bytes_read=read, bytes_written=written,
+            shared_bytes=shared, launches=launches, syncs=syncs,
         )
         return self.backend.reduce_sum(values) if n else 0.0
 
@@ -347,29 +349,28 @@ class Engine:
         """
         if n_elements < 0:
             raise ValidationError("n_elements must be non-negative")
-        traffic = self._route_memory(
+        read, written, shared = self._route_memory(
             memory,
             n_elements * arrays_read * FLOAT_BYTES,
             n_elements * arrays_written * FLOAT_BYTES,
         )
         self.charge(
-            category,
-            flops=n_elements * flops_per_element,
-            launches=launches,
+            category, flops=n_elements * flops_per_element, bytes_read=read,
+            bytes_written=written, shared_bytes=shared, launches=launches,
             syncs=syncs,
-            **traffic,
         )
 
     def _route_memory(
         self, memory: str, read_bytes: int, written_bytes: int
-    ) -> dict[str, int]:
-        """Map a tier name to charge kwargs (see :meth:`elementwise`)."""
+    ) -> tuple[int, int, int]:
+        """Map a tier name to ``(bytes_read, bytes_written, shared_bytes)``
+        (see :meth:`elementwise`)."""
         if memory == "global":
-            return {"bytes_read": read_bytes, "bytes_written": written_bytes}
+            return read_bytes, written_bytes, 0
         if memory == "shared" or (memory == "cached" and self.device.kind == "cpu"):
-            return {"shared_bytes": read_bytes + written_bytes}
+            return 0, 0, read_bytes + written_bytes
         if memory == "cached":
-            return {"bytes_read": read_bytes, "bytes_written": written_bytes}
+            return read_bytes, written_bytes, 0
         raise ValidationError(
             f"memory must be global/shared/cached, got {memory!r}"
         )

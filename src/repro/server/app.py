@@ -9,8 +9,19 @@ code path serves three transports:
   arrival times ride the ``X-Arrival-S`` header on the simulated clock);
 - WSGI, via :meth:`ServerApp.wsgi`;
 - a real TCP socket, via :func:`serve_http` (stdlib
-  ``ThreadingHTTPServer``; requests serialize through one lock so the
-  simulated timeline stays well-ordered).
+  ``ThreadingHTTPServer``, one thread per connection).
+
+``handle_request`` is safe to call from many threads at once, and it
+fuses the predict requests that wait together (leader/follower on one
+condition variable).  Each thread decodes its body outside the lock and
+joins a pending list; the first thread that finds no active leader
+leads: it takes every pending request, offers them to the dispatcher
+(:meth:`Dispatcher.submit_group`), drains it, and wakes the others, who
+encode their own responses.  In ``wall`` mode a group arrives at one
+instant, so a free lane fuses it into one session call; in ``virtual``
+mode each request keeps its own ``X-Arrival-S`` instant and the group
+is served one request at a time, in order.  A lone request leads at
+once, so an idle server adds no wait.
 
 Routes::
 
@@ -28,10 +39,13 @@ fast, honest refusals.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import threading
 import time
+from contextlib import contextmanager
+from dataclasses import dataclass
 from http import HTTPStatus
 from typing import Callable, Optional
 
@@ -50,6 +64,17 @@ _POST_ROUTES = {
 }
 
 ARRIVAL_MODES = ("virtual", "wall")
+
+
+@dataclass(eq=False)
+class _Job:
+    """One decoded predict request waiting for its group's leader."""
+
+    member: dict  # the Dispatcher.submit keywords but the arrival
+    arrival_s: Optional[float]  # virtual mode only; None = "now"
+    request: Optional[ServerRequest] = None
+    error: Optional[BaseException] = None
+    finished: bool = False
 
 
 class ServerApp:
@@ -98,6 +123,11 @@ class ServerApp:
         self.n_http_requests = 0
         self.n_swaps = 0
         self.n_swap_errors = 0
+        # The one lock: the dispatcher, the watcher and these counters are
+        # touched only by the leader, or under the lock with no leader.
+        self._cond = threading.Condition(threading.Lock())
+        self._pending: list[_Job] = []
+        self._leading = False
 
     # ------------------------------------------------------------------
     # Core handler
@@ -109,20 +139,98 @@ class ServerApp:
         body: bytes = b"",
         headers: Optional[dict[str, str]] = None,
     ) -> tuple[int, dict[str, str], bytes]:
-        """Serve one request; returns ``(status, headers, body)``."""
+        """Serve one request; returns ``(status, headers, body)``.
+
+        Safe to call from many threads: predict requests that wait
+        together are served as one group (module docstring).
+        """
         headers = {k.lower(): v for k, v in (headers or {}).items()}
-        self.n_http_requests += 1
-        self._maybe_swap()
+        with self._cond:
+            self.n_http_requests += 1
+        kind = _POST_ROUTES.get(path) if method == "POST" else None
         try:
-            if method == "GET":
-                return self._handle_get(path)
+            if kind is not None:
+                job = self._decode(kind, body, headers)
+                return self._respond(self._serve(job))
+            with self._idle():
+                self._maybe_swap()
+                if method == "GET":
+                    return self._handle_get(path)
             if method == "POST":
-                return self._handle_post(path, body, headers)
+                return self._error(404, "not_found", detail=path)
             return self._error(405, "method_not_allowed", detail=method)
         except ProtocolError as exc:
             return self._error(400, "bad_request", detail=str(exc))
         except ReproError as exc:
             return self._error(422, "unprocessable", detail=str(exc))
+
+    @contextmanager
+    def _idle(self):
+        """Hold the lock while no leader is serving a group."""
+        with self._cond:
+            while self._leading:
+                self._cond.wait()
+            yield
+
+    def _serve(self, job: _Job) -> ServerRequest:
+        """Join the pending list; lead a group or wait for its leader."""
+        with self._cond:
+            self._pending.append(job)
+            while not job.finished:
+                if self._leading:
+                    self._cond.wait()
+                else:
+                    self._lead()
+        if job.error is not None:
+            raise job.error
+        return job.request
+
+    def _lead(self) -> None:
+        """Serve every pending job as one group; holds the lock on entry
+        and on return, not while it works."""
+        jobs, self._pending = self._pending, []
+        self._leading = True
+        self._cond.release()
+        try:
+            self._maybe_swap()
+            if self.arrival_mode == "wall":
+                self._serve_group(jobs, self._wall_arrival())
+            else:
+                for job in jobs:  # each keeps its own instant, in order
+                    self._serve_group([job], job.arrival_s)
+        except BaseException as exc:
+            # No follower may wait forever: each unserved job fails.
+            for job in jobs:
+                if job.error is None and not (
+                    job.request is not None and job.request.done
+                ):
+                    job.error = exc
+        finally:
+            self._cond.acquire()
+            for job in jobs:
+                job.finished = True
+            self._leading = False
+            self._cond.notify_all()
+
+    def _serve_group(self, jobs: list[_Job], arrival_s: Optional[float]) -> None:
+        """Offer ``jobs`` at one instant, release the settled, drain the rest."""
+        handles = self.dispatcher.submit_group(
+            [job.member for job in jobs], arrival_s=arrival_s
+        )
+        with self._cond:
+            for job, handle in zip(jobs, handles):
+                if isinstance(handle, ServerRequest):
+                    job.request = handle
+                else:
+                    job.error = handle
+                # Sheds, refusals and requests a free lane took answer
+                # now, not after the group's drain.
+                job.finished = job.error is not None or job.request.done
+            self._cond.notify_all()
+        if not all(job.finished for job in jobs):
+            # Synchronous HTTP semantics: the connections block until the
+            # simulation completes these requests.
+            self.dispatcher.drain()
 
     def _maybe_swap(self) -> None:
         """Poll the registry watcher; hot-swap a newer published model.
@@ -159,34 +267,33 @@ class ServerApp:
             return 200, {"Content-Type": "application/json"}, body
         return self._error(404, "not_found", detail=path)
 
-    def _handle_post(
-        self, path: str, body: bytes, headers: dict[str, str]
-    ) -> tuple[int, dict[str, str], bytes]:
-        kind = _POST_ROUTES.get(path)
-        if kind is None:
-            return self._error(404, "not_found", detail=path)
+    def _decode(self, kind: str, body: bytes, headers: dict[str, str]) -> _Job:
+        """Parse a predict request; touches no shared state."""
         fields = protocol.decode_request(body)
-        tenant = headers.get("x-tenant", "default")
-        arrival_s = self._resolve_arrival(headers)
-        request = self.dispatcher.submit(
-            fields["instances"],
-            kind=kind,
-            tenant=tenant,
-            priority=fields["priority"],
-            arrival_s=arrival_s,
-        )
+        arrival_s = None
+        if self.arrival_mode == "virtual":
+            raw = headers.get("x-arrival-s")
+            if raw is not None:
+                try:
+                    arrival_s = float(raw)
+                except ValueError:
+                    raise ProtocolError(f"X-Arrival-S is not a number: {raw!r}")
+        member = {
+            "X": fields["instances"],
+            "kind": kind,
+            "tenant": headers.get("x-tenant", "default"),
+            "priority": fields["priority"],
+        }
+        return _Job(member, arrival_s)
+
+    def _respond(self, request: ServerRequest) -> tuple[int, dict[str, str], bytes]:
         if request.shed:
             return self._shed_response(request)
-        if not request.done:
-            # Synchronous HTTP semantics: the connection blocks until the
-            # simulation completes this request (later arrivals cannot
-            # precede it on this transport).
-            self.dispatcher.drain()
         response = protocol.response_body(
             request_id=request.request_id,
-            kind=kind,
+            kind=request.kind,
             result=request.result,
-            tenant=tenant,
+            tenant=request.tenant,
             queue_s=request.queue_s,
             compute_s=request.compute_s,
             latency_s=request.latency_s,
@@ -195,21 +302,13 @@ class ServerApp:
         )
         return 200, {"Content-Type": "application/json"}, response
 
-    def _resolve_arrival(self, headers: dict[str, str]) -> Optional[float]:
-        if self.arrival_mode == "wall":
-            now = time.perf_counter()
-            if self._wall_origin is None:
-                self._wall_origin = now
-                self._wall_offset_s = self.dispatcher.now_s
-            return self._wall_offset_s + (now - self._wall_origin)
-        raw = headers.get("x-arrival-s")
-        if raw is None:
-            return None  # the dispatcher's current virtual now
-        try:
-            arrival = float(raw)
-        except ValueError:
-            raise ProtocolError(f"X-Arrival-S is not a number: {raw!r}")
-        return arrival
+    def _wall_arrival(self) -> float:
+        """Wall-clock gaps replayed onto the simulated axis."""
+        now = time.perf_counter()
+        if self._wall_origin is None:
+            self._wall_origin = now
+            self._wall_offset_s = self.dispatcher.now_s
+        return self._wall_offset_s + (now - self._wall_origin)
 
     def _shed_response(
         self, request: ServerRequest
@@ -322,11 +421,12 @@ def serve_http(
 ) -> int:
     """Run ``app`` on a real TCP socket (stdlib ``ThreadingHTTPServer``).
 
-    Requests serialize through one lock, keeping the simulated timeline
-    well-ordered under concurrent connections.  ``max_requests`` stops
-    the server after that many requests (smoke tests, CI);
-    ``ready_callback(host, port)`` fires once the socket is bound.
-    Returns the number of requests served.
+    Each connection has its own thread, and concurrent requests meet in
+    :meth:`ServerApp.handle_request`, which fuses the predict requests
+    that wait together.  ``max_requests`` stops the server after that
+    many requests (smoke tests, CI); ``ready_callback(host, port)``
+    fires once the socket is bound.  Returns the number of requests
+    served.
     """
     server = _http_server(app, (host, port), max_requests=max_requests, log=log)
     try:
@@ -337,7 +437,7 @@ def serve_http(
         pass
     finally:
         server.server_close()
-    return server.n_served
+    return next(server.served) - 1
 
 
 def _http_server(
@@ -351,26 +451,23 @@ def _http_server(
     imported here, not with the module: it costs ~3 MB of resident memory)."""
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-    lock = threading.Lock()
-
     class _Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
 
         def _dispatch(self) -> None:
             length = _content_length(self.headers.get("Content-Length"))
-            body = self.rfile.read(length) if length else b""
-            with lock:
-                if length is None:
-                    # The body's extent is unknown: refuse, then close.
-                    self.close_connection = True
-                    status, headers, payload = app._bad_length()
-                    headers["Connection"] = "close"
-                else:
-                    status, headers, payload = app.handle_request(
-                        self.command, self.path, body, dict(self.headers.items())
-                    )
-                server.n_served += 1
-                stop = max_requests is not None and server.n_served >= max_requests
+            if length is None:
+                # The body's extent is unknown: refuse, then close.
+                self.close_connection = True
+                status, headers, payload = app._bad_length()
+                headers["Connection"] = "close"
+            else:
+                body = self.rfile.read(length) if length else b""
+                status, headers, payload = app.handle_request(
+                    self.command, self.path, body, dict(self.headers.items())
+                )
+            # next() on a count is atomic under the GIL: no lock needed.
+            stop = next(server.served) == max_requests
             self._reply(status, headers, payload)
             if stop:
                 threading.Thread(target=server.shutdown, daemon=True).start()
@@ -400,5 +497,5 @@ def _http_server(
                 log(fmt % args)
 
     server = ThreadingHTTPServer(address, _Handler)
-    server.n_served = 0
+    server.served = itertools.count(1)
     return server

@@ -15,10 +15,12 @@ all go through it.
 Events are processed in arrival order: ``submit(arrival_s)`` first
 advances the pool to ``arrival_s`` (freeing workers, draining the queue
 into them), then runs admission, then either dispatches, queues, evicts a
-lower-priority victim, or sheds.  Because every step is a deterministic
-function of the simulated clock, identical request streams produce
-identical shed decisions, batch shapes and latency percentiles — run to
-run, machine to machine.
+lower-priority victim, or sheds.  ``submit_group`` offers requests that
+arrive at one instant: it submits each in turn and holds dispatch until
+the last is admitted, so a free worker fuses the group.  Because every
+step is a deterministic function of the simulated clock, identical
+request streams produce identical shed decisions, batch shapes and
+latency percentiles — run to run, machine to machine.
 
 Compute cost of a fused dispatch is the engine-clock delta of the
 underlying :class:`~repro.serving.InferenceSession` call, so results —
@@ -42,7 +44,7 @@ import numpy as np
 
 from repro.core.predictor import labels_from_probabilities
 from repro.core.validation import check_predict_inputs
-from repro.exceptions import ValidationError
+from repro.exceptions import ReproError, ValidationError
 from repro.serving.session import InferenceSession
 from repro.server.admission import AdmissionController, AdmissionDecision
 from repro.sparse import CSRMatrix
@@ -250,6 +252,10 @@ class Dispatcher:
         self._next_seq = 0
         self.now_s = 0.0
         self._shutting_down = False
+        # Group intake: no lane takes work while _holding; a member's
+        # submit sets it from _hold_after_admit before admission.
+        self._holding = False
+        self._hold_after_admit = False
         self.decision_log: list[tuple[int, int, str]] = []
         self.swaps: list[SwapReport] = []
 
@@ -315,8 +321,36 @@ class Dispatcher:
         self.stats.n_offered += 1
         if self.stats.first_arrival_s is None:
             self.stats.first_arrival_s = arrival
+        self._holding = self._hold_after_admit
         self._admit(request)
         return request
+
+    def submit_group(
+        self, members: list[dict], *, arrival_s: Optional[float] = None
+    ) -> list:
+        """Offer requests that arrive together at ``arrival_s``.
+
+        Each member is the keyword arguments of one :meth:`submit` call
+        (``X``, ``kind``, ``tenant``, ``priority``), offered in order.
+        Dispatch is held from the first member's admission until the
+        last member's, so a free lane fuses up to ``max_batch`` of them;
+        a group of one is exactly :meth:`submit`.  Returns one entry per
+        member: its :class:`ServerRequest`, or the :class:`ReproError`
+        its submit raised (the other members are unaffected).
+        """
+        handles: list = []
+        try:
+            for position, member in enumerate(members, 1):
+                self._hold_after_admit = position < len(members)
+                try:
+                    handles.append(self.submit(arrival_s=arrival_s, **member))
+                except ReproError as exc:
+                    handles.append(exc)
+        finally:
+            self._holding = self._hold_after_admit = False
+        # Release what a refused or shed last member left held.
+        self.advance_to(self.now_s)
+        return handles
 
     def _admit(self, request: ServerRequest) -> None:
         admission = self.admission
@@ -402,7 +436,7 @@ class Dispatcher:
     # ------------------------------------------------------------------
     def advance_to(self, t_s: float) -> None:
         """Process every dispatch that starts at or before ``t_s``."""
-        while self._queue:
+        while self._queue and not self._holding:
             lanes = [w for w in self._lanes if not w.detected]
             if not lanes:
                 break  # every lane confirmed dead; queue waits for restore

@@ -23,6 +23,40 @@ def svm_files(tmp_path, rng):
     return train, test, tmp_path
 
 
+def _serve_in_thread(monkeypatch, argv):
+    """Run ``serve_main(argv)`` in a thread once its socket is bound.
+
+    Returns ``(port, thread, result)``; ``result["code"]`` is the exit
+    code once the thread ends.
+    """
+    import repro.server
+
+    ready = threading.Event()
+    bound = {}
+    real_serve_http = repro.server.serve_http
+
+    def capture_port(app, host, port, **kwargs):
+        inner = kwargs.get("ready_callback")
+
+        def on_ready(bound_host, bound_port):
+            bound["port"] = bound_port
+            ready.set()
+            if inner is not None:
+                inner(bound_host, bound_port)
+
+        kwargs["ready_callback"] = on_ready
+        return real_serve_http(app, host, port, **kwargs)
+
+    monkeypatch.setattr(repro.server, "serve_http", capture_port)
+    result = {}
+    thread = threading.Thread(
+        target=lambda: result.setdefault("code", serve_main(argv)), daemon=True
+    )
+    thread.start()
+    assert ready.wait(timeout=60)
+    return bound["port"], thread, result
+
+
 class TestTrain:
     def test_trains_and_saves_model(self, svm_files, capsys):
         train, _, tmp = svm_files
@@ -362,45 +396,17 @@ class TestServe:
         return model
 
     def test_serves_over_socket_then_exits(self, model_path, monkeypatch):
-        import repro.server
-
-        ready = threading.Event()
-        bound = {}
-        real_serve_http = repro.server.serve_http
-
-        def capture_port(app, host, port, **kwargs):
-            inner = kwargs.get("ready_callback")
-
-            def on_ready(bound_host, bound_port):
-                bound["port"] = bound_port
-                ready.set()
-                if inner is not None:
-                    inner(bound_host, bound_port)
-
-            kwargs["ready_callback"] = on_ready
-            return real_serve_http(app, host, port, **kwargs)
-
-        monkeypatch.setattr(repro.server, "serve_http", capture_port)
-        result = {}
-        thread = threading.Thread(
-            target=lambda: result.setdefault(
-                "code",
-                serve_main([
-                    str(model_path), "--port", "0", "--max-requests", "2",
-                    "--tenant-policy", "vip=1000,8,4", "-q",
-                ]),
-            ),
-            daemon=True,
-        )
-        thread.start()
-        assert ready.wait(timeout=60)
+        port, thread, result = _serve_in_thread(monkeypatch, [
+            str(model_path), "--port", "0", "--max-requests", "2",
+            "--tenant-policy", "vip=1000,8,4", "-q",
+        ])
 
         from repro.server.protocol import encode_matrix
 
         x, _ = gaussian_blobs(8, 5, 3, seed=3)
         body = json.dumps({"instances": encode_matrix(x[:2])}).encode()
         request = urllib.request.Request(
-            f"http://127.0.0.1:{bound['port']}/v1/predict_proba",
+            f"http://127.0.0.1:{port}/v1/predict_proba",
             data=body,
             headers={"Content-Type": "application/json"},
         )
@@ -415,12 +421,32 @@ class TestServe:
 
         # The second request reaches --max-requests and stops the server.
         with urllib.request.urlopen(
-            f"http://127.0.0.1:{bound['port']}/healthz", timeout=60
+            f"http://127.0.0.1:{port}/healthz", timeout=60
         ) as response:
             assert response.status == 200
         thread.join(timeout=60)
         assert not thread.is_alive()
         assert result["code"] == 0
+
+    def test_exit_summary_reports_dispatches(self, model_path, monkeypatch, capsys):
+        from repro.server.protocol import encode_matrix
+
+        port, thread, result = _serve_in_thread(
+            monkeypatch, [str(model_path), "--port", "0", "--max-requests", "2"]
+        )
+        x, _ = gaussian_blobs(8, 5, 3, seed=3)
+        body = json.dumps({"instances": encode_matrix(x[:2])}).encode()
+        for _ in range(2):
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{port}/v1/predict_proba", data=body
+            )
+            with urllib.request.urlopen(request, timeout=60) as response:
+                assert response.status == 200
+        thread.join(timeout=60)
+        assert result["code"] == 0
+        out = capsys.readouterr().out
+        assert "admitted 2, shed 0 (rate 0.0%); 2 dispatch(es), " in out
+        assert "1.00 request(s) per dispatch" in out
 
     def test_bad_tenant_policy_errors(self, model_path, capsys):
         code = serve_main([str(model_path), "--tenant-policy", "oops"])
@@ -492,47 +518,18 @@ class TestLifecycleFlags:
         assert "--registry" in capsys.readouterr().err
 
     def test_serve_from_registry_over_socket(self, grown_files, monkeypatch):
-        import repro.server
-
         train, _, tmp = grown_files
         registry = tmp / "registry"
         assert train_main([
             "-q", "-c", "1", "-g", "0.4", str(train),
             str(tmp / "a.model"), "--publish", str(registry),
         ]) == 0
-
-        ready = threading.Event()
-        bound = {}
-        real_serve_http = repro.server.serve_http
-
-        def capture_port(app, host, port, **kwargs):
-            inner = kwargs.get("ready_callback")
-
-            def on_ready(bound_host, bound_port):
-                bound["port"] = bound_port
-                ready.set()
-                if inner is not None:
-                    inner(bound_host, bound_port)
-
-            kwargs["ready_callback"] = on_ready
-            return real_serve_http(app, host, port, **kwargs)
-
-        monkeypatch.setattr(repro.server, "serve_http", capture_port)
-        result = {}
-        thread = threading.Thread(
-            target=lambda: result.setdefault(
-                "code",
-                serve_main([
-                    "--registry", str(registry), "--watch-registry",
-                    "--port", "0", "--max-requests", "1", "-q",
-                ]),
-            ),
-            daemon=True,
-        )
-        thread.start()
-        assert ready.wait(timeout=60)
+        port, thread, result = _serve_in_thread(monkeypatch, [
+            "--registry", str(registry), "--watch-registry",
+            "--port", "0", "--max-requests", "1", "-q",
+        ])
         with urllib.request.urlopen(
-            f"http://127.0.0.1:{bound['port']}/healthz", timeout=60
+            f"http://127.0.0.1:{port}/healthz", timeout=60
         ) as response:
             assert response.status == 200
         thread.join(timeout=60)

@@ -135,6 +135,45 @@ def test_flat_charge_equals_op_charge_on_the_clock(setup, rate, charges):
     assert engine.clock._compute == clock._compute
 
 
+@pytest.mark.parametrize("memory", ["global", "shared", "cached"])
+@pytest.mark.parametrize("setup", ["gpu", "gpu_numpy32", "cpu", "cpu_numpy32"])
+def test_memory_tier_charges_equal_explicit_charges(setup, memory):
+    """Tier-routed charges leave clock and counters as explicit ``charge``s.
+
+    ``shared`` is on-chip everywhere; ``cached`` is on-chip on a CPU
+    and DRAM on a GPU; ``global`` is DRAM.
+    """
+    engine = ENGINE_SETUPS[setup]()
+    reference = ENGINE_SETUPS[setup]()
+    on_chip = memory == "shared" or (
+        memory == "cached" and engine.device.kind == "cpu"
+    )
+
+    def expect(category, flops, read, written, launches=1, syncs=0):
+        traffic = (
+            {"shared_bytes": read + written} if on_chip
+            else {"bytes_read": read, "bytes_written": written}
+        )
+        reference.charge(
+            category, flops=flops, launches=launches, syncs=syncs, **traffic
+        )
+
+    values = np.linspace(-1.0, 1.0, 37)
+    engine.elementwise("update", 50, flops_per_element=3, arrays_read=3,
+                       arrays_written=2, launches=0, syncs=1, memory=memory)
+    expect("update", 150, 50 * 3 * 8, 50 * 2 * 8, launches=0, syncs=1)
+    engine.reduce_sum(values, category="sum", memory=memory)
+    expect("sum", 37, 37 * 8, 8)
+    engine.reduce_extremum(values, values > 0, mode="max", category="sel",
+                           launches=0, syncs=2, memory=memory)
+    expect("sel", 37, 37 * 8 + 37, 8, launches=0, syncs=2)
+    engine.charge_extremum(11, masked=False, category="sel", memory=memory)
+    expect("sel", 11, 11 * 8, 8)
+    assert engine.counters == reference.counters
+    assert engine.clock._latency == reference.clock._latency
+    assert engine.clock._compute == reference.clock._compute
+
+
 class TestFlatChargeChecks:
     def test_numpy32_scales_apply(self):
         engine = make_engine(scaled_tesla_p100(), backend="numpy32")

@@ -1,6 +1,9 @@
 """Model registry, watcher polling, and zero-downtime hot swap."""
 
 import json
+import threading
+import time
+import urllib.request
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from repro.exceptions import RegistryError, ValidationError
 from repro.registry import ModelRegistry, RegistryWatcher
 from repro.server import Dispatcher, ServerApp
 from repro.server import protocol
+from repro.server.app import _http_server
 from repro.serving import InferenceSession
 
 
@@ -353,3 +357,69 @@ class TestServerIntegration:
         snapshot = app.stats_snapshot()
         assert snapshot["n_swaps"] == 1
         assert snapshot["n_swap_errors"] == 0
+
+    def test_swap_under_concurrent_socket_load(self, models, tmp_path):
+        # Clients keep posting over a real socket while v2 is published:
+        # the swap lands between groups and no request fails.
+        a, b, x = models
+        reg = ModelRegistry(tmp_path / "reg")
+        v1 = reg.publish(a)
+        watcher = RegistryWatcher(
+            reg, start_version=v1.version, min_interval_s=0.0
+        )
+        app = ServerApp(
+            Dispatcher(InferenceSession(a), n_workers=2),
+            arrival_mode="wall",
+            watcher=watcher,
+        )
+        server = _http_server(app, ("127.0.0.1", 0))
+        threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05},
+            daemon=True,
+        ).start()
+        url = f"http://127.0.0.1:{server.server_address[1]}/v1/predict_proba"
+        body = _post_body(x[:2])
+        responses, stop = [], threading.Event()
+
+        def client():
+            while not stop.is_set() and len(responses) < 400:
+                request = urllib.request.Request(url, data=body)
+                with urllib.request.urlopen(request, timeout=30) as response:
+                    responses.append((response.status, response.read()))
+
+        clients = [threading.Thread(target=client, daemon=True) for _ in range(4)]
+        try:
+            for thread in clients:
+                thread.start()
+            _wait_until(lambda: len(responses) >= 8)
+            v2 = reg.publish(b, parent=v1.version)
+            _wait_until(lambda: app.n_swaps == 1)
+            swapped_at = len(responses)
+            _wait_until(lambda: len(responses) >= swapped_at + 8)
+        finally:
+            stop.set()
+            for thread in clients:
+                thread.join(30)
+            server.shutdown()
+            server.server_close()
+
+        assert not any(thread.is_alive() for thread in clients)
+        assert app.n_swaps == 1 and app.n_swap_errors == 0
+        old = InferenceSession(a).predict_proba(x[:2]).tobytes()
+        new = InferenceSession(reg.load(v2.version)[0]).predict_proba(x[:2])
+        served = [
+            protocol.decode_array(json.loads(payload)["result"]).tobytes()
+            for status, payload in responses
+            if status == 200
+        ]
+        assert len(served) == len(responses)
+        assert set(served) == {old, new.tobytes()}
+        stats = app.stats_snapshot()
+        assert stats["offered"] == stats["admitted"] == len(responses)
+
+
+def _wait_until(predicate, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out waiting"
+        time.sleep(0.002)

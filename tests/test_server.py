@@ -7,7 +7,8 @@ through row-pure kernel blocks and decision sums, so transport and
 batching add nothing numerically.  Around that: the admission-control
 edge cases (zero-capacity tenants, no priority inversion under shed,
 queue drain on shutdown, deterministic shed decisions), a real-socket
-round trip, the socket handler's framing (one write per response, a
+round trip, concurrent requests fused into shared dispatches (each
+failing alone), the socket handler's framing (one write per response, a
 JSON 400 for a bad ``Content-Length``) and the same rules over WSGI.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import io
 import json
 import threading
+import time
 import urllib.request
 
 import numpy as np
@@ -338,6 +340,77 @@ class TestReplicatedServing:
             assert np.array_equal(ticket.result, session.predict_proba(row))
 
 
+class TestGroupIntake:
+    """``Dispatcher.submit_group``: requests offered at one instant."""
+
+    def test_group_fuses_on_one_free_lane(self, problem, model):
+        x, _ = problem
+        session = make_session(model)
+        rows = [x[i : i + 1 + i % 3] for i in range(5)]
+        dispatcher = make_dispatcher(model)
+        tickets = dispatcher.submit_group([{"X": r} for r in rows], arrival_s=1.0)
+        # Dispatch waits for the last admission, then one lane fuses all.
+        assert all(t.done for t in tickets)
+        assert dispatcher.stats.n_dispatches == 1
+        assert {t.batch_requests for t in tickets} == {5}
+        for ticket, r in zip(tickets, rows):
+            assert ticket.result.tobytes() == session.predict_proba(r).tobytes()
+        # One submit at a time, both free lanes take a request at once.
+        single = make_dispatcher(model)
+        for r in rows:
+            single.submit(r, arrival_s=1.0)
+        single.drain()
+        assert single.stats.n_dispatches == 3
+
+    @pytest.mark.parametrize("arrivals", ([0.0, 0.0, 1e-6, 1e-6, 0.2, 0.2, 0.9],
+                                          [None] * 7))
+    def test_group_of_one_is_submit(self, problem, model, arrivals):
+        # Same verdicts, batches, clock and latencies, sheds included.
+        x, _ = problem
+
+        def run(offer):
+            admission = AdmissionController(
+                default_policy=TenantPolicy(rate_per_s=4.0, burst=3, max_queue=1)
+            )
+            dispatcher = make_dispatcher(model, n_workers=1, admission=admission)
+            tickets = [
+                offer(dispatcher, x[i : i + 2], t) for i, t in enumerate(arrivals)
+            ]
+            dispatcher.drain()
+            shape = [
+                (t.status, t.batch_id, t.dispatch_s, t.completion_s)
+                for t in tickets
+            ]
+            return dispatcher, shape
+
+        plain, plain_shape = run(lambda d, r, t: d.submit(r, arrival_s=t))
+        grouped, grouped_shape = run(
+            lambda d, r, t: d.submit_group([{"X": r}], arrival_s=t)[0]
+        )
+        assert plain.stats.n_shed > 0
+        assert grouped_shape == plain_shape
+        assert grouped.decision_log == plain.decision_log
+        assert grouped.stats.accepted_latencies_s == plain.stats.accepted_latencies_s
+        assert grouped.now_s == plain.now_s
+
+    def test_refused_member_fails_alone(self, problem, model):
+        x, _ = problem
+        wide = np.zeros((1, 3))
+        dispatcher = make_dispatcher(model)
+        first, refused, last = dispatcher.submit_group(
+            [{"X": x[:2]}, {"X": wide}, {"X": x[2:3]}], arrival_s=0.0
+        )
+        assert isinstance(refused, ValidationError)
+        assert first.batch_id == last.batch_id and first.batch_requests == 2
+        # A refused last member still releases the held group.
+        held, refused = dispatcher.submit_group([{"X": x[:1]}, {"X": wide}])
+        assert isinstance(refused, ValidationError) and held.done
+        # A group that admits nobody leaves the clock where it was.
+        idle = make_dispatcher(model)
+        (refused,) = idle.submit_group([{"X": wide}], arrival_s=5.0)
+        assert isinstance(refused, ValidationError) and idle.now_s == 0.0
+
+
 class TestDispatcherInputChecks:
     def test_backend_must_be_a_session(self):
         with pytest.raises(ValidationError, match="InferenceSession"):
@@ -623,6 +696,217 @@ class TestSocketServer:
         assert not thread.is_alive()
         result = protocol.decode_array(payload["result"])
         assert result.tobytes() == direct.tobytes()
+
+
+def _wait_for(predicate, timeout: float = 10.0) -> None:
+    """Poll ``predicate`` until it holds; fail the test after ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out waiting"
+        time.sleep(0.002)
+
+
+def _hold_first_call(session, until) -> threading.Event:
+    """Make ``session``'s first ``predict_proba`` wait until ``until()``.
+
+    The returned event is set once that call is waiting.  The leader of
+    the first group holds there while other requests join the pending
+    list, so the next leader takes them as one group.
+    """
+    real = session.predict_proba
+    entered = threading.Event()
+
+    def predict_proba(x):
+        if not entered.is_set():
+            entered.set()
+            _wait_for(until)
+        return real(x)
+
+    session.predict_proba = predict_proba
+    return entered
+
+
+def _serve_behind_plug(app, session, calls, joining):
+    """Serve ``calls`` -- ``{label: (body, headers)}`` -- one thread each.
+
+    A plug request leads first and holds its session call until
+    ``joining`` of the calls wait in the pending list, so the next
+    leader takes them as one group.  Returns ``(threads, results)``;
+    ``results[label]`` is ``(status, headers, body)``, or the exception
+    raised, once that thread ends.
+    """
+    results = {}
+
+    def call(label, body, headers):
+        try:
+            results[label] = app.handle_request(
+                "POST", "/v1/predict_proba", body, headers
+            )
+        except Exception as exc:  # recorded for the test to inspect
+            results[label] = exc
+
+    entered = _hold_first_call(session, lambda: len(app._pending) == joining)
+    x_plug = np.zeros((1, session.n_features))
+    plug = threading.Thread(
+        target=call, args=("plug", post_body(x_plug), None), daemon=True
+    )
+    plug.start()
+    assert entered.wait(10)
+    threads = [plug] + [
+        threading.Thread(target=call, args=(label, *args), daemon=True, name=label)
+        for label, args in calls.items()
+    ]
+    for thread in threads[1:]:
+        thread.start()
+    return threads, results
+
+
+def _join(threads) -> None:
+    for thread in threads:
+        thread.join(10)
+        assert not thread.is_alive(), f"{thread.name} is still waiting"
+
+
+class TestRequestFusion:
+    """``handle_request`` from many threads: one group per leader."""
+
+    def test_group_isolates_errors_and_answers_sheds_before_the_drain(
+        self, problem, model
+    ):
+        x, _ = problem
+        session = make_session(model)
+        admission = AdmissionController(
+            default_policy=TenantPolicy(rate_per_s=1e6, burst=64, max_queue=64),
+            policies={"blocked": TenantPolicy(rate_per_s=0.0, burst=0)},
+        )
+        # One lane fusing two requests: the group needs a drain.
+        dispatcher = Dispatcher(session, n_workers=1, max_batch=2, admission=admission)
+        app = ServerApp(dispatcher, arrival_mode="wall")
+        release, drainers = threading.Event(), []
+        real_drain = dispatcher.drain
+
+        def drain():
+            drainers.append(threading.current_thread().name)
+            assert release.wait(10)
+            return real_drain()
+
+        dispatcher.drain = drain
+        rows = {f"ok{i}": x[i : i + 1 + i % 2] for i in range(4)}
+        calls = {label: (post_body(r), None) for label, r in rows.items()}
+        calls["wide"] = (post_body(np.zeros((1, 3))), None)
+        calls["blocked0"] = (post_body(x[:1]), {"X-Tenant": "blocked"})
+        calls["blocked1"] = (post_body(x[:1]), {"X-Tenant": "blocked"})
+        calls["malformed"] = (b"not json", None)
+        threads, results = _serve_behind_plug(app, session, calls, joining=7)
+
+        # The leader holds the drain; sheds and refusals have answered.
+        _wait_for(lambda: drainers)
+        early = {"wide", "blocked0", "blocked1", "malformed"} - set(drainers)
+        _wait_for(lambda: early <= set(results))
+        assert not release.is_set()
+        release.set()
+        _join(threads)
+
+        assert drainers == [drainers[0]]  # one drain for the whole group
+        assert results["malformed"][0] == 400
+        assert results["wide"][0] == 422
+        for label in ("blocked0", "blocked1"):
+            status, headers, _ = results[label]
+            assert status == 429 and "Retry-After" in headers
+        for label, r in rows.items():
+            status, _, body = results[label]
+            assert status == 200
+            result = protocol.decode_array(json.loads(body)["result"])
+            assert result.tobytes() == make_session(model).predict_proba(r).tobytes()
+        stats = app.stats_snapshot()
+        assert stats["offered"] == 7 and stats["admitted"] == 5
+        assert stats["dispatches"] == 3  # the plug, then two batches of two
+
+    def test_leader_failure_releases_every_follower(self, problem, model):
+        x, _ = problem
+        session = make_session(model)
+        real = session.predict_proba
+        calls_made = []
+
+        def predict_proba(rows):
+            calls_made.append(len(rows))
+            if len(calls_made) == 2:  # the group's call
+                raise RuntimeError("replica crashed")
+            return real(rows)
+
+        session.predict_proba = predict_proba
+        app = ServerApp(Dispatcher(session, max_batch=8), arrival_mode="wall")
+        calls = {f"r{i}": (post_body(x[i : i + 1]), None) for i in range(4)}
+        threads, results = _serve_behind_plug(app, session, calls, joining=4)
+        _join(threads)
+        assert results["plug"][0] == 200
+        for label in calls:
+            assert isinstance(results[label], RuntimeError)
+        # Leadership was handed back: the next request is served.
+        status, _, _ = app.handle_request(
+            "POST", "/v1/predict_proba", post_body(x[:2])
+        )
+        assert status == 200
+
+    def test_concurrent_socket_requests_fuse_bitwise(self, problem, model):
+        x, _ = problem
+        n = 8
+        session = make_session(model)
+        dispatcher = Dispatcher(session, max_batch=16)
+        app = ServerApp(dispatcher, arrival_mode="wall")
+        # The first group is on a lane; every other request must wait.
+        _hold_first_call(
+            session,
+            lambda: len(app._pending) + dispatcher.stats.n_offered == n,
+        )
+        ready, served = threading.Event(), {}
+
+        def on_ready(host, port):
+            served["base"] = f"http://{host}:{port}"
+            ready.set()
+
+        server = threading.Thread(
+            target=lambda: served.setdefault(
+                "n", serve_http(app, "127.0.0.1", 0, max_requests=n + 1,
+                                ready_callback=on_ready)
+            ),
+            daemon=True,
+        )
+        server.start()
+        assert ready.wait(10)
+        rows = [x[i : i + 1 + i % 4] for i in range(n)]
+        barrier = threading.Barrier(n)
+        bodies = {}
+
+        def client(i):
+            barrier.wait(10)
+            request = urllib.request.Request(
+                f"{served['base']}/v1/predict_proba",
+                data=post_body(rows[i]),
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(request, timeout=30) as response:
+                bodies[i] = response.read()
+
+        clients = [
+            threading.Thread(target=client, args=(i,), daemon=True)
+            for i in range(n)
+        ]
+        for thread in clients:
+            thread.start()
+        _join(clients)
+        with urllib.request.urlopen(f"{served['base']}/v1/stats") as response:
+            stats = json.loads(response.read())
+        _join([server])
+
+        direct = make_session(model)
+        for i, r in enumerate(rows):
+            result = protocol.decode_array(json.loads(bodies[i])["result"])
+            assert result.tobytes() == direct.predict_proba(r).tobytes()
+        # The first group, then every other request fused into one call.
+        assert stats["dispatches"] == 2 < n
+        assert stats["offered"] == stats["admitted"] == n
+        assert stats["n_http_requests"] == served["n"] == n + 1
 
 
 class _CountingConnection:
