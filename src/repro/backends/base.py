@@ -96,5 +96,14 @@ class ComputeBackend(ABC):
     def reduce_sum(self, values: np.ndarray) -> float:
         """Sum-reduce a vector (float64 accumulation on every backend)."""
 
+    def reduce_sum_rows(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`reduce_sum` of each row of an ``(m, n)`` stack.
+
+        NumPy sums each row of a C-contiguous stack along the same pairwise
+        tree as that row alone, so the sums equal the per-row
+        ``reduce_sum`` bit for bit; a zero-padded wider row would not.
+        """
+        return np.ascontiguousarray(values).sum(axis=1, dtype=np.float64)
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r} dtype={np.dtype(self.dtype).name}>"

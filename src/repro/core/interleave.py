@@ -12,25 +12,31 @@ Per wave the driver
 
 1. admits pending solvers into the running set under
    :class:`~repro.gpusim.scheduler.WaveLimits` (SM blocks, device memory,
-   optional concurrency cap);
+   optional concurrency cap), moving each admitted session's state into
+   a slot of the run's :class:`~repro.solvers.batch_smo.WaveState`, where
+   it stays until the session finishes;
 2. runs the selection half of every running session in one stacked
-   :func:`~repro.solvers.batch_smo.begin_rounds` call, collecting each
-   one's working-set refresh and the kernel rows it is missing;
+   :func:`~repro.solvers.batch_smo.begin_rounds` call over that resident
+   state, collecting each one's working-set refresh and the kernel rows
+   it is missing;
 3. fuses the missing-row demand of all members into one batched launch
    through :meth:`~repro.kernels.shared.SharedClassPairKernels.prefetch`,
    so segments one SVM computes are reused by the others *while hot*;
-4. completes every member's round: ``gather_round`` on each (the rows
-   now hit the share), one lockstep
-   :func:`~repro.solvers.subproblem.solve_subproblem` over all their
-   working-set subproblems, then ``apply_round`` on each (weights and
-   the Eq.-8 update).  It folds the members' per-round clock deltas into
-   the wave's concurrent makespan ``max(max_i(latency_i + compute_i), sum_i
+4. completes every member's round in three stacked calls:
+   :func:`~repro.solvers.batch_smo.gather_rounds` (each member's rows now
+   hit the share; one padded stack of working-set subproblems), one
+   lockstep :func:`~repro.solvers.subproblem.solve_subproblem`, then
+   :func:`~repro.solvers.batch_smo.apply_rounds` (stall logic, one
+   scatter of the new weights, each member's Eq.-8 product and FIFO).
+   It folds the members' per-round clock deltas into the wave's
+   concurrent makespan ``max(max_i(latency_i + compute_i), sum_i
    compute_i)``: each member still pays its own serial chain, the device
    throughput bounds the total, and launch gaps are hidden by the other
    members' kernels.  A one-member wave is exactly serial.
 
-Sessions that terminate release their SM/memory footprint, and the next
-pending solver is admitted at the following wave boundary.  The driver's
+Sessions that terminate copy their state out of the wave and release
+their SM/memory footprint, and the next pending solver is admitted at
+the following wave boundary.  The driver's
 :class:`InterleaveOutcome` carries the resulting timeline, the per-wave
 trace (the source of the reported ``max_concurrency`` and
 ``concurrency_speedup``), and each problem's
@@ -48,7 +54,13 @@ from repro.gpusim.engine import Engine
 from repro.gpusim.scheduler import WaveLimits
 from repro.kernels.shared import SharedClassPairKernels
 from repro.solvers.base import SolverResult
-from repro.solvers.batch_smo import BatchSMOSession, begin_rounds
+from repro.solvers.batch_smo import (
+    BatchSMOSession,
+    WaveState,
+    apply_rounds,
+    begin_rounds,
+    gather_rounds,
+)
 from repro.solvers.subproblem import solve_subproblem
 from repro.telemetry.tracer import Tracer, maybe_span
 
@@ -125,6 +137,7 @@ def run_interleaved(
     master_clock = (
         shared.computer.engine.clock if shared is not None else None
     )
+    wave = WaveState(max((m.session.n for m in members), default=1))
     wave_index = 0
 
     while pending or running:
@@ -137,6 +150,7 @@ def run_interleaved(
             task_mem_bytes=pending[0].mem_bytes,
         ):
             running.append(pending.popleft())
+            wave.admit(running[-1].session)
         wave_index += 1
         outcome.max_concurrency = max(outcome.max_concurrency, len(running))
 
@@ -177,10 +191,10 @@ def run_interleaved(
 
             # Consumption half: gather every member's working set, solve
             # all subproblems in one lockstep stack, apply each result.
-            stepping = [m for m in running if m not in finished]
-            results = solve_subproblem([m.session.gather_round() for m in stepping])
-            for member, sub in zip(stepping, results):
-                member.session.apply_round(sub)
+            stepping = [m.session for m in running if m not in finished]
+            if stepping:
+                results = solve_subproblem(gather_rounds(stepping))
+                apply_rounds(stepping, results)
 
             # Concurrent wave accounting from the measured round deltas.
             deltas = [

@@ -25,7 +25,7 @@ from __future__ import annotations
 import warnings
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.core.validation import strict_config
 from repro.exceptions import ConvergenceWarning, ValidationError
 from repro.gpusim.clock import SimClock
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.engine import FLOAT_BYTES, Engine, make_engine
+from repro.gpusim.engine import FLOAT_BYTES, ChargeLedger, Engine, make_engine
 from repro.gpusim.scheduler import WaveLimits
 from repro.kernels.cache import KernelBuffer
 from repro.kernels.functions import KernelFunction
@@ -46,7 +46,7 @@ from repro.multiclass.decomposition import class_partition, pair_problems
 from repro.multiclass.ova import ova_problems
 from repro.multiclass.sv_sharing import SupportVectorPool
 from repro.perf.report import TrainingReport
-from repro.probability.platt import fit_sigmoid
+from repro.probability.platt import fit_sigmoid, fit_sigmoids
 from repro.solvers.base import resolve_penalty_vector
 from repro.solvers.batch_smo import BatchSMOSolver
 from repro.solvers.shrinking import ShrinkingSMOSolver
@@ -439,10 +439,12 @@ def _train_multiclass_impl(
         # Finalize in problem order — model assembly (records, SV pool,
         # sigmoids) must not depend on the order sessions terminated.
         finalize_clock = SimClock()
-        for member in members:
-            record, pool_entry, svm_stats, delta = _finalize_member(
-                config, classes, member, data, kernel, penalty, tracer
-            )
+        finalized = _finalize_members(
+            config, classes, members, data, kernel, penalty, tracer
+        )
+        for member, (record, pool_entry, svm_stats, delta) in zip(
+            members, finalized
+        ):
             svm_stats["warm_start"] = member.warm_started
             finals[member.index] = (record, pool_entry, svm_stats)
             total_iterations += member.result.iterations
@@ -639,11 +641,15 @@ def _finalize_pair(
     penalty_vector: Optional[np.ndarray] = None,
     pair_span=None,
     pair_data: Optional[mops.MatrixLike] = None,
+    fitted: Optional[tuple] = None,
 ):
     """Post-solve assembly of one binary SVM: sigmoid, record, pool entry.
 
     Shared by the sequential loop and the interleaved driver so that
     model assembly is one code path regardless of execution schedule.
+    ``fitted`` is the pair's sigmoid already fit in a stack with others
+    and the :class:`~repro.gpusim.engine.ChargeLedger` of its charges,
+    which are issued here, where a lone fit would issue them.
     Returns ``(BinarySVMRecord, pool_entry, svm_stats)``.
     """
     # Training-set decision values come free from the indicators:
@@ -651,7 +657,10 @@ def _finalize_pair(
     decisions = result.f + problem.labels + result.bias
     engine.elementwise("decision_values", problem.n, flops_per_element=2)
     sigmoid = None
-    if config.probability:
+    if fitted is not None:
+        sigmoid, ledger = fitted
+        ledger.replay()
+    elif config.probability:
         sigmoid_decisions = decisions
         if config.probability_cv_folds > 1:
             # LibSVM's -b 1 methodology: fit the sigmoid on held-out
@@ -766,7 +775,7 @@ def _make_pair_member(
     caller's master so op totals aggregate).  Sessions cannot keep a
     per-pair span open across waves (spans are stack-nested), so they run
     untraced; the ``solve_pair``/``solver.batch_smo`` spans are emitted by
-    :func:`_finalize_member` with the same attributes.
+    :func:`_finalize_members` with the same attributes.
     """
     engine = _config_engine(config, counters)
     if shared is not None and shared_computer is not None:
@@ -809,56 +818,71 @@ def _interleave_limits(config: TrainerConfig, resident_bytes: int) -> WaveLimits
     )
 
 
-def _finalize_member(
+def _finalize_members(
     config: TrainerConfig,
     classes: np.ndarray,
-    member: PairMember,
+    members: Sequence[PairMember],
     data: mops.MatrixLike,
     kernel: KernelFunction,
     penalty: float,
     tracer: Optional[Tracer],
-):
-    """Finalize one wave-driver member after its session terminated.
+) -> list[tuple]:
+    """Finalize wave-driver members after their sessions terminated.
 
-    Emits the per-pair telemetry spans and runs :func:`_finalize_pair`.
-    Returns ``(record, pool_entry, svm_stats, clock_delta)`` where the
-    delta covers only the finalization charges (sigmoid fit, decision
-    values) on the member's engine.
+    Sigmoids fit on the training decision values (no cross-validation)
+    run as one lockstep :func:`~repro.probability.platt.fit_sigmoids`
+    loop, each member's charges on a ledger of its own.  Then each member,
+    in order, emits its per-pair telemetry spans and runs
+    :func:`_finalize_pair`, which books those charges.  Returns per member
+    ``(record, pool_entry, svm_stats, clock_delta)``, where the delta
+    covers only the finalization charges (sigmoid fit, decision values)
+    on the member's engine.
     """
-    engine = member.engine
-    problem = member.problem
-    result = member.result
-    before = engine.clock.copy()
-    with maybe_span(
-        tracer,
-        "solve_pair",
-        clock=engine.clock,
-        pair=(problem.s, problem.t),
-        n=problem.n,
-    ) as pair_span:
-        diagnostics = result.diagnostics or {}
+    fitted: list[Optional[tuple]] = [None] * len(members)
+    if config.probability and config.probability_cv_folds <= 1:
+        ledgers = [ChargeLedger(member.engine) for member in members]
+        sigmoids = fit_sigmoids(
+            ledgers,
+            [m.result.f + m.problem.labels + m.result.bias for m in members],
+            [m.problem.labels for m in members],
+            parallel_line_search=config.parallel_line_search,
+        )
+        fitted = list(zip(sigmoids, ledgers))
+    finals = []
+    for member, fit in zip(members, fitted):
+        engine, problem, result = member.engine, member.problem, member.result
+        before = engine.clock.copy()
         with maybe_span(
             tracer,
-            "solver.batch_smo",
+            "solve_pair",
             clock=engine.clock,
+            pair=(problem.s, problem.t),
             n=problem.n,
-            working_set_size=diagnostics.get("working_set_size"),
-            new_per_round=diagnostics.get("new_per_round"),
-        ) as solver_span:
-            solver_span.set(
-                rounds=result.rounds,
-                iterations=result.iterations,
-                converged=result.converged,
-                buffer_hit_rate=result.buffer_hit_rate,
+        ) as pair_span:
+            diagnostics = result.diagnostics or {}
+            with maybe_span(
+                tracer,
+                "solver.batch_smo",
+                clock=engine.clock,
+                n=problem.n,
+                working_set_size=diagnostics.get("working_set_size"),
+                new_per_round=diagnostics.get("new_per_round"),
+            ) as solver_span:
+                solver_span.set(
+                    rounds=result.rounds,
+                    iterations=result.iterations,
+                    converged=result.converged,
+                    buffer_hit_rate=result.buffer_hit_rate,
+                )
+            penalty_vector = _class_weighted_penalties(
+                config, classes, problem, penalty
             )
-        penalty_vector = _class_weighted_penalties(
-            config, classes, problem, penalty
-        )
-        record, pool_entry, svm_stats = _finalize_pair(
-            config, engine, problem, result, data, kernel, penalty,
-            penalty_vector=penalty_vector, pair_span=pair_span,
-        )
-    return record, pool_entry, svm_stats, engine.clock.since(before)
+            record, pool_entry, svm_stats = _finalize_pair(
+                config, engine, problem, result, data, kernel, penalty,
+                penalty_vector=penalty_vector, pair_span=pair_span, fitted=fit,
+            )
+        finals.append((record, pool_entry, svm_stats, engine.clock.since(before)))
+    return finals
 
 
 def _class_weighted_penalties(

@@ -43,7 +43,7 @@ import numpy as np
 from repro.core.trainer import (
     TrainerConfig,
     _assemble_model,
-    _finalize_member,
+    _finalize_members,
     _make_pair_member,
     _make_shared_store,
     _train_cascade_pair,
@@ -300,11 +300,12 @@ def train_multiclass_sharded(
             # numerics and each charge lands on its own engine).
             finalize_clock = SimClock()
             stats = device_stats[device]
-            for member in members:
-                finals[member.index] = _finalize_member(
-                    config, classes, member, data, kernel, penalty, tracer
-                )
-                finalize_clock.merge(finals[member.index][3])
+            finalized = _finalize_members(
+                config, classes, members, data, kernel, penalty, tracer
+            )
+            for member, final in zip(members, finalized):
+                finals[member.index] = final
+                finalize_clock.merge(final[3])
                 stats["iterations"] += member.result.iterations
                 stats["kernel_rows"] += member.result.kernel_rows_computed
                 owner[member.index] = device

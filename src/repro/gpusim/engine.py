@@ -19,7 +19,7 @@ Cost model (DESIGN.md Section 6):
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.gpusim.memory import DeviceAllocator
 from repro.sparse import CSRMatrix
 from repro.sparse import ops as mops
 
-__all__ = ["Engine", "GPUEngine", "CPUEngine", "make_engine"]
+__all__ = ["ChargeLedger", "Engine", "GPUEngine", "CPUEngine", "make_engine"]
 
 FLOAT_BYTES = 8
 
@@ -103,6 +103,7 @@ class Engine:
         )
         self._shared_rate = device.effective_shared_bandwidth_gbps * 1e9
         self._pcie_rate = device.pcie_bandwidth_gbps * 1e9
+        self._recurring: dict[object, list] = {}  # see charge_recurring()
 
     # ------------------------------------------------------------------
     # Cost model
@@ -181,6 +182,37 @@ class Engine:
         rate = clock._rate
         clock._latency[category] = clock._latency.get(category, 0.0) + latency * rate
         clock._compute[category] = clock._compute.get(category, 0.0) + compute * rate
+
+    def _book(self, entries: list[tuple]) -> None:
+        """Book a :class:`ChargeLedger`'s priced charges as :meth:`charge` does."""
+        counters, clock = self.counters, self.clock
+        rate, latencies, computes = clock._rate, clock._latency, clock._compute
+        for (category, latency, compute, flops, bytes_read, bytes_written,
+             shared_bytes, launches, pcie_bytes) in entries:
+            counters.flops += flops
+            counters.bytes_read += bytes_read
+            counters.bytes_written += bytes_written
+            counters.shared_bytes += shared_bytes
+            counters.kernel_launches += launches
+            counters.pcie_bytes += pcie_bytes
+            latencies[category] = latencies.get(category, 0.0) + latency * rate
+            computes[category] = computes.get(category, 0.0) + compute * rate
+
+    def charge_recurring(
+        self, key: object, record: Callable[["ChargeLedger"], None]
+    ) -> None:
+        """Book a charge sequence this engine issues again and again.
+
+        The first time ``key`` is seen, ``record(ledger)`` issues the
+        sequence on a :class:`ChargeLedger`, whose priced charges are
+        kept; every call books them as the calls themselves would.
+        """
+        entries = self._recurring.get(key)
+        if entries is None:
+            ledger = ChargeLedger(self)
+            record(ledger)
+            entries = self._recurring[key] = ledger._entries
+        self._book(entries)
 
     def _cost(
         self, flops, bytes_read, bytes_written, shared_bytes, launches, syncs,
@@ -310,7 +342,13 @@ class Engine:
         memory: str = "global",
     ) -> float:
         """Parallel-reduction sum."""
-        n = values.size
+        self.charge_sum(values.size, category=category, launches=launches,
+                        syncs=syncs, memory=memory)
+        return self.backend.reduce_sum(values) if values.size else 0.0
+
+    def charge_sum(self, n: int, *, category: str, launches: int = 1,
+                   syncs: int = 0, memory: str = "global") -> None:
+        """Charge one :meth:`reduce_sum` of ``n`` values, not running it."""
         read, written, shared = self._route_memory(
             memory, n * FLOAT_BYTES, FLOAT_BYTES
         )
@@ -318,7 +356,6 @@ class Engine:
             category, flops=n, bytes_read=read, bytes_written=written,
             shared_bytes=shared, launches=launches, syncs=syncs,
         )
-        return self.backend.reduce_sum(values) if n else 0.0
 
     def elementwise(
         self,
@@ -411,6 +448,46 @@ class Engine:
         if self.device.kind == "cpu" or nbytes == 0:
             return
         self.charge(category, launches=0, pcie_bytes=int(nbytes))
+
+
+class ChargeLedger(Engine):
+    """An engine's charges, priced now and booked later, in order.
+
+    It shares ``engine``'s cost model, so every charging helper works on
+    it, but :meth:`charge` only records the priced charge.  :meth:`replay`
+    books the record on ``engine`` (which may be another ledger) exactly
+    as the calls themselves would have, and may be repeated.  A stacked
+    pass over many members records each member's charges on its own
+    ledger and replays them after the stacked work.
+    """
+
+    def __init__(self, engine: Engine) -> None:
+        self.__dict__.update(engine.__dict__)
+        self.engine = engine
+        self._entries: list[tuple] = []
+        self._priced: dict[tuple, tuple] = {}  # one entry per distinct charge
+
+    def charge(self, category: str, *, flops: int = 0, bytes_read: int = 0,
+               bytes_written: int = 0, shared_bytes: int = 0, launches: int = 1,
+               syncs: int = 0, pcie_bytes: int = 0) -> None:
+        """Record the charge, priced as :meth:`Engine.charge` prices it."""
+        key = (category, flops, bytes_read, bytes_written, shared_bytes,
+               launches, syncs, pcie_bytes)
+        entry = self._priced.get(key)
+        if entry is None:
+            latency, compute = self._cost(*key[1:])
+            entry = self._priced[key] = (
+                category, latency, compute, flops, bytes_read, bytes_written,
+                shared_bytes, launches, pcie_bytes,
+            )
+        self._entries.append(entry)
+
+    def replay(self) -> None:
+        """Book the recorded charges on the engine, oldest first."""
+        self.engine._book(self._entries)
+
+    def _book(self, entries: list[tuple]) -> None:
+        self._entries.extend(entries)
 
 
 class GPUEngine(Engine):

@@ -105,7 +105,9 @@ class KernelBuffer:
         self.tracer = tracer
         self.stats = BufferStats()
         self._storage = np.empty((self.capacity_rows, self.row_length))
-        self._slot_of: dict[int, int] = {}
+        # Storage slot of each row id, -1 when absent: a lookup of many
+        # ids is one gather.  Grows when a larger id is inserted.
+        self._slots = np.full(self.row_length, -1, dtype=np.int32)
         self._free_slots: deque[int] = deque(range(self.capacity_rows))
         # FIFO: insertion order.  LRU: recency order (front = coldest).
         self._order: OrderedDict[int, None] = OrderedDict()
@@ -122,7 +124,7 @@ class KernelBuffer:
     @property
     def size(self) -> int:
         """Rows currently resident."""
-        return len(self._slot_of)
+        return len(self._order)
 
     def free(self) -> None:
         """Release the registered device memory (if any)."""
@@ -138,15 +140,27 @@ class KernelBuffer:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
+    def _slot(self, rid: int) -> int:
+        return int(self._slots[rid]) if 0 <= rid < self._slots.size else -1
+
+    def _lookup(self, ids: np.ndarray) -> np.ndarray:
+        """The slots of non-negative ``ids`` (-1 where absent), one gather."""
+        try:
+            return self._slots[ids]
+        except IndexError:  # ids past every inserted one are absent
+            return np.where(
+                ids < self._slots.size, self._slots.take(ids, mode="clip"), -1
+            )
+
     def contains(self, row_id: int) -> bool:
         """Membership probe; does not count as a request."""
-        return int(row_id) in self._slot_of
+        return self._slot(int(row_id)) >= 0
 
     def get(self, row_id: int) -> Optional[np.ndarray]:
         """Fetch a row (a read-only view) or None on miss."""
         rid = int(row_id)
-        slot = self._slot_of.get(rid)
-        if slot is None:
+        slot = self._slot(rid)
+        if slot < 0:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
@@ -158,13 +172,12 @@ class KernelBuffer:
     def missing(self, row_ids: Sequence[int]) -> np.ndarray:
         """The ids not resident, in order; a probe, not counted as requests."""
         ids = np.asarray(row_ids, dtype=np.int64).ravel()
-        slot_of = self._slot_of
-        return ids[np.array([rid not in slot_of for rid in ids.tolist()], dtype=bool)]
+        return ids[self._lookup(ids) < 0]
 
     def peek(self, row_ids: Sequence[int]) -> np.ndarray:
         """Copies of resident rows, in order; not counted as requests."""
-        slot_of = self._slot_of
-        return self._storage.take([slot_of[int(rid)] for rid in row_ids], axis=0)
+        ids = np.asarray(row_ids, dtype=np.int64).ravel()
+        return self._storage.take(self._lookup(ids), axis=0)
 
     def fetch(
         self,
@@ -181,23 +194,24 @@ class KernelBuffer:
         one gather from the backing storage.
         """
         ids = np.asarray(row_ids, dtype=np.int64).ravel()
-        slot_of = self._slot_of
-        slots = np.array(
-            [slot_of.get(rid, -1) for rid in ids.tolist()], dtype=np.intp
-        )
+        slots = self._lookup(ids)
         hit = slots >= 0
-        hit_ids = ids[hit].tolist()
-        self.stats.hits += len(hit_ids)
-        self.stats.misses += ids.size - len(hit_ids)
-        frequency = self._frequency
-        for rid in hit_ids:
-            frequency[rid] += 1
-        if self.policy == "lru":
+        n_hit = int(np.count_nonzero(hit))
+        self.stats.hits += n_hit
+        self.stats.misses += ids.size - n_hit
+        # Frequencies order LFU eviction and recency orders LRU; FIFO
+        # reads neither.
+        if self.policy != "fifo":
+            hit_ids = ids[hit].tolist()
+            frequency = self._frequency
             for rid in hit_ids:
-                self._order.move_to_end(rid)
+                frequency[rid] += 1
+            if self.policy == "lru":
+                for rid in hit_ids:
+                    self._order.move_to_end(rid)
         # A missing position gathers slot 0 as a placeholder, overwritten below.
         out = self._storage.take(np.maximum(slots, 0), axis=0)
-        if len(hit_ids) < ids.size:
+        if n_hit < ids.size:
             missing_pos = np.flatnonzero(~hit)
             missing_ids = ids[missing_pos]
             with maybe_span(self.tracer, "kernel_buffer.fill") as span:
@@ -212,7 +226,7 @@ class KernelBuffer:
                 self.put_batch(missing_ids, rows)
                 span.set(
                     missing=missing_ids.size,
-                    hits=len(hit_ids),
+                    hits=n_hit,
                     evictions=self.stats.evictions - evictions_before,
                 )
         return out
@@ -236,6 +250,8 @@ class KernelBuffer:
             )
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate row ids in one batch")
+        if ids and min(ids) < 0:
+            raise ValidationError("row ids must be non-negative")
         if len(ids) > self.capacity_rows:
             ids = ids[-self.capacity_rows :]
             rows = rows[-self.capacity_rows :]
@@ -243,8 +259,8 @@ class KernelBuffer:
             self._put_one(rid, row)
 
     def _put_one(self, rid: int, row: np.ndarray) -> None:
-        slot = self._slot_of.get(rid)
-        if slot is not None:  # refresh in place
+        slot = self._slot(rid)
+        if slot >= 0:  # refresh in place
             self._storage[slot] = row
             self._touch(rid)
             return
@@ -252,7 +268,11 @@ class KernelBuffer:
             self._evict_one()
         slot = self._free_slots.popleft()
         self._storage[slot] = row
-        self._slot_of[rid] = slot
+        if rid >= self._slots.size:
+            grown = np.full(max(rid + 1, 2 * self._slots.size), -1, dtype=np.int32)
+            grown[: self._slots.size] = self._slots
+            self._slots = grown
+        self._slots[rid] = slot
         self._order[rid] = None
         self._frequency[rid] = 0
         self.stats.inserts += 1
@@ -263,7 +283,8 @@ class KernelBuffer:
         else:  # lfu — min is stable, so frequency ties break by age
             victim = min(self._order, key=self._frequency.__getitem__)
             del self._order[victim]
-        slot = self._slot_of.pop(victim)
+        slot = int(self._slots[victim])
+        self._slots[victim] = -1
         del self._frequency[victim]
         self._free_slots.append(slot)
         self.stats.evictions += 1

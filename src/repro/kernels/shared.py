@@ -117,7 +117,7 @@ class SharedClassPairKernels:
         # not consumed them yet: the owner's consuming fetch is accounted
         # as the miss it would have been, not as a reuse hit.
         self._prefetched_fresh: set[tuple[int, int]] = set()
-        # Narrow CSR column blocks, tiled once (see _column_block).
+        # CSR column blocks, gathered (and tiled) once (see _column_block).
         self._column_blocks: dict[int, HostOperand] = {}
 
     # ------------------------------------------------------------------
@@ -265,16 +265,17 @@ class SharedClassPairKernels:
     def _column_block(self, class_label: int) -> HostOperand:
         """One class's rows as the ``b`` side of its products.
 
-        A narrow CSR block (one the tiled GEMM multiplies) is gathered and
-        densified into column tiles once, and kept.  Other blocks are
-        gathered per product: a wide CSR block has no tiles to keep, and
-        keeping dense blocks would hold two more copies of the dense
-        training set (the blocks and their tiles) for the whole fit.
+        A CSR block is gathered once and kept: a narrow one (which the
+        tiled GEMM multiplies) with its dense column tiles, a wide one as
+        it is, together one more copy of the sparse training set.  Dense
+        blocks are gathered per product: keeping them would hold two more
+        copies of the dense training set (the blocks and their tiles) for
+        the whole fit.
         """
         block = self._column_blocks.get(class_label)
         if block is None:
             block = self.computer.operand.take_rows(self.class_indices[class_label])
-            if block.tiled and mops.is_sparse(block.source):
+            if mops.is_sparse(block.source):
                 self._column_blocks[class_label] = block.keep_tiles()
         return block
 

@@ -17,13 +17,19 @@ from repro.probability.pairwise import (
     couple_probabilities,
     pairwise_matrix_from_estimates,
 )
-from repro.probability.platt import SigmoidModel, fit_sigmoid, sigmoid_predict
+from repro.probability.platt import (
+    SigmoidModel,
+    fit_sigmoid,
+    fit_sigmoids,
+    sigmoid_predict,
+)
 
 __all__ = [
     "SigmoidModel",
     "couple_batch",
     "couple_probabilities",
     "fit_sigmoid",
+    "fit_sigmoids",
     "gaussian_elimination",
     "pairwise_matrix_from_estimates",
     "sigmoid_predict",

@@ -19,19 +19,23 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConvergenceWarning, ValidationError
-from repro.gpusim.engine import Engine
+from repro.gpusim.engine import ChargeLedger, Engine
 
-__all__ = ["SigmoidModel", "fit_sigmoid", "sigmoid_predict"]
+__all__ = ["SigmoidModel", "fit_sigmoid", "fit_sigmoids", "sigmoid_predict"]
 
 MAX_NEWTON_ITERATIONS = 100
 MIN_STEP = 1e-10
 HESSIAN_RIDGE = 1e-12
 GRADIENT_EPS = 1e-5
 ARMIJO = 1e-4
+# Members fit in one lockstep stack hold at most this many padded values,
+# which bounds the loop's temporaries (each a stack-sized float array).
+STACK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -65,18 +69,6 @@ def sigmoid_predict(decision_values: np.ndarray, a: float, b: float) -> np.ndarr
     return out
 
 
-def _objective(fapb: np.ndarray, targets: np.ndarray) -> float:
-    """Stable negative log-likelihood: ``sum t*fApB + log(1 + exp(-fApB))``.
-
-    (The Lin-Lin-Weng rewrite; equal to Eq. 13 up to sign and constant.)
-    For ``fApB < 0`` the term is ``(t - 1)*fApB + log(1 + exp(fApB))``;
-    ``-|fApB|`` covers both branches in one pass.
-    """
-    terms = np.where(fapb >= 0, targets, targets - 1.0) * fapb
-    terms += np.log1p(np.exp(-np.abs(fapb)))
-    return float(terms.sum())
-
-
 def fit_sigmoid(
     engine: Engine,
     decision_values: np.ndarray,
@@ -88,107 +80,115 @@ def fit_sigmoid(
 ) -> SigmoidModel:
     """Fit (A, B) of Eq. (12) on one binary problem's decision values.
 
+    A stack of one; see :func:`fit_sigmoids`.
+    """
+    return fit_sigmoids(
+        [engine],
+        [decision_values],
+        [labels],
+        parallel_line_search=parallel_line_search,
+        category=category,
+        max_iterations=max_iterations,
+    )[0]
+
+
+def fit_sigmoids(
+    engines: Sequence[Engine],
+    decision_values: Sequence[np.ndarray],
+    labels: Sequence[np.ndarray],
+    *,
+    parallel_line_search: bool = False,
+    category: str = "sigmoid",
+    max_iterations: int = MAX_NEWTON_ITERATIONS,
+) -> list[SigmoidModel]:
+    """Fit (A, B) of Eq. (12) for many binary problems in one Newton loop.
+
     Parameters
     ----------
+    engines:
+        Member ``i``'s charges go to ``engines[i]``.
     decision_values:
-        SVM outputs ``v_i`` on the (training) instances of the binary
-        problem (Eq. 11).
+        Per member, the SVM outputs ``v_i`` on the (training) instances of
+        its binary problem (Eq. 11).
     labels:
-        The +1/-1 labels of those instances.
+        Per member, the +1/-1 labels of those instances.
     parallel_line_search:
         Score all backtracking candidates in one batched pass (the GMP-SVM
         variant) instead of one at a time (the GPU-baseline variant).
 
-    The returned model's ``converged`` flag is truthful: it is only True
-    when the gradient-norm stopping test passed.  ``max_iterations=0``
-    (no Newton step taken) therefore reports ``converged=False``, and a
-    failed backtracking line search or an exhausted iteration budget emits
+    Every member steps in lockstep: the elementwise passes run on one
+    zero-padded ``(S, n)`` stack, and the five Hessian/gradient sums and
+    the objective sum run on the unpadded rows of each group of
+    equal-length members (:meth:`~repro.backends.base.ComputeBackend.reduce_sum_rows`,
+    bitwise a lone member's :meth:`~repro.gpusim.engine.Engine.reduce_sum`).
+    A member retires on its own gradient test, line-search failure or
+    iteration cap, so its (A, B) are bitwise those of a stack of one.
+    Charges are replayed on each member's engine after the loop, in the
+    order a lone member issues them, and warnings follow in member order.
+
+    A model's ``converged`` flag is truthful: it is only True when the
+    gradient-norm stopping test passed.  ``max_iterations=0`` (no Newton
+    step taken) therefore reports ``converged=False``, and a failed
+    backtracking line search or an exhausted iteration budget emits
     :class:`~repro.exceptions.ConvergenceWarning` (LibSVM prints the same
     diagnostics) while still returning the best (A, B) found.
     """
-    values = np.asarray(decision_values, dtype=np.float64).ravel()
-    y = np.asarray(labels, dtype=np.float64).ravel()
-    if values.size != y.size:
-        raise ValidationError(f"{values.size} decision values for {y.size} labels")
-    if values.size == 0:
-        raise ValidationError("cannot fit a sigmoid on zero instances")
     if max_iterations < 0:
         raise ValidationError(f"max_iterations must be >= 0, got {max_iterations}")
-    n = values.size
-    n_pos = int(np.count_nonzero(y > 0))
-    n_neg = n - n_pos
-
-    hi = (n_pos + 1.0) / (n_pos + 2.0)
-    lo = 1.0 / (n_neg + 2.0)
-    targets = np.where(y > 0, hi, lo)
-
-    a = 0.0
-    b = float(np.log((n_neg + 1.0) / (n_pos + 1.0)))
-    fapb = values * a + b
-    engine.elementwise(category, n, flops_per_element=2, arrays_read=1)
-    fval = _objective(fapb, targets)
-
-    iteration = 0
-    converged = False
-    for iteration in range(1, max_iterations + 1):
-        # p, q of the Lin-Lin-Weng formulation; one elementwise pass.
-        pos = fapb >= 0
-        exp_neg = np.exp(-np.abs(fapb))
-        ratio = exp_neg / (1.0 + exp_neg)
-        inverse = 1.0 / (1.0 + exp_neg)
-        p = np.where(pos, ratio, inverse)
-        q = np.where(pos, inverse, ratio)
-        engine.elementwise(category, n, flops_per_element=6, arrays_read=2)
-
-        d1 = targets - p
-        d2 = p * q
-        # Gradient and Hessian entries: five parallel-reduction sums.
-        h11 = engine.reduce_sum(values * values * d2, category=category) + HESSIAN_RIDGE
-        h22 = engine.reduce_sum(d2, category=category) + HESSIAN_RIDGE
-        h21 = engine.reduce_sum(values * d2, category=category)
-        g1 = engine.reduce_sum(values * d1, category=category)
-        g2 = engine.reduce_sum(d1, category=category)
-
-        if abs(g1) < GRADIENT_EPS and abs(g2) < GRADIENT_EPS:
-            converged = True
-            break
-
-        # Newton direction from the 2x2 system.
-        det = h11 * h22 - h21 * h21
-        da = -(h22 * g1 - h21 * g2) / det
-        db = -(-h21 * g1 + h11 * g2) / det
-        gd = g1 * da + g2 * db
-
-        accepted = _line_search(
-            engine,
-            values,
-            targets,
-            a,
-            b,
-            da,
-            db,
-            fval,
-            gd,
-            parallel=parallel_line_search,
-            category=category,
+    members = []
+    for values, y in zip(decision_values, labels):
+        values = np.asarray(values, dtype=np.float64).ravel()
+        y = np.asarray(y, dtype=np.float64).ravel()
+        if values.size != y.size:
+            raise ValidationError(
+                f"{values.size} decision values for {y.size} labels"
+            )
+        if values.size == 0:
+            raise ValidationError("cannot fit a sigmoid on zero instances")
+        n_pos = int(np.count_nonzero(y > 0))
+        n_neg = values.size - n_pos
+        hi = (n_pos + 1.0) / (n_pos + 2.0)
+        lo = 1.0 / (n_neg + 2.0)
+        b = float(np.log((n_neg + 1.0) / (n_pos + 1.0)))
+        members.append((values, np.where(y > 0, hi, lo), b))
+    ledgers = [ChargeLedger(engine) for engine in engines]
+    # Members sorted by (backend, length), so those whose sums run
+    # together are consecutive, then cut into stacks of bounded size.
+    backends = list({id(e.backend): e.backend for e in ledgers}.values())
+    keys = [
+        (backends.index(ledger.backend), member[0].size)
+        for ledger, member in zip(ledgers, members)
+    ]
+    order = sorted(range(len(members)), key=keys.__getitem__)
+    fits: list = [None] * len(members)
+    start = 0
+    while start < len(order):
+        stop, width = start + 1, keys[order[start]][1]
+        while stop < len(order):
+            wider = max(width, keys[order[stop]][1])
+            if (stop + 1 - start) * wider > STACK_ELEMENTS:
+                break
+            stop, width = stop + 1, wider
+        chunk = order[start:stop]
+        stack = _SigmoidStack(
+            [members[i] for i in chunk], [ledgers[i] for i in chunk], category
         )
-        if accepted is None:
-            # LibSVM: "Line search fails in two-class probability estimates".
+        for i, fit in zip(chunk, _newton(stack, max_iterations, parallel_line_search)):
+            fits[i] = fit
+        start = stop
+
+    for ledger in ledgers:
+        ledger.replay()
+    models = []
+    for a, b, iterations, converged, failed_at in fits:
+        if failed_at:
             warnings.warn(
                 "line search failed in sigmoid (Platt) fitting at iteration "
-                f"{iteration}; returning the last (A, B) iterate",
+                f"{failed_at}; returning the last (A, B) iterate",
                 ConvergenceWarning,
                 stacklevel=2,
             )
-            break
-        # The accepted candidate's fApB and objective are exactly those
-        # of the new (A, B); the device recomputes them, the host reuses.
-        step, fapb, fval = accepted
-        a += step * da
-        b += step * db
-        engine.elementwise(category, n, flops_per_element=2, arrays_read=1)
-    else:
-        if max_iterations > 0:
+        elif max_iterations > 0 and not converged:
             # LibSVM: "Reaching maximal iterations in two-class probability
             # estimates".
             warnings.warn(
@@ -197,50 +197,207 @@ def fit_sigmoid(
                 ConvergenceWarning,
                 stacklevel=2,
             )
+        models.append(
+            SigmoidModel(a=a, b=b, iterations=iterations, converged=converged)
+        )
+    return models
 
-    return SigmoidModel(a=a, b=b, iterations=iteration, converged=converged)
+
+def _newton(stack: "_SigmoidStack", max_iterations: int, parallel: bool) -> list:
+    """The lockstep Newton loop over one stack.
+
+    Returns per row ``(a, b, iterations, converged, failed_at)``, where
+    ``failed_at`` is the iteration whose line search failed, or 0.
+    """
+    count = len(stack.sizes)
+    a = np.zeros(count)
+    b = stack.b.copy()
+    active = np.arange(count)
+    fapb = stack.values * a[:, None] + b[:, None]
+    stack.charge(active, 1, 2, 1)
+    fval = stack.objective(fapb, active)
+    iterations = np.zeros(count, dtype=np.int64)
+    converged = np.zeros(count, dtype=bool)
+    failed = np.zeros(count, dtype=np.int64)
+
+    iteration = 0
+    while active.size and iteration < max_iterations:
+        iteration += 1
+        iterations[active] = iteration
+        v = stack.values[active]
+        d1, d2 = _newton_terms(stack.targets[active], fapb[active])
+        stack.charge(active, 1, 6, 2)
+        # Gradient and Hessian entries: five parallel-reduction sums.
+        h11, h22, h21, g1, g2 = (
+            stack.row_sums(x, active) for x in (v * v * d2, d2, v * d2, v * d1, d1)
+        )
+        for row in active.tolist():
+            for _ in range(5):
+                stack.ledgers[row].charge_sum(stack.sizes[row], category=stack.category)
+        h11 += HESSIAN_RIDGE
+        h22 += HESSIAN_RIDGE
+
+        done = (np.abs(g1) < GRADIENT_EPS) & (np.abs(g2) < GRADIENT_EPS)
+        converged[active[done]] = True
+        searching = np.flatnonzero(~done)
+
+        # Newton direction from the 2x2 system, silent on non-finite
+        # entries as the scalar arithmetic of a lone fit is.
+        with np.errstate(all="ignore"):
+            det = h11 * h22 - h21 * h21
+            if (det[searching] == 0).any():
+                raise ZeroDivisionError("float division by zero")
+            da = -(h22 * g1 - h21 * g2) / det
+            db = -(-h21 * g1 + h11 * g2) / det
+            gd = g1 * da + g2 * db
+
+        rows = active[searching]
+        found = _line_search(
+            stack, rows, a[rows], b[rows], da[searching], db[searching],
+            fval[rows], gd[searching], parallel=parallel,
+        ) if rows.size else None
+        accepted = np.zeros(count, dtype=bool)
+        if found is not None:
+            took, step, trial, new_f = found
+            # The accepted candidate's fApB and objective are exactly
+            # those of the new (A, B); the device recomputes them, the
+            # host reuses.
+            won = rows[took]
+            with np.errstate(all="ignore"):
+                a[won] += step * da[searching][took]
+                b[won] += step * db[searching][took]
+            fapb[won] = trial
+            fval[won] = new_f
+            accepted[won] = True
+            stack.charge(won, 1, 2, 1)
+        # LibSVM: "Line search fails in two-class probability estimates".
+        failed[rows[~accepted[rows]]] = iteration
+        active = active[accepted[active]]
+    return list(
+        zip(a.tolist(), b.tolist(), iterations.tolist(), converged.tolist(),
+            failed.tolist())
+    )
+
+
+def _newton_terms(targets: np.ndarray, fapb: np.ndarray) -> tuple:
+    """``t - p`` and ``p * q`` of the Lin-Lin-Weng formulation, one pass."""
+    pos = fapb >= 0
+    exp_neg = np.exp(-np.abs(fapb))
+    ratio = exp_neg / (1.0 + exp_neg)
+    inverse = 1.0 / (1.0 + exp_neg)
+    p = np.where(pos, ratio, inverse)
+    q = np.where(pos, inverse, ratio)
+    return targets - p, p * q
+
+
+class _SigmoidStack:
+    """Members' decision values and targets on one zero-padded stack.
+
+    Members come sorted by (backend, length), so the rows whose sums run
+    together are consecutive.  Row ``i``'s charges go to ``ledgers[i]``.
+    """
+
+    def __init__(self, members, ledgers, category: str) -> None:
+        self.category = category
+        self.ledgers = ledgers
+        self.sizes = [m[0].size for m in members]
+        self.values = np.zeros((len(members), max(self.sizes)))
+        self.targets = np.zeros_like(self.values)
+        for row, (values, targets, _) in enumerate(members):
+            self.values[row, : values.size] = values
+            self.targets[row, : values.size] = targets
+        self.b = np.array([m[2] for m in members])
+        # Runs of equal (backend, length) are numbered apart.
+        change = [
+            row == 0 or ledgers[row].backend is not ledgers[row - 1].backend
+            or self.sizes[row] != self.sizes[row - 1]
+            for row in range(len(members))
+        ]
+        self.runs = np.cumsum(change)
+
+    def charge(self, rows: np.ndarray, passes: int, flops: int, reads: int) -> None:
+        """One elementwise charge of ``passes`` times its length per row."""
+        for row in rows.tolist():
+            self.ledgers[row].elementwise(
+                self.category, passes * self.sizes[row],
+                flops_per_element=flops, arrays_read=reads,
+            )
+
+    def row_sums(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Each row of ``x`` (stack rows ``rows``) summed over its length."""
+        out = np.empty(rows.size)
+        cuts = np.flatnonzero(np.diff(self.runs[rows])) + 1
+        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), rows.size]):
+            row = int(rows[lo])
+            out[lo:hi] = self.ledgers[row].backend.reduce_sum_rows(
+                x[lo:hi, : self.sizes[row]]
+            )
+        return out
+
+    def objective(self, fapb: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Stable negative log-likelihood: ``sum t*fApB + log(1 + exp(-fApB))``.
+
+        (The Lin-Lin-Weng rewrite; equal to Eq. 13 up to sign and
+        constant.)  For ``fApB < 0`` the term is ``(t - 1)*fApB + log(1 +
+        exp(fApB))``; ``-|fApB|`` covers both branches in one pass.
+        """
+        targets = self.targets[rows]
+        terms = np.where(fapb >= 0, targets, targets - 1.0) * fapb
+        terms += np.log1p(np.exp(-np.abs(fapb)))
+        return self.row_sums(terms, rows)
 
 
 def _line_search(
-    engine: Engine,
-    values: np.ndarray,
-    targets: np.ndarray,
-    a: float,
-    b: float,
-    da: float,
-    db: float,
-    fval: float,
-    gd: float,
+    stack: _SigmoidStack,
+    rows: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    da: np.ndarray,
+    db: np.ndarray,
+    fval: np.ndarray,
+    gd: np.ndarray,
     *,
     parallel: bool,
-    category: str,
-) -> tuple[float, np.ndarray, float] | None:
-    """Backtracking Armijo search.
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Backtracking Armijo search for every member in ``rows`` at once.
 
-    Returns ``(step, fApB, objective)`` of the accepted step, or None.
-    Sequential and parallel variants accept the identical step: both take
-    the largest step in {1, 1/2, 1/4, ...} satisfying the Armijo condition.
-    They differ in the device charge: the parallel variant scores every
+    Each member takes the largest step in {1, 1/2, 1/4, ...} its Armijo
+    condition accepts.  Returns, for the members that accepted one, their
+    positions in ``rows``, steps, fApB and objectives; None if none did.
+    Sequential and parallel variants accept the identical step.  They
+    differ in the device charge: the parallel variant scores every
     candidate in one batched pass (the paper's Sec 3.3.2(ii) concurrency;
     dependent-iteration latency collapses to one launch), the sequential
     one a pass per candidate.  The host scores candidates one at a time
-    either way and stops at the first that passes.
+    either way, and each member stops at the first that passes.
     """
-    n = values.size
     steps: list[float] = []
     step = 1.0
     while step >= MIN_STEP:
         steps.append(step)
         step /= 2.0
     if parallel:
-        engine.elementwise(
-            category, n * len(steps), flops_per_element=6, arrays_read=2
-        )
+        stack.charge(rows, len(steps), 6, 2)
+    searching = np.arange(rows.size)
+    took, taken, trials, objectives = [], [], [], []
     for candidate in steps:
-        fapb = values * (a + candidate * da) + (b + candidate * db)
         if not parallel:
-            engine.elementwise(category, n, flops_per_element=6, arrays_read=2)
-        new_f = _objective(fapb, targets)
-        if new_f < fval + ARMIJO * candidate * gd:
-            return candidate, fapb, new_f
-    return None
+            stack.charge(rows[searching], 1, 6, 2)
+        with np.errstate(all="ignore"):  # per-member scalars, as alone
+            slope = a[searching] + candidate * da[searching]
+            shift = b[searching] + candidate * db[searching]
+            bound = fval[searching] + ARMIJO * candidate * gd[searching]
+        trial = stack.values[rows[searching]] * slope[:, None] + shift[:, None]
+        new_f = stack.objective(trial, rows[searching])
+        ok = new_f < bound
+        if ok.any():
+            took.append(searching[ok])
+            taken.append(np.full(int(ok.sum()), candidate))
+            trials.append(trial[ok])
+            objectives.append(new_f[ok])
+            searching = searching[~ok]
+            if not searching.size:
+                break
+    if not took:
+        return None
+    return tuple(np.concatenate(part) for part in (took, taken, trials, objectives))

@@ -29,20 +29,23 @@ returns the round's kernel-row demand, and whose
 :meth:`~BatchSMOSession.complete_round` consumes the rows and runs the
 inner solve plus the Eq.-8 update.  :meth:`BatchSMOSolver.solve` is a thin
 loop over the stepper, so the monolithic and stepped paths share one code
-path and cannot diverge.  ``begin_round`` is :func:`begin_rounds` on a
-stack of one.  ``complete_round`` is three steps:
-:meth:`~BatchSMOSession.gather_round` (row fetch, working-set block,
-budget), :func:`~repro.solvers.subproblem.solve_subproblem` and
-:meth:`~BatchSMOSession.apply_round` (weights, Eq.-8 update, FIFO).  The
-interleaved concurrent trainer (:mod:`repro.core.interleave`) steps many
-sessions in lockstep waves: it runs all their selection halves in one
-stacked :func:`begin_rounds` call, fuses their kernel-row demands into
-shared batched launches and solves all their subproblems in one stacked
-call.
+path and cannot diverge.  Every round half is a stacked function over many
+sessions, and the session methods are those functions on a stack of one:
+``begin_round`` is :func:`begin_rounds`, and ``complete_round`` is
+:func:`gather_rounds` (row fetch, working-set blocks, budgets),
+:func:`~repro.solvers.subproblem.solve_subproblem` and
+:func:`apply_rounds` (stall logic, weights, Eq.-8 update, FIFO).  The
+sessions' alpha, f, labels, penalty and kernel diagonal live in the rows
+of a :class:`WaveState`, so the stacked halves read and write them in
+place.  The interleaved concurrent trainer (:mod:`repro.core.interleave`)
+admits many sessions into one wave and steps them in lockstep: one
+stacked call per half, kernel-row demands fused into shared batched
+launches, and all subproblems solved in one stack.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import Callable, Optional, Sequence
@@ -64,19 +67,26 @@ from repro.solvers.base import (
     validate_binary_problem,
 )
 from repro.solvers.subproblem import (
-    Subproblem,
     SubproblemResult,
+    SubproblemStack,
     inner_iteration_budget,
     solve_subproblem,
 )
-from repro.solvers.working_set import (
-    ViolatorSelection,
-    select_new_violators,
-    stack_rows,
-)
+from repro.solvers.working_set import ViolatorSelection, select_new_violators
 from repro.telemetry.tracer import Tracer, maybe_span
 
-__all__ = ["BatchSMOSolver", "BatchSMOSession", "RoundRequest", "begin_rounds"]
+# Alpha's row in a wave's resident state (labels, penalty, diagonal, alpha, f).
+_ALPHA = 3
+
+__all__ = [
+    "BatchSMOSolver",
+    "BatchSMOSession",
+    "RoundRequest",
+    "WaveState",
+    "apply_rounds",
+    "begin_rounds",
+    "gather_rounds",
+]
 
 
 class RoundRequest:
@@ -201,13 +211,18 @@ class BatchSMOSession:
     - :meth:`complete_round` — the consumption half: fetch the rows
       (optionally through a caller-supplied loader, e.g. one backed by a
       wave-fused batched launch), solve the working-set subproblem and
-      apply the batched Eq.-8 indicator update.  A concurrent driver
-      calls its parts, :meth:`gather_round` and :meth:`apply_round`,
-      around one stacked solve of many sessions' subproblems.
+      apply the batched Eq.-8 indicator update; its parts are
+      :meth:`gather_round` and :meth:`apply_round` around the solve.
 
-    Stepping a session produces *bitwise-identical* iterates to the
-    monolithic :meth:`BatchSMOSolver.solve`, which is itself implemented
-    as a loop over a session.
+    Each method is its stacked module function (:func:`begin_rounds`,
+    :func:`gather_rounds`, :func:`apply_rounds`) on a stack of one; a
+    concurrent driver calls those functions on a whole wave.  The
+    session's ``alpha`` and ``f`` are views of its :class:`WaveState`
+    slot from its first round until :meth:`finish` copies them out;
+    :meth:`snapshot_state` and :meth:`restore_state` take and give plain
+    arrays.  Stepping a session produces *bitwise-identical* iterates to
+    the monolithic :meth:`BatchSMOSolver.solve`, which is itself
+    implemented as a loop over a session.
     """
 
     def __init__(
@@ -271,6 +286,11 @@ class BatchSMOSession:
             if self.f.shape != (n,):
                 raise ValidationError(f"initial_f shape {self.f.shape} != ({n},)")
         self.diagonal = rows.diagonal()
+        self._load_rows = functools.partial(rows.rows, category="kernel_values")
+        # The WaveState slot the arrays above become views of (see
+        # _stacked_state); None until the session is first stacked.
+        self._wave: Optional[WaveState] = None
+        self._slot = 0
         self.inner_total = 0
         self.rounds = 0
         self.converged = False
@@ -303,7 +323,9 @@ class BatchSMOSession:
         self._pending: Optional[RoundRequest] = None
         self._pending_retained: Optional[np.ndarray] = None
         self._pending_new: Optional[np.ndarray] = None
-        self._gathered: Optional[tuple] = None  # (held rows, stats_before)
+        # (stack, row in it, working-set lanes, fetched rows or None,
+        # buffer stats before)
+        self._gathered: Optional[tuple] = None
         self._finished = False
         self._closed = False
         self._result: Optional[SolverResult] = None
@@ -365,8 +387,8 @@ class BatchSMOSession:
                 f"snapshot arrays of shape {alpha.shape}/{f.shape} do not "
                 f"fit a {self.n}-instance problem"
             )
-        self.alpha = alpha.copy()
-        self.f = f.copy()
+        self.alpha[:] = alpha
+        self.f[:] = f
         self.rounds = int(state["rounds"])
         self.inner_total = int(state["inner_total"])
         self._ws_order = [int(i) for i in state["ws_order"]]
@@ -393,123 +415,24 @@ class BatchSMOSession:
         :meth:`gather_round`, :func:`solve_subproblem` and
         :meth:`apply_round` in sequence.
         """
-        self.apply_round(solve_subproblem([self.gather_round(loader)])[0])
+        self.apply_round(solve_subproblem(self.gather_round(loader))[0])
 
     def gather_round(
         self, loader: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    ) -> Subproblem:
+    ) -> SubproblemStack:
         """Fetch the working set's kernel rows and pose its subproblem.
 
-        ``loader`` computes the missing kernel rows (called by the buffer
-        with the missing ids, at most once); it defaults to the session's
-        own row provider.  A concurrent driver passes a loader backed by a
-        wave-fused batched launch — the values must be identical either
-        way, so the iterates cannot depend on the execution schedule.
-        The returned :class:`~repro.solvers.subproblem.Subproblem` may be
-        solved in a stack with other sessions'; its result goes to
-        :meth:`apply_round`.
+        A stack of one; see :func:`gather_rounds`.  The result goes to
+        :func:`solve_subproblem`, and its solution to :meth:`apply_round`.
         """
-        request = self._pending
-        if request is None:
-            raise ValidationError("round completed without begin_round")
-        if self._gathered is not None:
-            raise ValidationError("gather_round called twice in one round")
-        solver = self.solver
-        if loader is None:
-            loader = lambda ids: self.rows.rows(  # noqa: E731
-                ids, category="kernel_values"
-            )
-        ws_idx = request.ws_idx
-        stats_before = (
-            self.buffer.stats.snapshot() if self.round_trace is not None else None
-        )
-        k_rows = self.buffer.fetch(ws_idx, loader)
-        # Only this session touches its buffer before apply_round, so rows
-        # still resident are re-read there; the fetched copy is kept only
-        # when inserting the misses evicted part of the working set.
-        held = k_rows if self.buffer.missing(ws_idx).size else None
-        self._gathered = (held, stats_before)
-        # The ws x ws block is not copied on the device: the inner
-        # solver reads it straight from the buffered rows (its own
-        # charge covers that traffic).
-        return Subproblem(
-            engine=self.engine,
-            kernel=k_rows[:, ws_idx],
-            diag=self.diagonal[ws_idx],
-            y=self.labels[ws_idx],
-            alpha=self.alpha[ws_idx],
-            f=self.f[ws_idx],
-            penalty=self.penalty[ws_idx],
-            epsilon=solver.epsilon,
-            max_iterations=inner_iteration_budget(
-                ws_idx.size, request.delta, solver.epsilon, solver.inner_rule
-            ),
-        )
+        return gather_rounds([self], [loader])
 
     def apply_round(self, sub: SubproblemResult) -> None:
-        """Apply the solved subproblem of the round :meth:`gather_round` posed.
+        """Apply the solved subproblem :meth:`gather_round` posed.
 
-        Stall handling, the weight update, the batched Eq.-8 update of
-        every indicator from the fetched rows and the working-set FIFO.
+        A stack of one; see :func:`apply_rounds`.
         """
-        if self._gathered is None:
-            raise ValidationError("apply_round called without gather_round")
-        request = self._pending
-        k_rows, stats_before = self._gathered
-        retained, new = self._pending_retained, self._pending_new
-        self._pending = self._gathered = None
-        self._pending_retained = self._pending_new = None
-        labels, alpha = self.labels, self.alpha
-        ws_idx = request.ws_idx
-        self.inner_total += sub.iterations
-        delta_alpha = sub.alpha - alpha[ws_idx]
-        changed = np.abs(delta_alpha) > 0
-        self.rounds += 1
-        if self.round_trace is not None:
-            since = self.buffer.stats.since(stats_before)
-            self.round_trace.append(
-                {
-                    "round": self.rounds,
-                    "delta": float(request.delta),
-                    "retained": int(retained.size),
-                    "new_violators": int(new.size),
-                    "inner_iterations": int(sub.iterations),
-                    "changed": int(changed.sum()),
-                    "buffer_hits": since.hits,
-                    "buffer_misses": since.misses,
-                    "buffer_evictions": since.evictions,
-                    "buffer_inserts": since.inserts,
-                }
-            )
-        if not changed.any():
-            self._stalled += 1
-            if self._stalled == 1 and retained.size:
-                self._ws_order.clear()
-                return
-            if self._stalled >= 2:
-                self._finished = True
-            return
-        self._stalled = 0
-        alpha[ws_idx] = sub.alpha
-
-        # Batched Eq.-8 update of every indicator from the buffered rows.
-        coeffs = delta_alpha[changed] * labels[ws_idx][changed]
-        if k_rows is None:
-            self.f += coeffs @ self.buffer.peek(ws_idx[changed])
-        else:
-            self.f += coeffs @ k_rows[changed]
-        self.engine.charge(
-            "f_update",
-            flops=2 * int(changed.sum()) * self.n,
-            bytes_read=int(changed.sum()) * self.n * 8,
-            bytes_written=self.n * 8,
-            launches=1,
-        )
-
-        new_set = set(new.tolist())
-        self._ws_order = [i for i in self._ws_order if i not in new_set]
-        self._ws_order.extend(int(i) for i in new)
-        self._ws_order = self._ws_order[-self.ws_size:]
+        apply_rounds([self], [sub])
 
     # ------------------------------------------------------------------
     # Termination
@@ -523,6 +446,8 @@ class BatchSMOSession:
         if self._result is not None:
             return self._result
         self._finished = True
+        if self._wave is not None:
+            self._wave.retire(self)
         labels, alpha, f, penalty = self.labels, self.alpha, self.f, self.penalty
         if not self.converged:
             warnings.warn(
@@ -570,6 +495,83 @@ class BatchSMOSession:
         self.buffer.free()
 
 
+class WaveState:
+    """The resident solver state of the sessions stepped together.
+
+    Each admitted session holds one slot of a ``(5, S, width + 1)`` array
+    (labels, penalty, kernel diagonal, alpha, f), and its own ``alpha``
+    and ``f`` are views of its slot, so the stacked round halves read
+    every member's state and write its weights without re-stacking them.
+    Lanes past a member's ``n`` stay 0; the last column, zero in every
+    slot, is the pad lane of a shorter member's working-set gather.  A
+    driver puts its sessions into one wave with :meth:`admit` (a session
+    stepped alone gets a wave of its own), and :meth:`retire` (called by
+    :meth:`BatchSMOSession.finish`) copies a session's alpha and f out and
+    frees its slot.
+    """
+
+    def __init__(self, width: int) -> None:
+        self.width = int(width)
+        self.state = np.zeros((5, 1, self.width + 1))
+        self.members: list[Optional[BatchSMOSession]] = [None]
+
+    def admit(self, session: BatchSMOSession) -> None:
+        """Move ``session``'s state into a free slot of this wave."""
+        if session.n > self.width:
+            raise ValidationError(
+                f"a {session.n}-instance session does not fit a wave of "
+                f"width {self.width}"
+            )
+        if None not in self.members:  # double the slots, keeping every row
+            self.state = np.concatenate([self.state, np.zeros_like(self.state)], 1)
+            self.members += [None] * len(self.members)
+            for member in filter(None, self.members):
+                _bind(member, self.state[:, member._slot])
+        slot = self.members.index(None)
+        self.state[:, slot, : session.n] = (
+            session.labels, session.penalty, session.diagonal, session.alpha,
+            session.f,
+        )
+        if session._wave is not None:
+            session._wave._free(session)
+        self.members[slot] = session
+        session._wave, session._slot = self, slot
+        _bind(session, self.state[:, slot])
+
+    def retire(self, session: BatchSMOSession) -> None:
+        """Give ``session`` its weights and indicators back as its own arrays."""
+        _bind(session, self.state[_ALPHA:, session._slot, : session.n].copy())
+        self._free(session)
+
+    def _free(self, session: BatchSMOSession) -> None:
+        self.state[:, session._slot] = 0.0
+        self.members[session._slot] = None
+        session._wave = None
+
+
+def _bind(session: BatchSMOSession, rows: np.ndarray) -> None:
+    # ``rows`` end with alpha and f.  The constants stay the session's own
+    # arrays; the wave's copies of them are read only by the stacked halves.
+    session.alpha, session.f = rows[-2:, : session.n]
+
+
+def _stacked_state(sessions: Sequence[BatchSMOSession]) -> np.ndarray:
+    """The sessions' resident state as one ``(5, S, width + 1)`` array.
+
+    Its last column is zero in every row.  Sessions not all in one wave
+    (a lone session, the first time) are first admitted into a new one.
+    """
+    wave = sessions[0]._wave
+    if wave is None or any(s._wave is not wave for s in sessions):
+        wave = WaveState(max(s.n for s in sessions))
+        for session in sessions:
+            wave.admit(session)
+    slots = [s._slot for s in sessions]
+    if slots == list(range(slots[0], slots[0] + len(slots))):
+        return wave.state[:, slots[0] : slots[0] + len(slots)]  # a view
+    return wave.state[:, slots]
+
+
 def begin_rounds(
     sessions: Sequence[BatchSMOSession],
 ) -> list[Optional[RoundRequest]]:
@@ -580,7 +582,7 @@ def begin_rounds(
     refresh.  Returns one :class:`RoundRequest` per session, or ``None``
     for a session that has terminated (and is now marked finished).
 
-    The live sessions' state is stacked into padded ``(S, n)`` arrays
+    The live sessions' resident state is read as padded ``(S, n)`` arrays
     (padded lanes have label 0, so they are in neither violator set): the
     ``I_up``/``I_low`` masks are built once, the masked extrema take the
     first lane on ties as :meth:`~repro.gpusim.engine.Engine.reduce_extremum`
@@ -607,11 +609,7 @@ def begin_rounds(
 
     count = len(live)
     sizes = [s.n for s in live]
-    width = max(sizes)
-    labels = stack_rows([s.labels for s in live], width)
-    alpha = stack_rows([s.alpha for s in live], width)
-    f = stack_rows([s.f for s in live], width)
-    penalty = stack_rows([s.penalty for s in live], width)
+    labels, penalty, _, alpha, f = _stacked_state(live)
     up = upper_mask(labels, alpha, penalty)
     low = lower_mask(labels, alpha, penalty)
     # Masked extrema; an empty mask leaves the (non-finite) fill value.
@@ -683,22 +681,182 @@ def begin_rounds(
     return [None if s._finished else s._pending for s in sessions]
 
 
+def gather_rounds(
+    sessions: Sequence[BatchSMOSession],
+    loaders: Optional[Sequence[Optional[Callable[[np.ndarray], np.ndarray]]]] = None,
+) -> SubproblemStack:
+    """Fetch every session's working-set rows and pose all subproblems.
+
+    Each session's buffer resolves its working set in one lookup and
+    computes the rows ``begin_rounds`` found missing through its loader
+    (``loaders[i]``, called at most once; by default the session's own
+    row provider).  A concurrent driver's loader is backed by a
+    wave-fused launch, whose values must be identical, so the iterates
+    cannot depend on the execution schedule.  The ``(ws, ws)`` blocks go
+    into one padded stack, the working-set labels, penalty, diagonal,
+    alpha and f come from the resident state in one gather, and the inner
+    budgets are one vector expression.  The stack goes to
+    :func:`solve_subproblem`, and its solutions to :func:`apply_rounds`
+    with the same sessions in the same order.
+    """
+    for session in sessions:
+        if session._pending is None:
+            raise ValidationError("round completed without begin_round")
+        if session._gathered is not None:
+            raise ValidationError("gather_round called twice in one round")
+    count = len(sessions)
+    requests = [s._pending for s in sessions]
+    sizes = np.array([r.ws_idx.size for r in requests])
+    width = int(sizes.max())
+    kernel = np.zeros((count, width, width))
+    state = _stacked_state(sessions)
+    lanes = np.full((count, width), state.shape[2] - 1)  # the zero pad lane
+    held = []
+    for row, (session, request) in enumerate(zip(sessions, requests)):
+        ws_idx, ws = request.ws_idx, request.ws_idx.size
+        stats = (
+            session.buffer.stats.snapshot()
+            if session.round_trace is not None else None
+        )
+        loader = loaders[row] if loaders is not None else None
+        k_rows = session.buffer.fetch(ws_idx, loader or session._load_rows)
+        kernel[row, :ws, :ws] = k_rows[:, ws_idx]
+        lanes[row, :ws] = ws_idx
+        # apply_rounds re-reads the rows from the buffer unless inserting
+        # this round's misses evicted working-set rows.
+        evicted = request.missing.size and session.buffer.missing(ws_idx).size
+        held.append((k_rows if evicted else None, stats))
+    labels, penalty, diag, alpha, f = state[:, np.arange(count)[:, None], lanes]
+    epsilon = np.array([s.solver.epsilon for s in sessions])
+    deltas = np.array([r.delta for r in requests])
+    rules = np.array([s.solver.inner_rule for s in sessions])
+    budgets = np.empty(count, dtype=np.int64)
+    for rule in set(rules.tolist()):
+        rows = rules == rule
+        budgets[rows] = inner_iteration_budget(
+            sizes[rows], deltas[rows], epsilon[rows], rule
+        )
+    stack = SubproblemStack(
+        engines=[s.engine for s in sessions], kernel=kernel, diag=diag,
+        y=labels, alpha=alpha, f=f, penalty=penalty, epsilon=epsilon,
+        max_iterations=budgets, sizes=sizes.tolist(),
+    )
+    for row, (session, (k_rows, stats)) in enumerate(zip(sessions, held)):
+        session._gathered = (stack, row, lanes, k_rows, stats)
+    return stack
+
+
+def apply_rounds(
+    sessions: Sequence[BatchSMOSession], results: Sequence[SubproblemResult]
+) -> None:
+    """Apply every solved subproblem of one :func:`gather_rounds` call.
+
+    ``sessions`` are that call's sessions in order and ``results`` their
+    :func:`solve_subproblem` solutions.  The weight changes, the changed
+    lanes and the Eq.-8 coefficients are computed once for the stack,
+    and the new weights of every member that moved are scattered into the
+    resident state in one write.  Per member: the stall logic, the Eq.-8
+    update of every indicator from its fetched rows (one product per
+    member, as a member alone computes it) and the working-set FIFO.
+    """
+    stack = sessions[0]._gathered[0] if sessions[0]._gathered else None
+    if stack is None or any(
+        s._gathered is None or s._gathered[:2] != (stack, row)
+        for row, s in enumerate(sessions)
+    ):
+        raise ValidationError(
+            "apply_round needs the sessions of one gather_round call, in order"
+        )
+    new_alpha = stack.alpha.copy()
+    for row, (sub, ws) in enumerate(zip(results, stack.sizes)):
+        new_alpha[row, :ws] = sub.alpha
+    delta_alpha = new_alpha - stack.alpha
+    changed = np.abs(delta_alpha) > 0
+    n_changed = changed.sum(axis=1).tolist()
+    coeffs = delta_alpha * stack.y
+    moved = [row for row, k in enumerate(n_changed) if k]
+    if moved:
+        slots = np.array([sessions[row]._slot for row in moved])
+        lanes = sessions[0]._gathered[2]
+        sessions[0]._wave.state[_ALPHA, slots[:, None], lanes[moved]] = new_alpha[moved]
+
+    for row, (session, sub) in enumerate(zip(sessions, results)):
+        k_rows, stats = session._gathered[3:]
+        request = session._pending
+        retained, new = session._pending_retained, session._pending_new
+        session._pending = session._gathered = None
+        session._pending_retained = session._pending_new = None
+        session.inner_total += sub.iterations
+        session.rounds += 1
+        if session.round_trace is not None:
+            since = session.buffer.stats.since(stats)
+            session.round_trace.append(
+                {
+                    "round": session.rounds,
+                    "delta": float(request.delta),
+                    "retained": int(retained.size),
+                    "new_violators": int(new.size),
+                    "inner_iterations": int(sub.iterations),
+                    "changed": n_changed[row],
+                    "buffer_hits": since.hits,
+                    "buffer_misses": since.misses,
+                    "buffer_evictions": since.evictions,
+                    "buffer_inserts": since.inserts,
+                }
+            )
+        if not n_changed[row]:
+            session._stalled += 1
+            if session._stalled == 1 and retained.size:
+                session._ws_order.clear()
+            elif session._stalled >= 2:
+                session._finished = True
+            continue
+        session._stalled = 0
+
+        # Batched Eq.-8 update of every indicator from the buffered rows.
+        ws_changed = changed[row, : stack.sizes[row]]
+        if k_rows is None:
+            k_rows = session.buffer.peek(request.ws_idx[ws_changed])
+        else:
+            k_rows = k_rows[ws_changed]
+        session.f += coeffs[row, : stack.sizes[row]][ws_changed] @ k_rows
+        n = session.n
+        session.engine.charge(
+            "f_update",
+            flops=2 * n_changed[row] * n,
+            bytes_read=n_changed[row] * n * 8,
+            bytes_written=n * 8,
+            launches=1,
+        )
+
+        new_set = set(new.tolist())
+        order = [i for i in session._ws_order if i not in new_set]
+        order.extend(new.tolist())
+        session._ws_order = order[-session.ws_size:]
+
+
 def _charge_selection(engine: Engine, n: int, attempts: int) -> None:
     """Charge one member's selection half as a member alone issues it.
 
     Each attempt is the mask pass and the two masked reductions, then
     (past the checks) the sort and the candidate-mask pass; a member that
-    stops at the checks made one attempt without them.
+    stops at the checks made one attempt without them.  The sequence
+    recurs every round, so it is priced once per engine.
     """
-    for _ in range(max(attempts, 1)):
-        engine.elementwise(
-            "selection", n, flops_per_element=4, arrays_read=2, memory="cached"
-        )
-        engine.charge_extremum(n, masked=True, category="selection")
-        engine.charge_extremum(n, masked=True, category="selection")
-        if attempts:
-            engine.charge_sort(n, category="selection")
-            engine.elementwise(
+
+    def record(ledger: Engine) -> None:
+        for _ in range(max(attempts, 1)):
+            ledger.elementwise(
                 "selection", n, flops_per_element=4, arrays_read=2,
                 memory="cached",
             )
+            ledger.charge_extremum(n, masked=True, category="selection")
+            ledger.charge_extremum(n, masked=True, category="selection")
+            if attempts:
+                ledger.charge_sort(n, category="selection")
+                ledger.elementwise(
+                    "selection", n, flops_per_element=4, arrays_read=2,
+                    memory="cached",
+                )
+
+    engine.charge_recurring(("selection", n, attempts), record)

@@ -21,13 +21,16 @@ member retires on its own (budget spent, gap <= epsilon, an empty
 violator set, a non-finite gain or a non-positive step) and then takes
 zero steps.  Its iterates are bitwise those of a stack of one.  Device
 charges are deferred: the loop counts each member's steps, then charges
-each member on its own engine, in problem order.
+each member on its own engine, in problem order.  A wave driver poses
+its members' subproblems directly as one :class:`SubproblemStack`
+(:func:`~repro.solvers.batch_smo.gather_rounds`); a list of
+:class:`Subproblem` records is stacked first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -36,7 +39,11 @@ from repro.gpusim.engine import Engine
 from repro.solvers.base import TAU
 
 __all__ = [
-    "Subproblem", "SubproblemResult", "solve_subproblem", "inner_iteration_budget"
+    "Subproblem",
+    "SubproblemResult",
+    "SubproblemStack",
+    "solve_subproblem",
+    "inner_iteration_budget",
 ]
 
 # The step at which a member retired: budget spent, at selection (gap <=
@@ -60,6 +67,57 @@ class Subproblem:
 
 
 @dataclass
+class SubproblemStack:
+    """Many members' subproblems on one padded ``(S, ws)`` stack.
+
+    Row ``i`` holds member ``i``'s first ``sizes[i]`` lanes; the lanes
+    past them have kernel, diagonal, label, weight, indicator and bound 0.
+    Its arrays are not mutated.
+    """
+
+    engines: list  # member i's steps are charged to engines[i]
+    kernel: np.ndarray  # (S, ws, ws) working-set blocks
+    diag: np.ndarray
+    y: np.ndarray
+    alpha: np.ndarray
+    f: np.ndarray
+    penalty: np.ndarray
+    epsilon: np.ndarray  # (S,)
+    max_iterations: np.ndarray  # (S,) integer budgets
+    sizes: list
+
+    @classmethod
+    def of(cls, problems: Sequence[Subproblem]) -> "SubproblemStack":
+        """Stack :class:`Subproblem` records, zero-padding the shorter ones."""
+        count = len(problems)
+        sizes = [p.y.size for p in problems]
+        for problem, ws in zip(problems, sizes):
+            if problem.kernel.shape != (ws, ws):
+                raise ValidationError(
+                    f"kernel block shape {problem.kernel.shape} does not match ws={ws}"
+                )
+        width = max(sizes)
+        kernel = np.zeros((count, width, width))
+        alpha, f, c, diag, y = (np.zeros((count, width)) for _ in range(5))
+        for i, (problem, ws) in enumerate(zip(problems, sizes)):
+            kernel[i, :ws, :ws] = problem.kernel
+            alpha[i, :ws] = problem.alpha
+            f[i, :ws] = problem.f
+            c[i, :ws] = problem.penalty
+            diag[i, :ws] = problem.diag
+            y[i, :ws] = problem.y
+        return cls(
+            engines=[p.engine for p in problems],
+            kernel=kernel, diag=diag, y=y, alpha=alpha, f=f, penalty=c,
+            epsilon=np.array([p.epsilon for p in problems], dtype=np.float64),
+            max_iterations=np.array(
+                [p.max_iterations for p in problems], dtype=np.int64
+            ),
+            sizes=sizes,
+        )
+
+
+@dataclass
 class SubproblemResult:
     """Outcome of optimising one working set."""
 
@@ -68,10 +126,11 @@ class SubproblemResult:
     local_gap: float
 
 
-def inner_iteration_budget(
-    ws_size: int, delta: float, epsilon: float, rule: str
-) -> int:
-    """Iteration cap for one working set.
+def inner_iteration_budget(ws_size, delta, epsilon, rule: str):
+    """Iteration cap for one working set, or for arrays of them.
+
+    ``ws_size``, ``delta`` and ``epsilon`` are scalars (giving an
+    ``int``) or equal-length arrays (giving an int64 array).
 
     - ``"adaptive"`` (the paper's scheme): large delta => few iterations,
       small delta => up to ``ws_size`` iterations.  The budget interpolates
@@ -80,27 +139,38 @@ def inner_iteration_budget(
     - ``"to_convergence"``: effectively unlimited — the ablation arm that
       exhibits the local-optimisation pathology.
     """
-    if ws_size < 2:
-        raise ValidationError(f"working set must have >= 2 instances, got {ws_size}")
+    ws = np.asarray(ws_size, dtype=np.int64)
+    if (ws < 2).any():
+        raise ValidationError(
+            f"working set must have >= 2 instances, got {ws.min()}"
+        )
     if rule == "fixed":
-        return max(1, ws_size // 2)
-    if rule == "to_convergence":
-        return 1_000_000
-    if rule != "adaptive":
+        budget = np.maximum(1, ws // 2)
+    elif rule == "to_convergence":
+        budget = np.full_like(ws, 1_000_000)
+    elif rule != "adaptive":
         raise ValidationError(f"unknown inner iteration rule {rule!r}")
-    if delta <= 0:
-        return max(1, ws_size // 8)
-    fraction = min(1.0, max(0.125, epsilon / delta))
-    return max(1, int(ws_size * fraction))
+    else:
+        positive = np.asarray(delta) > 0
+        fraction = np.minimum(
+            1.0, np.maximum(0.125, epsilon / np.where(positive, delta, 1.0))
+        )
+        budget = np.maximum(
+            1, np.where(positive, (ws * fraction).astype(np.int64), ws // 8)
+        )
+    return int(budget) if budget.ndim == 0 else budget
 
 
 def solve_subproblem(
-    problems: Sequence[Subproblem], *, category: str = "subproblem"
+    problems: Union[Sequence[Subproblem], SubproblemStack],
+    *,
+    category: str = "subproblem",
 ) -> list[SubproblemResult]:
     """Run SMO restricted to each member's working set, all in lockstep.
 
-    Returns one :class:`SubproblemResult` per problem, in order; a single
-    problem is simply a stack of one.
+    ``problems`` is a list of :class:`Subproblem` records or one
+    :class:`SubproblemStack`.  Returns one :class:`SubproblemResult` per
+    member, in order; a single problem is simply a stack of one.
 
     Notes
     -----
@@ -109,29 +179,17 @@ def solve_subproblem(
     outside indicators drift by amounts that the caller reapplies in one
     batched update (Eq. 8 over all n) after the subproblem finishes.
     """
-    if not problems:
-        return []
-    count = len(problems)
-    sizes = [p.y.size for p in problems]
-    for problem, ws in zip(problems, sizes):
-        if problem.kernel.shape != (ws, ws):
-            raise ValidationError(
-                f"kernel block shape {problem.kernel.shape} does not match ws={ws}"
-            )
-    width = max(sizes)
-    kernel = np.zeros((count, width, width))
-    alpha, f, c, diag, y = (np.zeros((count, width)) for _ in range(5))
-    for i, (problem, ws) in enumerate(zip(problems, sizes)):
-        kernel[i, :ws, :ws] = problem.kernel
-        alpha[i, :ws] = problem.alpha
-        f[i, :ws] = problem.f
-        c[i, :ws] = problem.penalty
-        diag[i, :ws] = problem.diag
-        y[i, :ws] = problem.y
-    kernel_rows = kernel.reshape(count * width, width)
+    if not isinstance(problems, SubproblemStack):
+        if not problems:
+            return []
+        problems = SubproblemStack.of(problems)
+    stack, sizes = problems, problems.sizes
+    count, width = stack.y.shape
+    kernel_rows = stack.kernel.reshape(count * width, width)
+    alpha, f = stack.alpha.copy(), stack.f.copy()
+    c, diag, y = stack.penalty, stack.diag, stack.y
     positive = y > 0
-    epsilon = np.array([p.epsilon for p in problems], dtype=np.float64)
-    budget = np.array([p.max_iterations for p in problems], dtype=np.int64)
+    epsilon, budget = stack.epsilon, stack.max_iterations
     budget_ends = {max(int(b), 0) for b in budget}
     offset = np.arange(count) * width  # flat index of each row's lane 0
 
@@ -213,16 +271,14 @@ def solve_subproblem(
         done += 1
 
     results = []
-    for i, (problem, ws) in enumerate(zip(problems, sizes)):
+    for i, (engine, ws) in enumerate(zip(stack.engines, sizes)):
         # The whole subproblem executes as ONE kernel: the working-set
         # block lives in shared memory and the iterations are dependent
         # steps inside it, paying sync latency rather than launch latency.
-        problem.engine.charge(
-            category, bytes_read=ws * ws * 8 + 4 * ws * 8, launches=1
-        )
+        engine.charge(category, bytes_read=ws * ws * 8 + 4 * ws * 8, launches=1)
         n = iterations[i]
         n_select, n_pick = n + (stage[i] >= _SELECT), n + (stage[i] == _PICK)
-        _charge_steps(problem.engine, category, ws, n_select, n_pick, n)
+        _charge_steps(engine, category, ws, n_select, n_pick, n)
         results.append(SubproblemResult(final_alpha[i], n, max(gaps[i], 0.0)))
     return results
 

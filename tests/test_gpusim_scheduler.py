@@ -6,8 +6,8 @@ share a wave; the interleaved wave driver
 charges each one ``max(max_i(latency_i + compute_i), sum_i compute_i)``.
 The driver tests below step scripted stub sessions, so every member's
 round costs are exact, known time charges.  The stubs have no solver
-state to stack, so the driver's stacked selection half is swapped for
-one that asks each stub alone.
+state to stack or keep resident, so the driver's wave state and its
+stacked round halves are swapped for ones that ask each stub alone.
 """
 
 from types import SimpleNamespace
@@ -23,10 +23,22 @@ from repro.solvers.subproblem import Subproblem
 
 
 @pytest.fixture(autouse=True)
-def _stub_selection(monkeypatch):
+def _stub_stacked_rounds(monkeypatch):
+    monkeypatch.setattr(
+        interleave, "WaveState", lambda width: SimpleNamespace(admit=lambda s: None)
+    )
     monkeypatch.setattr(
         interleave, "begin_rounds", lambda sessions: [s.begin_round() for s in sessions]
     )
+    monkeypatch.setattr(
+        interleave, "gather_rounds", lambda stack: [s.gather_round() for s in stack]
+    )
+
+    def apply_each(sessions, results):
+        for session, result in zip(sessions, results):
+            session.apply_round(result)
+
+    monkeypatch.setattr(interleave, "apply_rounds", apply_each)
 
 
 class _ScriptedSession:
@@ -35,6 +47,8 @@ class _ScriptedSession:
     Its subproblem has no iteration budget and an engine that charges
     nothing, so the stacked solve adds no time of its own.
     """
+
+    n = 2  # instances, as the wave driver sizes its state
 
     def __init__(self, clock, rounds):
         self._clock = clock

@@ -337,3 +337,213 @@ def test_differential_suite_reaches_every_exit():
                 assert (model.iterations, model.converged, messages) == (0, False, [])
             else:
                 assert len(messages) == 1 and name.split()[0] in messages[0]
+
+
+# ----------------------------------------------------------------------
+# Lockstep fits: fit_sigmoids against a lone member's Newton loop
+# ----------------------------------------------------------------------
+def _lone_objective(fapb, targets):
+    terms = np.where(fapb >= 0, targets, targets - 1.0) * fapb
+    terms += np.log1p(np.exp(-np.abs(fapb)))
+    return float(terms.sum())
+
+
+def _lone_line_search(engine, values, targets, a, b, da, db, fval, gd,
+                      *, parallel, category):
+    n = values.size
+    steps = []
+    step = 1.0
+    while step >= platt.MIN_STEP:
+        steps.append(step)
+        step /= 2.0
+    if parallel:
+        engine.elementwise(category, n * len(steps), flops_per_element=6, arrays_read=2)
+    for candidate in steps:
+        fapb = values * (a + candidate * da) + (b + candidate * db)
+        if not parallel:
+            engine.elementwise(category, n, flops_per_element=6, arrays_read=2)
+        new_f = _lone_objective(fapb, targets)
+        if new_f < fval + platt.ARMIJO * candidate * gd:
+            return candidate, fapb, new_f
+    return None
+
+
+def lone_fit_sigmoid(engine, values, labels, *, parallel_line_search=False,
+                     category="sigmoid", max_iterations=platt.MAX_NEWTON_ITERATIONS):
+    """One member's Newton loop, as ``fit_sigmoid`` ran it before the stack.
+
+    Every sum is the engine's ``reduce_sum`` of that member's own vector.
+    """
+    values = np.asarray(values, dtype=np.float64).ravel()
+    y = np.asarray(labels, dtype=np.float64).ravel()
+    n = values.size
+    n_pos = int(np.count_nonzero(y > 0))
+    n_neg = n - n_pos
+    targets = np.where(y > 0, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
+    a = 0.0
+    b = float(np.log((n_neg + 1.0) / (n_pos + 1.0)))
+    fapb = values * a + b
+    engine.elementwise(category, n, flops_per_element=2, arrays_read=1)
+    fval = _lone_objective(fapb, targets)
+    iteration = 0
+    converged = False
+    for iteration in range(1, max_iterations + 1):
+        pos = fapb >= 0
+        exp_neg = np.exp(-np.abs(fapb))
+        ratio = exp_neg / (1.0 + exp_neg)
+        inverse = 1.0 / (1.0 + exp_neg)
+        p = np.where(pos, ratio, inverse)
+        q = np.where(pos, inverse, ratio)
+        engine.elementwise(category, n, flops_per_element=6, arrays_read=2)
+        d1 = targets - p
+        d2 = p * q
+        h11 = engine.reduce_sum(values * values * d2, category=category) + platt.HESSIAN_RIDGE
+        h22 = engine.reduce_sum(d2, category=category) + platt.HESSIAN_RIDGE
+        h21 = engine.reduce_sum(values * d2, category=category)
+        g1 = engine.reduce_sum(values * d1, category=category)
+        g2 = engine.reduce_sum(d1, category=category)
+        if abs(g1) < platt.GRADIENT_EPS and abs(g2) < platt.GRADIENT_EPS:
+            converged = True
+            break
+        det = h11 * h22 - h21 * h21
+        da = -(h22 * g1 - h21 * g2) / det
+        db = -(-h21 * g1 + h11 * g2) / det
+        gd = g1 * da + g2 * db
+        accepted = _lone_line_search(
+            engine, values, targets, a, b, da, db, fval, gd,
+            parallel=parallel_line_search, category=category,
+        )
+        if accepted is None:
+            warnings.warn(
+                "line search failed in sigmoid (Platt) fitting at iteration "
+                f"{iteration}; returning the last (A, B) iterate",
+                ConvergenceWarning,
+            )
+            break
+        step, fapb, fval = accepted
+        a += step * da
+        b += step * db
+        engine.elementwise(category, n, flops_per_element=2, arrays_read=1)
+    else:
+        if max_iterations > 0:
+            warnings.warn(
+                f"sigmoid (Platt) fitting hit the {max_iterations}-iteration "
+                "cap before the gradient test passed",
+                ConvergenceWarning,
+            )
+    return platt.SigmoidModel(a=a, b=b, iterations=iteration, converged=converged)
+
+
+# Lengths on both sides of NumPy's pairwise-summation blocks.
+STRADDLING = (7, 8, 9, 15, 16, 17, 127, 128, 129)
+
+
+@st.composite
+def stacked_members(draw):
+    """One member of a lockstep fit: decision values, labels, backend."""
+    n = draw(st.one_of(st.sampled_from(STRADDLING), st.integers(1, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(
+        ["noisy", "one_sided", "imbalanced", "separable", "huge"]
+    ))
+    labels = rng.choice([-1.0, 1.0], size=n)
+    if kind == "one_sided":
+        labels = np.full(n, draw(st.sampled_from([-1.0, 1.0])))
+    elif kind == "imbalanced":
+        labels = np.ones(n)
+        labels[rng.integers(n)] = -1.0
+    values = rng.normal(size=n) + 0.5 * labels
+    if kind == "separable":  # the optimum runs off: iteration cap
+        values = labels * draw(st.sampled_from([1.0, 5.0, 50.0]))
+    elif kind == "huge":  # a NaN direction: line-search failure
+        values = labels * 1e300 + rng.normal(size=n)
+    return values, labels, draw(st.sampled_from([None, "numpy32"]))
+
+
+def _stack_against_lone(members, parallel, max_iterations):
+    from repro.gpusim import make_engine, scaled_tesla_p100
+
+    def engines():
+        return [make_engine(scaled_tesla_p100(), backend=m[2]) for m in members]
+
+    mine, theirs = engines(), engines()
+    got, got_warnings = _fit_recording(
+        platt.fit_sigmoids, mine, [m[0] for m in members], [m[1] for m in members],
+        parallel_line_search=parallel, max_iterations=max_iterations,
+    )
+    want, want_warnings = [], []
+    for engine, (values, labels, _) in zip(theirs, members):
+        model, messages = _fit_recording(
+            lone_fit_sigmoid, engine, values, labels,
+            parallel_line_search=parallel, max_iterations=max_iterations,
+        )
+        want.append(model)
+        want_warnings.extend(messages)
+    assert [_bits(m) for m in got] == [_bits(m) for m in want]
+    assert got_warnings == want_warnings
+    for a, b in zip(mine, theirs):
+        assert a.counters == b.counters
+        assert _clock_state(a) == _clock_state(b)
+
+
+@given(
+    st.lists(stacked_members(), min_size=1, max_size=8),
+    st.booleans(),
+    st.sampled_from([0, 1, 3, platt.MAX_NEWTON_ITERATIONS]),
+)
+@settings(max_examples=150, deadline=None)
+def test_lockstep_fits_match_lone_loops_bitwise(members, parallel, max_iterations):
+    """Each member's (A, B), warnings, counters and clock are a lone fit's."""
+    _stack_against_lone(members, parallel, max_iterations)
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+@pytest.mark.parametrize("stack_elements", [platt.STACK_ELEMENTS, 300, 1])
+def test_every_exit_in_one_stack(parallel, stack_elements, monkeypatch):
+    """Converged, capped, failed and zero-step members share one stack.
+
+    The smaller bounds cut the members into several stacks (down to one
+    member each); every member still gets its lone fit.
+    """
+    monkeypatch.setattr(platt, "STACK_ELEMENTS", stack_elements)
+    rng = np.random.default_rng(2)
+    labels = {n: np.where(np.arange(n) % 3 == 0, -1.0, 1.0) for n in STRADDLING}
+    members = [
+        (rng.normal(size=n) + 0.3 * labels[n], labels[n], backend)
+        for n in STRADDLING for backend in (None, "numpy32")
+    ]
+    members += [
+        (5.0 * labels[16], labels[16], None),  # hits the cap
+        (1e300 * labels[9], labels[9], "numpy32"),  # line search fails
+        (np.ones(8), np.ones(8), None),  # one-sided
+    ]
+    for cap in (0, 3, platt.MAX_NEWTON_ITERATIONS):
+        _stack_against_lone(members, parallel, cap)
+
+
+def test_forced_line_search_failure_warns_every_member(monkeypatch):
+    """A search that accepts nothing fails each member at iteration 1."""
+    from repro.gpusim import make_engine, scaled_tesla_p100
+
+    monkeypatch.setattr(platt, "_line_search", lambda *a, **k: None)
+    problems = [make_decisions(n=n, seed=n) for n in (40, 30, 17)]
+    engines = [make_engine(scaled_tesla_p100()) for _ in range(3)]
+    models, messages = _fit_recording(
+        platt.fit_sigmoids, engines, [p[0] for p in problems], [p[1] for p in problems],
+    )
+    assert [m.converged for m in models] == [False] * 3
+    assert [m.iterations for m in models] == [1] * 3
+    assert len(messages) == 3 and all("iteration 1;" in m for m in messages)
+
+
+def test_stacked_row_sums_equal_lone_sums():
+    """A C-contiguous stack's row sums are each row's own sum, bit for bit."""
+    from repro.backends import resolve_backend
+
+    rng = np.random.default_rng(0)
+    for n in [*range(1, 301), 1000, 4097, 8193]:
+        stack = rng.normal(size=(5, n)) * np.exp(5 * rng.normal(size=(5, n)))
+        for name in ("numpy64", "numpy32"):
+            backend = resolve_backend(name)
+            lone = [backend.reduce_sum(row.copy()) for row in stack]
+            assert backend.reduce_sum_rows(stack).tolist() == lone
