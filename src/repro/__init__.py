@@ -74,7 +74,7 @@ from repro.serving import InferenceSession
 from repro.sparse import CSRMatrix, dump_libsvm, load_libsvm
 from repro.telemetry import Tracer
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "CSRMatrix",

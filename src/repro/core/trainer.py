@@ -36,7 +36,6 @@ from repro.gpusim.clock import SimClock
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.engine import FLOAT_BYTES, ChargeLedger, Engine, make_engine
 from repro.gpusim.scheduler import WaveLimits
-from repro.kernels.cache import KernelBuffer
 from repro.kernels.functions import KernelFunction
 from repro.kernels.rows import KernelRowComputer
 from repro.kernels.shared import SharedClassPairKernels
@@ -49,7 +48,6 @@ from repro.perf.report import TrainingReport
 from repro.probability.platt import fit_sigmoid, fit_sigmoids
 from repro.solvers.base import resolve_penalty_vector
 from repro.solvers.batch_smo import BatchSMOSolver
-from repro.solvers.shrinking import ShrinkingSMOSolver
 from repro.solvers.smo import ClassicSMOSolver
 from repro.solvers.warm_start import warm_start_pair_state
 from repro.sparse import ops as mops
@@ -90,7 +88,8 @@ class TrainerConfig:
     buffer_rows: Optional[int] = None  # defaults to the working-set size
     buffer_policy: str = "fifo"
     inner_rule: str = "adaptive"
-    # Classic-solver LRU kernel cache (bytes; None disables caching).
+    # Classic-solver LRU kernel buffer (bytes; None disables caching, with
+    # or without shrinking).
     classic_cache_bytes: Optional[int] = None
     # LibSVM-style shrinking (active-set reduction) for the classic solver.
     classic_shrinking: bool = False
@@ -976,30 +975,14 @@ def _solve_pair(
         )
         return result, _batched_task_bytes(config, n)
 
-    if config.classic_shrinking:
-        solver = ShrinkingSMOSolver(
-            penalty=penalty,
-            epsilon=config.epsilon,
-            cache_bytes=config.classic_cache_bytes,
-        )
-        result = solver.solve(rows, labels, penalty_vector=penalty_vector)
-        cache_budget = config.classic_cache_bytes or 0
-        return result, state_bytes + cache_budget
-
-    cache = None
-    cache_bytes = 0
-    if config.classic_cache_bytes:
-        cache_rows = max(2, int(config.classic_cache_bytes) // (n * FLOAT_BYTES))
-        cache_rows = min(cache_rows, n)
-        cache = KernelBuffer(cache_rows, n, policy="lru")
-        cache_bytes = cache.nbytes
     solver = ClassicSMOSolver(
         penalty=penalty,
         epsilon=config.epsilon,
-        buffer=cache,
+        shrinking=config.classic_shrinking,
+        cache_bytes=config.classic_cache_bytes,
     )
     result = solver.solve(rows, labels, penalty_vector=penalty_vector)
-    return result, state_bytes + cache_bytes
+    return result, state_bytes + solver.buffer_nbytes(n)
 
 
 class _SharedPairRows:
@@ -1035,15 +1018,24 @@ class _SharedPairRows:
     def diagonal(self) -> np.ndarray:
         return self._computer.diagonal()[self._problem.global_indices]
 
-    def rows(self, local_ids: object, *, category: Optional[str] = None) -> np.ndarray:
+    def rows(
+        self,
+        local_ids: object,
+        *,
+        columns: Optional[np.ndarray] = None,
+        category: Optional[str] = None,
+    ) -> np.ndarray:
         idx = np.asarray(local_ids, dtype=np.int64)
         global_ids = self._problem.global_indices[idx]
-        return self._shared.rows_for_pair(
+        pair_rows = self._shared.rows_for_pair(
             global_ids,
             self._problem.s,
             self._problem.t,
             category=category if category is not None else "kernel_values",
         )
+        # The share holds whole class segments; a shrunk solver reads its
+        # active columns out of them.
+        return pair_rows if columns is None else pair_rows[:, columns]
 
 
 def _cv_decision_values(

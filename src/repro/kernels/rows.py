@@ -94,23 +94,35 @@ class KernelRowComputer:
     # ------------------------------------------------------------------
     # Row / block computation
     # ------------------------------------------------------------------
-    def rows(self, indices: object, *, category: Optional[str] = None) -> np.ndarray:
+    def rows(
+        self,
+        indices: object,
+        *,
+        columns: Optional[np.ndarray] = None,
+        category: Optional[str] = None,
+    ) -> np.ndarray:
         """Kernel-matrix rows for the given instance indices, one batch.
 
-        Returns a ``(len(indices), n)`` dense array.
+        Returns a ``(len(indices), n)`` dense array, or only the given
+        ``columns`` of those rows (a shrunk solver's active set).
         """
         idx = np.asarray(indices, dtype=np.int64)
         if idx.ndim != 1:
             raise ValidationError(f"indices must be 1-D, got shape {idx.shape}")
         cat = category if category is not None else self.category
         norms = self.norms()
+        data = self.operand.keep_tiles()
+        norms_b = norms
+        if columns is not None:
+            data = self.operand.take_rows(columns)
+            norms_b = None if norms is None else norms[columns]
         return self.kernel.pairwise(
             self.engine,
             self.operand.take_rows(idx),
-            self.operand.keep_tiles(),
+            data,
             category=cat,
             norms_a=None if norms is None else norms[idx],
-            norms_b=norms,
+            norms_b=norms_b,
         )
 
     def block(

@@ -2,7 +2,8 @@
 
 - :mod:`repro.solvers.smo` — the classic Sequential Minimal Optimization
   solver with second-order working-set selection (Section 2.1.1 /
-  Algorithm 1); used by the LibSVM baseline and the GPU baseline.
+  Algorithm 1), with LibSVM's shrinking as a switch and one LRU kernel
+  buffer; used by the LibSVM, GPU-baseline and GPUSVM baselines.
 - :mod:`repro.solvers.batch_smo` — the paper's batched working-set solver
   (Section 3.3.1): q new violators per round, batched kernel-row
   computation, FIFO GPU buffer reuse, and delta-adaptive early termination
@@ -21,7 +22,6 @@ from repro.solvers.base import (
     upper_mask,
 )
 from repro.solvers.batch_smo import BatchSMOSolver
-from repro.solvers.shrinking import ShrinkingSMOSolver
 from repro.solvers.smo import ClassicSMOSolver
 from repro.solvers.subproblem import solve_subproblem
 from repro.solvers.warm_start import (
@@ -35,7 +35,6 @@ from repro.solvers.working_set import select_new_violators
 __all__ = [
     "BatchSMOSolver",
     "ClassicSMOSolver",
-    "ShrinkingSMOSolver",
     "SolverResult",
     "bias_from_f",
     "dual_objective",

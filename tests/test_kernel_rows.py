@@ -21,6 +21,12 @@ class TestRows:
         rows = comp.rows([3, 7, 11])
         assert np.allclose(rows, full[[3, 7, 11]])
 
+    def test_rows_against_column_subset(self, computer):
+        comp, _ = computer
+        cols = np.array([0, 3, 4, 11, 19])
+        rows = comp.rows([3, 7], columns=cols)
+        assert np.allclose(rows, comp.rows([3, 7])[:, cols])
+
     def test_rows_rejects_2d_indices(self, computer):
         comp, _ = computer
         with pytest.raises(ValidationError):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import ConvergenceWarning, ValidationError
 from repro.gpusim import make_engine, scaled_tesla_p100
-from repro.kernels import GaussianKernel, KernelBuffer, KernelRowComputer, LinearKernel
+from repro.kernels import GaussianKernel, KernelRowComputer, LinearKernel
 from repro.solvers import ClassicSMOSolver
 
 from tests.conftest import make_binary_problem
@@ -102,23 +102,33 @@ class TestConvergence:
 class TestBufferIntegration:
     def test_cache_reduces_rows_recomputed(self):
         x, y = make_binary_problem(n=120)
-        engine = make_engine(scaled_tesla_p100())
-        rows = KernelRowComputer(engine, GaussianKernel(0.25), x)
-        buffer = KernelBuffer(120, 120, policy="lru")
-        solver = ClassicSMOSolver(penalty=10.0, buffer=buffer)
-        result = solver.solve(rows, y)
-        assert buffer.stats.hits > 0
-        assert buffer.stats.inserts < 2 * result.iterations
+        result, _ = solve(x, y, cache_bytes=120 * 120 * 8)
+        assert result.buffer_hit_rate > 0
+        assert result.kernel_rows_computed < 2 * result.iterations
 
     def test_cached_and_uncached_agree(self):
         x, y = make_binary_problem(n=90)
         plain, _ = solve(x, y)
-        engine = make_engine(scaled_tesla_p100())
-        rows = KernelRowComputer(engine, GaussianKernel(0.25), x)
-        buffer = KernelBuffer(16, 90, policy="lru")  # tiny, thrashing cache
-        cached = ClassicSMOSolver(penalty=10.0, buffer=buffer).solve(rows, y)
+        cached, _ = solve(x, y, cache_bytes=16 * 90 * 8)  # tiny, thrashing cache
         assert cached.objective == pytest.approx(plain.objective, abs=1e-9)
         assert cached.bias == pytest.approx(plain.bias, abs=1e-9)
+
+    def test_rows_computed_counts_buffer_misses(self):
+        x, y = make_binary_problem(n=200)
+        uncached, _ = solve(x, y)
+        cached, _ = solve(x, y, cache_bytes=200 * 200 * 8)
+        # Every fetch computes without a buffer; with one only misses do.
+        fetches = uncached.kernel_rows_computed
+        assert fetches >= 2 * uncached.iterations
+        misses = round(fetches * (1.0 - cached.buffer_hit_rate))
+        assert cached.kernel_rows_computed == misses < fetches
+
+    def test_buffer_sized_in_whole_rows(self):
+        solver = ClassicSMOSolver(penalty=1.0, cache_bytes=5 * 10 * 8 + 7)
+        assert solver.buffer_nbytes(10) == 5 * 10 * 8
+        assert solver.buffer_nbytes(4) == 4 * 4 * 8  # at most every row
+        assert solver.buffer_nbytes(1000) == 2 * 1000 * 8  # at least two
+        assert ClassicSMOSolver(penalty=1.0).buffer_nbytes(10) == 0
 
 
 class TestEdgesAndErrors:
@@ -144,21 +154,6 @@ class TestEdgesAndErrors:
         result, _ = solve(x, y, penalty=1.0)
         assert result.converged
         assert result.n_support == 2
-
-    def test_warm_start_converges_faster(self):
-        x, y = make_binary_problem(n=120)
-        cold, rows = solve(x, y)
-        engine = make_engine(scaled_tesla_p100())
-        rows2 = KernelRowComputer(engine, GaussianKernel(0.25), x)
-        warm = ClassicSMOSolver(penalty=10.0).solve(rows2, y, alpha0=cold.alpha)
-        assert warm.iterations <= max(1, cold.iterations // 10)
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
-
-    def test_warm_start_shape_check(self, gpu_engine):
-        x, y = make_binary_problem(n=10)
-        rows = KernelRowComputer(gpu_engine, GaussianKernel(0.25), x)
-        with pytest.raises(ValidationError):
-            ClassicSMOSolver(penalty=1.0).solve(rows, y, alpha0=np.zeros(3))
 
     def test_result_reports_support_vectors(self):
         x, y = make_binary_problem(n=80)
