@@ -903,14 +903,15 @@ def run_cascade() -> dict[str, float]:
     - **unsharded** — the plain batched SMO solve on one device, the
       yardstick;
     - **cascade, 4 flat devices** — 4 instance shards solved
-      concurrently, SVs merged pairwise, globally KKT-verified; the
-      acceptance contract pins ``speedup_4dev >= 1.5``;
+      concurrently, SVs merged pairwise, globally KKT-checked and
+      polished to epsilon; the acceptance contract pins
+      ``speedup_4dev >= 1.5``;
     - **cascade, 2x2 hierarchical** — same work on a 2-node x 2-device
       topology; the per-tier byte ledger must show the merge traffic
       riding the intra-node tier except for exactly one inter-node merge.
 
-    The cascade is approximate, so the payload also carries the SLO-gated
-    quality metrics: the verified global dual gap against its budget, the
+    The merge is approximate, so the payload also carries the SLO-gated
+    quality metrics: the global dual gap over the solver's epsilon, the
     L-inf decision delta against the unsharded solve, and the decision
     sign disagreement (what multiclass voting would see).
     """
@@ -972,14 +973,11 @@ def run_cascade() -> dict[str, float]:
             metrics[f"makespan_{tag}_seconds"] = report.simulated_seconds
             metrics[f"speedup_{tag}"] = unsharded_s / report.simulated_seconds
             metrics[f"dual_gap_{tag}"] = report.final_gap
-            metrics[f"gap_budget_{tag}"] = report.gap_budget
-            metrics[f"budget_met_{tag}"] = float(report.budget_met)
             metrics[f"decision_linf_{tag}"] = float(
                 np.max(np.abs(d_cascade - d_sequential))
             )
             metrics[f"argmax_disagreement_{tag}"] = disagreement
             metrics[f"sv_survival_{tag}"] = report.sv_survival
-            metrics[f"feedback_rounds_{tag}"] = float(report.feedback_rounds)
             metrics[f"iterations_{tag}"] = float(report.total_iterations)
             for tier, nbytes in report.transfer_bytes.items():
                 metrics[f"transfer_{tier}_bytes_{tag}"] = float(nbytes)
@@ -989,12 +987,10 @@ def run_cascade() -> dict[str, float]:
     # The gateable inverses: check_regression --slo only bounds from
     # above, so a ceiling on these is a floor on speedup / the gap margin.
     metrics["slowdown_4dev"] = 1.0 / metrics["speedup_4dev"]
-    metrics["gap_over_budget_4dev"] = (
-        metrics["dual_gap_4dev"] / metrics["gap_budget_4dev"]
-    )
-    metrics["gap_over_budget_2x2"] = (
-        metrics["dual_gap_2x2"] / metrics["gap_budget_2x2"]
-    )
+    for tag in ("4dev", "2x2"):
+        metrics[f"gap_over_epsilon_{tag}"] = (
+            metrics[f"dual_gap_{tag}"] / config.epsilon
+        )
     return metrics
 
 

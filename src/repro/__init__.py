@@ -31,8 +31,8 @@ Public entry points:
 - :class:`CascadeConfig` / :func:`train_cascade` — instance-sharded
   cascade SMO for single large binary problems over hierarchical
   clusters: seeded stratified partitioning, per-shard sub-solves, a
-  topology-aware pairwise SV merge tree, and a global-KKT feedback loop
-  gated by an explicit dual-gap error budget (DESIGN.md §17);
+  topology-aware pairwise SV merge tree, and one warm-started polish of
+  the merged solution to the solver's epsilon (DESIGN.md §17);
 - :class:`FaultPlan` / :class:`FaultInjector` — deterministic, seeded
   fault injection over the simulated cluster (stragglers, device loss,
   link faults) with checkpoint/resume recovery that keeps models
@@ -74,7 +74,7 @@ from repro.serving import InferenceSession
 from repro.sparse import CSRMatrix, dump_libsvm, load_libsvm
 from repro.telemetry import Tracer
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 __all__ = [
     "CSRMatrix",

@@ -6,8 +6,9 @@ shards the *instances of one binary problem*: seeded stratified
 partitioning (:mod:`~repro.cascade.partition`), per-shard sub-solves
 under the existing wave scheduler, a topology-aware pairwise SV merge
 tree (:mod:`~repro.cascade.tree`) over the :class:`~repro.distributed.
-cluster.DevicePool` peer links, and a global-KKT feedback loop gated by
-an explicit dual-gap error budget (:mod:`~repro.cascade.driver`).
+cluster.DevicePool` peer links, and one distributed global-KKT pass
+followed, when the merged gap exceeds epsilon, by a warm-started polish
+over all instances (:mod:`~repro.cascade.driver`).
 
 Entry points: :func:`train_cascade` for one binary problem, or a
 :class:`CascadeConfig` handed to the multiclass trainers (``cascade=``

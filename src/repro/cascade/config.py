@@ -3,15 +3,14 @@
 One :class:`CascadeConfig` describes how a single binary SVM is split
 across devices: how many instance shards to cut, which pairwise problems
 are large enough to bother (the routing threshold used by the multiclass
-trainers), how hard the feedback loop may work, and the explicit dual-gap
-error budget the converged model must meet (the cascade merge is
-approximate, so bitwise parity is replaced by gates — see DESIGN.md §17).
+trainers) and the partitioner's seed.  The stopping rule is the solver's
+own ``epsilon``: the cascade polishes its merged solution to it (see
+DESIGN.md §17).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.validation import strict_config
 from repro.exceptions import ValidationError
@@ -34,16 +33,6 @@ class CascadeConfig:
     threshold: int = 2048
     # Seed of the deterministic instance partitioner.
     seed: int = 0
-    # Feedback loop: after the reduction tree converges on the root's
-    # active set, globally KKT-violating instances are pulled into the
-    # root problem and re-solved — at most this many times, adding at
-    # most ``feedback_chunk`` instances per round.
-    max_feedback_rounds: int = 8
-    feedback_chunk: int = 256
-    # Dual-gap ceiling the final full-KKT verification pass must meet.
-    # ``None`` defaults to ``10 x`` the solver's epsilon at train time;
-    # values below epsilon are unreachable and rejected there.
-    dual_gap_budget: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -54,32 +43,3 @@ class CascadeConfig:
             raise ValidationError(
                 f"threshold must be >= 2, got {self.threshold}"
             )
-        if self.max_feedback_rounds < 0:
-            raise ValidationError(
-                "max_feedback_rounds must be >= 0, "
-                f"got {self.max_feedback_rounds}"
-            )
-        if self.feedback_chunk < 1:
-            raise ValidationError(
-                f"feedback_chunk must be >= 1, got {self.feedback_chunk}"
-            )
-        if self.dual_gap_budget is not None and self.dual_gap_budget <= 0:
-            raise ValidationError(
-                f"dual_gap_budget must be positive, got {self.dual_gap_budget}"
-            )
-
-    def resolve_budget(self, epsilon: float) -> float:
-        """The effective dual-gap ceiling under a solver ``epsilon``.
-
-        The root/feedback sub-solves only converge to ``epsilon`` on
-        their active set, so a tighter global budget is unreachable.
-        """
-        if self.dual_gap_budget is None:
-            return 10.0 * epsilon
-        if self.dual_gap_budget < epsilon:
-            raise ValidationError(
-                f"dual_gap_budget {self.dual_gap_budget} is tighter than "
-                f"the solver epsilon {epsilon}; the cascade cannot "
-                "converge past the sub-solver tolerance"
-            )
-        return float(self.dual_gap_budget)

@@ -19,28 +19,28 @@ Distributed Multi-Class SVM"):
    first; bytes land in the link ledger), the union warm-starts a merged
    sub-solve on the destination device, and only its support vectors
    survive to the next level.
-4. **Feedback loop** — the root's active set is only locally optimal, so
-   the driver reconstructs the full-problem optimality indicators
-   ``f_i`` (each device scores its own resident instances against the
-   broadcast root SVs), pulls the worst globally KKT-violating instances
-   into the root problem, and re-solves warm-started — until the global
-   dual gap meets the error budget or the round cap is hit.  The loop
-   head doubles as the **final full-KKT verification pass**: the
-   reported gap is always computed from the final weights over *all*
-   instances.
+4. **Polish** — the root's active set is only locally optimal, so one
+   distributed KKT pass reconstructs the full-problem optimality
+   indicators ``f_i`` (each device scores its own resident instances
+   against the broadcast root SVs).  If that global dual gap is within
+   epsilon, the pass is the verification and the cascade is done;
+   otherwise every row ships to the root device once and the exact
+   batched solver, warm-started from the merged weights and that ``f``,
+   runs over all instances to epsilon (the polishing step of
+   Glasmachers' "Recipe for Fast Large-scale SVM Training", PAPERS.md).
 
-The merge is approximate (a support vector discarded at level 0 can in
-principle re-enter only through the feedback loop), so unlike the
-pair-sharded trainer there is **no bitwise-parity claim** — correctness
-is gated by the explicit dual-gap budget plus the decision-delta /
-argmax-agreement gates enforced in the test-suite and CI benchmarks.
+The merge is approximate, so the merged weights differ from the
+sequential solve's; the polish makes the contract the same as every
+other training path — global dual gap at most epsilon — but, unlike the
+pair-sharded trainer, there is **no bitwise-parity claim**: the
+decision-delta / argmax-agreement gates are enforced in the test-suite
+and CI benchmarks.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Optional
 
 import numpy as np
@@ -60,7 +60,6 @@ from repro.distributed.waves import (
     fault_summary,
     run_device_waves,
 )
-from repro.exceptions import ConvergenceWarning
 from repro.faults.checkpoint import CheckpointStore
 from repro.faults.plan import FaultPlan
 from repro.gpusim.clock import SimClock
@@ -71,10 +70,8 @@ from repro.solvers.base import (
     SolverResult,
     bias_from_f,
     dual_objective,
-    lower_mask,
     optimality_gap,
     resolve_penalty_vector,
-    upper_mask,
     validate_binary_problem,
 )
 from repro.solvers.warm_start import reconstruct_gradient
@@ -128,7 +125,8 @@ class CascadeReport:
 
     ``levels`` carries the per-level timeline: the shard phase, then one
     entry per reduction-tree level (SV survival, link tier, bytes), then
-    one entry per feedback round.  ``transfer_bytes`` is the per-tier
+    the ``kkt`` pass and, when the merged gap exceeded epsilon, one
+    ``polish`` entry.  ``transfer_bytes`` is the per-tier
     interconnect volume the cascade itself moved.
     """
 
@@ -138,12 +136,7 @@ class CascadeReport:
     n_devices: int
     n_nodes: int
     levels: list[dict] = field(default_factory=list)
-    feedback_rounds: int = 0
-    kkt_passes: int = 0
-    instances_fed_back: int = 0
     final_gap: float = float("inf")
-    gap_budget: float = 0.0
-    budget_met: bool = False
     n_support: int = 0
     total_iterations: int = 0
     transfer_bytes: dict = field(default_factory=dict)
@@ -392,40 +385,6 @@ def _global_kkt_pass(
     return f_full, gap, stats
 
 
-def _select_violators(
-    f: np.ndarray,
-    labels: np.ndarray,
-    alpha_full: np.ndarray,
-    box: np.ndarray,
-    active: np.ndarray,
-    chunk: int,
-    epsilon: float,
-) -> np.ndarray:
-    """The worst globally KKT-violating instances outside the active set.
-
-    Violation magnitude mirrors the gap definition: for ``i`` in
-    ``I_up``, how far ``f_i`` sits below ``max_{I_low} f``; for ``i`` in
-    ``I_low``, how far above ``min_{I_up} f``.  Only violations beyond
-    the sub-solver tolerance count (anything smaller cannot move the
-    converged gap).
-    """
-    up = upper_mask(labels, alpha_full, box)
-    low = lower_mask(labels, alpha_full, box)
-    if not up.any() or not low.any():
-        return np.empty(0, dtype=np.int64)
-    b_up = float(f[up].min())
-    b_low = float(f[low].max())
-    violation = np.full(labels.size, -np.inf)
-    violation[up] = b_low - f[up]
-    violation[low] = np.maximum(violation[low], (f - b_up)[low])
-    violation[active] = -np.inf  # already in the root problem
-    candidates = np.flatnonzero(violation > epsilon)
-    if candidates.size == 0:
-        return candidates.astype(np.int64)
-    order = candidates[np.argsort(-violation[candidates], kind="stable")]
-    return np.sort(order[:chunk]).astype(np.int64)
-
-
 def _cascade_solve(
     config,
     cascade: CascadeConfig,
@@ -454,7 +413,6 @@ def _cascade_solve(
     n = labels.size
     box = resolve_penalty_vector(penalty, n, penalty_vector)
     weighted_box = None if penalty_vector is None else box
-    budget = cascade.resolve_budget(config.epsilon)
     n_shards = effective_shards(labels, cascade.n_shards)
     shards = shard_instances(labels, n_shards, cascade.seed)
     shard_device = assign_shards(n_shards, pool.n_devices)
@@ -466,7 +424,6 @@ def _cascade_solve(
         requested_shards=cascade.n_shards,
         n_devices=pool.n_devices,
         n_nodes=cluster.n_nodes,
-        gap_budget=budget,
     )
     ledger_before = dict(pool.transfer_ledger)
     total_iterations = 0
@@ -613,148 +570,85 @@ def _cascade_solve(
     }
 
     # ------------------------------------------------------------------
-    # Phase 3: feedback loop + final full-KKT verification.  Every pass
-    # recomputes the exact global indicators from the current weights,
-    # so the loop head is the verification of whatever solve came last.
+    # Phase 3: one distributed KKT pass seeds the full-problem ``f``.  A
+    # gap within epsilon is the verification; otherwise every row ships
+    # to the root once and the exact solver polishes over all n.
     # ------------------------------------------------------------------
     root = slots[tree.root]
     home_device = np.empty(n, dtype=np.int64)
     for shard in range(n_shards):
         home_device[shards[shard]] = shard_device[shard]
-    feedback_entries: list[dict] = []
-    while True:
-        f_full, gap, kkt_stats = _global_kkt_pass(
-            config, pool, root, home_device, data, labels, box, kernel,
-            per_row, member_clocks, tracer,
+    f_full, gap, kkt_stats = _global_kkt_pass(
+        config, pool, root, home_device, data, labels, box, kernel,
+        per_row, member_clocks, tracer,
+    )
+    report.levels.append(kkt_stats)
+    alpha_full = np.zeros(n)
+    alpha_full[root.indices] = root.alpha
+    if gap <= config.epsilon:
+        result = SolverResult(
+            alpha=alpha_full,
+            bias=bias_from_f(f_full, labels, alpha_full, box),
+            converged=True,
+            iterations=0,
+            objective=dual_objective(alpha_full, labels, f_full),
+            final_gap=float(gap),
+            f=f_full,
         )
-        report.kkt_passes += 1
-        if gap <= budget:
-            report.budget_met = True
-            break
-        if report.feedback_rounds >= cascade.max_feedback_rounds:
-            break
-        alpha_full = np.zeros(n)
-        alpha_full[root.indices] = root.alpha
-        violators = _select_violators(
-            f_full, labels, alpha_full, box, root.indices,
-            cascade.feedback_chunk, config.epsilon,
-        )
-        if violators.size == 0:
-            break
-        # Ship the violating rows from their home devices to the root.
-        for device in sorted(set(int(d) for d in home_device[violators])):
-            if device == root.device:
-                continue
-            owned = int(np.count_nonzero(home_device[violators] == device))
+    else:
+        for device in sorted(set(int(d) for d in home_device) - {root.device}):
+            owned = int(np.count_nonzero(home_device == device))
             pool.device_to_device(
-                device,
-                root.device,
-                int(round(owned * per_row)) + owned * FLOAT_BYTES,
-                category="cascade_feedback",
+                device, root.device, int(round(owned * per_row)),
+                category="cascade_polish",
             )
-        active = np.sort(np.concatenate([root.indices, violators]))
-        position_of = {int(g): i for i, g in enumerate(active)}
-        alpha0 = np.zeros(active.size)
-        for g, a in zip(root.indices, root.alpha):
-            alpha0[position_of[int(g)]] = a
         engine = _config_engine(config, pool.engine(root.device).counters)
         with maybe_span(
-            tracer,
-            "cascade_feedback",
-            clock=engine.clock,
-            round=report.feedback_rounds + 1,
-            n_violators=int(violators.size),
-            n_active=int(active.size),
-            gap=float(gap),
+            tracer, "cascade_polish", clock=engine.clock, gap_before=float(gap)
         ) as span:
-            rows = KernelRowComputer(
-                engine,
-                kernel,
-                mops.take_rows(data, active),
-                category="cascade_feedback",
-            )
-            solver = _batched_solver(
+            result = _batched_solver(
                 config, penalty, tracer=None, record_rounds=False
+            ).solve(
+                KernelRowComputer(engine, kernel, data, category="cascade_polish"),
+                labels,
+                penalty_vector=weighted_box,
+                initial_alpha=alpha_full,
+                initial_f=f_full,
             )
-            result = solver.solve(
-                rows,
-                labels[active],
-                penalty_vector=None if weighted_box is None else box[active],
-                initial_alpha=alpha0,
-                initial_f=f_full[active],
-            )
-            support = result.support_indices
-            root = _Slot(
-                indices=active[support],
-                alpha=result.alpha[support],
-                device=root.device,
-            )
-            slots[tree.root] = root
             span.set(
-                sv_out=int(support.size),
+                rounds=result.rounds,
                 iterations=result.iterations,
                 converged=result.converged,
             )
-        member_clocks[root.device].merge(engine.clock)
-        total_iterations += result.iterations
-        total_rows_computed += result.kernel_rows_computed
-        report.feedback_rounds += 1
-        report.instances_fed_back += int(violators.size)
-        feedback_entries.append(
+        # Engine and member clocks both sum into the device's busy time;
+        # booking the polish on the engine clock keeps the per-pair
+        # float sums of both multiclass trainers in the same order.
+        pool.engine(root.device).clock.merge(engine.clock)
+        report.levels.append(
             {
-                "kind": "feedback",
-                "round": report.feedback_rounds,
+                "kind": "polish",
                 "gap_before": float(gap),
-                "n_violators": int(violators.size),
-                "n_active": int(active.size),
-                "sv_out": int(support.size),
+                "rounds": int(result.rounds),
                 "iterations": int(result.iterations),
                 "simulated_seconds": float(engine.clock.elapsed_s),
             }
         )
-    report.levels.extend(feedback_entries)
-    report.levels.append(kkt_stats)
 
-    if not report.budget_met:
-        warnings.warn(
-            f"cascade feedback loop stopped at global gap {gap:.3g} above "
-            f"the dual-gap budget {budget:.3g} "
-            f"({report.feedback_rounds} feedback rounds)",
-            ConvergenceWarning,
-            stacklevel=3,
-        )
-
-    # Assemble the full-problem result from the verified final state.
-    alpha_full = np.zeros(n)
-    alpha_full[root.indices] = root.alpha
-    bias = bias_from_f(f_full, labels, alpha_full, box)
-    report.final_gap = float(gap)
-    report.n_support = root.n_sv
-    report.total_iterations = total_iterations
+    report.final_gap = float(result.final_gap)
+    report.n_support = result.n_support
+    report.total_iterations = total_iterations + result.iterations
     tier_totals = {"host": 0, "intra": 0, "inter": 0}
     for (src, dst), nbytes in pool.transfer_ledger.items():
         moved = nbytes - ledger_before.get((src, dst), 0)
         if moved:
             tier_totals[pool.link_tier(src, dst)] += moved
     report.transfer_bytes = tier_totals
-    result = SolverResult(
-        alpha=alpha_full,
-        bias=bias,
-        converged=report.budget_met,
-        iterations=total_iterations,
-        rounds=report.kkt_passes,
-        objective=dual_objective(alpha_full, labels, f_full),
-        final_gap=float(gap),
-        kernel_rows_computed=total_rows_computed,
-        diagnostics={
-            "cascade": True,
-            "n_shards": n_shards,
-            "feedback_rounds": report.feedback_rounds,
-            "gap_budget": budget,
-        },
-        f=f_full,
-    )
-    return result, report
+    return replace(
+        result,
+        iterations=report.total_iterations,
+        kernel_rows_computed=total_rows_computed + result.kernel_rows_computed,
+        diagnostics={"cascade": True, "n_shards": n_shards},
+    ), report
 
 
 def train_cascade(
@@ -778,22 +672,23 @@ def train_cascade(
     :class:`~repro.distributed.cluster.ClusterSpec`.  Returns the
     full-problem :class:`~repro.solvers.base.SolverResult` — dual
     weights over every instance, bias, exact final indicators ``f`` and
-    the verified global dual gap — plus the :class:`CascadeReport`
-    (per-level timeline, SV survival, per-tier transfer bytes, feedback
-    accounting, faults).
+    the global dual gap — plus the :class:`CascadeReport` (per-level
+    timeline, SV survival, per-tier transfer bytes, faults).
 
     The trained model is **not** bitwise-identical to the sequential
-    solve — the cascade merge is approximate.  ``converged`` on the
-    result means the final full-KKT verification met the configured
-    dual-gap budget; a miss raises a
-    :class:`~repro.exceptions.ConvergenceWarning` instead of failing.
+    solve — the cascade merge is approximate.  The contract is the
+    solver's own: ``converged`` on the result means the global dual gap
+    over all instances is at most ``config.epsilon``, either at the
+    distributed KKT pass over the merged weights or after the polish; a
+    polish that hits its round cap warns with a
+    :class:`~repro.exceptions.ConvergenceWarning` like any batched solve.
 
     ``fault_plan`` / ``checkpoint_every`` / ``checkpoint_dir`` mirror
     :func:`~repro.distributed.trainer.train_multiclass_sharded`: device
     losses abort the affected shard solves at a wave boundary and the
     survivors resume them from the last shipped checkpoint; the merge
-    tree is then built over the surviving devices and the error budget
-    still applies.
+    tree is then built over the surviving devices and the polish still
+    runs to epsilon.
     """
     tracer = config.tracer
     config, pool, store = cluster_pool(
@@ -834,8 +729,6 @@ def train_cascade(
         span.set(
             simulated_seconds=report.simulated_seconds,
             final_gap=report.final_gap,
-            budget_met=report.budget_met,
-            feedback_rounds=report.feedback_rounds,
             n_support=report.n_support,
         )
     return result, report

@@ -102,8 +102,7 @@ def _train_parser() -> argparse.ArgumentParser:
     parser.add_argument("--instance-shards", type=int, default=1, metavar="N",
                         help="cut each large pairwise problem into N "
                              "instance shards and train it through the "
-                             "cascade SMO driver (gmp-svm only; approximate "
-                             "under an explicit dual-gap budget)")
+                             "cascade SMO driver (gmp-svm only)")
     parser.add_argument("--cascade-threshold", type=int, default=2048,
                         metavar="M",
                         help="pairs with at least M instances route through "
@@ -319,12 +318,10 @@ def train_main(argv: Optional[Sequence[str]] = None) -> int:
                   f"across {args.instance_shards} instance shard(s):")
             for stats in cascade_stats:
                 info = stats["cascade"]
-                met = "met" if info["budget_met"] else "MISSED"
                 print(f"  pair {tuple(stats['pair'])}: "
                       f"{info['n_shards']} shard(s), "
-                      f"{info['feedback_rounds']} feedback round(s), "
-                      f"gap {info['final_gap']:.2e} / "
-                      f"budget {info['gap_budget']:.2e} ({met}), "
+                      f"gap {info['final_gap']:.2e} "
+                      f"(epsilon {args.epsilon:.2e}), "
                       f"SV survival {info['sv_survival']:.1%}")
                 for level in info.get("levels", []):
                     kind = level["kind"]
@@ -340,9 +337,8 @@ def train_main(argv: Optional[Sequence[str]] = None) -> int:
                         print(f"    level merge: {level['n_merges']} merge(s)  "
                               f"SVs {level['sv_in']} -> {level['sv_out']} "
                               f"({level['survival']:.1%})  {tiers}")
-                    elif kind == "feedback":
-                        print(f"    level feedback round {level['round']}: "
-                              f"{level['n_violators']} violator(s), "
+                    elif kind == "polish":
+                        print(f"    level polish: {level['rounds']} round(s), "
                               f"gap before {level['gap_before']:.2e}")
         print(f"model saved to {model_path}")
         if published is not None:

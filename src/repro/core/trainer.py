@@ -106,7 +106,7 @@ class TrainerConfig:
     # Instance-sharded cascade routing: a repro.cascade.CascadeConfig
     # sends pairwise problems with at least ``cascade.threshold``
     # instances through the cascade SMO driver (seeded instance shards,
-    # pairwise SV merge, global-KKT feedback — see repro.cascade) instead
+    # pairwise SV merge, a polish to epsilon — see repro.cascade) instead
     # of one monolithic solve.  ``None`` keeps every pair monolithic.
     cascade: Optional[object] = None
     # Telemetry: an optional hierarchical span tracer (spans cover the
@@ -345,7 +345,7 @@ def _train_multiclass_impl(
         }
     # Each routed pair gets a fresh single-device pool (the multi-device
     # cascade lives in train_multiclass_sharded / repro.cascade); its
-    # shard/merge/feedback/finalize timeline folds into cascade_clock and
+    # shard/merge/polish/finalize timeline folds into cascade_clock and
     # its op counters into the master tally.
     cascade_clock = SimClock()
     if cascade_indices:
@@ -501,7 +501,7 @@ def _train_multiclass_impl(
     for clock in task_clocks:
         combined.merge(clock)
     # Cascade pairs train sequentially before the monolithic pass; their
-    # single-pool timeline (shards, merges, feedback, finalize) adds on.
+    # single-pool timeline (shards, merges, polish, finalize) adds on.
     combined.merge(cascade_clock)
 
     model, per_svm_stats = _assemble_model(
@@ -584,7 +584,7 @@ def _train_cascade_pair(
     ``member_clocks``, one per device); the pair then finalizes on a
     fresh engine whose op counts go to the reduction-tree root device.
     The per-SVM ``simulated_seconds`` is the pair's busy time summed over
-    every device: shard solves, merges, feedback and finalize.  Cascade
+    every device: shard solves, merges, polish and finalize.  Cascade
     pairs always train cold — a warm-start prior maps a monolithic dual
     solution, which has no sound projection onto the instance shards.
 

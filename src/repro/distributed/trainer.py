@@ -119,10 +119,11 @@ def train_multiclass_sharded(
     additionally routes pairwise problems with at least
     ``cascade.threshold`` instances through the instance-sharded cascade
     driver across the *whole* cluster — seeded shards, pairwise SV merges
-    up a topology-aware reduction tree, global-KKT feedback — before the
-    remaining pairs run the bitwise pair-sharded path.  Cascade-routed
-    pairs are approximate under an explicit dual-gap budget (the bitwise
-    guarantee above then covers only the unrouted pairs); each routed
+    up a topology-aware reduction tree, one warm-started polish to
+    epsilon — before the remaining pairs run the bitwise pair-sharded
+    path.  Cascade-routed pairs meet the solver's dual-gap epsilon but
+    are not bitwise the monolithic solve (the bitwise guarantee above
+    then covers only the unrouted pairs); each routed
     pair's ``per_svm`` entry carries its full cascade report under
     ``"cascade"`` — per-level timeline, SV survival, per-tier transfer
     bytes and the reduction-tree root device.  Cascade routing cannot be

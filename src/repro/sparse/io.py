@@ -3,13 +3,15 @@
 The paper's datasets are distributed in this format (one instance per line,
 ``<label> <index>:<value> ...`` with 1-based feature indices).  The reader
 is tolerant of comments (``#`` to end of line), blank lines and unsorted
-indices; the writer emits canonical sorted 1-based output that LibSVM
+indices, and rejects non-finite labels and values (``nan``, ``inf`` or an
+overflowing literal such as ``1e400``) with the line and field; the writer emits canonical sorted 1-based output that LibSVM
 itself can read back.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
 from typing import IO, Iterable, Union
 
@@ -63,11 +65,16 @@ def load_libsvm(
             continue
         fields = line.split()
         try:
-            labels.append(float(fields[0]))
+            label = float(fields[0])
         except ValueError as exc:
             raise SparseFormatError(
                 f"line {line_no}: bad label {fields[0]!r}"
             ) from exc
+        if not math.isfinite(label):
+            raise SparseFormatError(
+                f"line {line_no}: non-finite label {fields[0]!r}"
+            )
+        labels.append(label)
         cols = np.empty(len(fields) - 1, dtype=np.int64)
         vals = np.empty(len(fields) - 1)
         for pos, field in enumerate(fields[1:]):
@@ -84,6 +91,12 @@ def load_libsvm(
                     f"line {line_no}: feature index {field!r} below "
                     f"{'0' if zero_based else '1'}"
                 )
+        finite = np.isfinite(vals)
+        if not finite.all():
+            field = fields[1 + int(np.argmin(finite))]
+            raise SparseFormatError(
+                f"line {line_no}: non-finite value in feature {field!r}"
+            )
         if cols.size:
             max_index = max(max_index, int(cols.max()))
         rows.append((cols, vals))

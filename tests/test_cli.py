@@ -1,6 +1,7 @@
 """Unit tests for the repro-train / repro-predict command-line tools."""
 
 import json
+import re
 import threading
 import urllib.request
 
@@ -119,8 +120,10 @@ class TestCascadeCLI:
         assert "cascade-routed 3 pair(s)" in out
         assert "level shard" in out
         assert "level merge" in out
-        assert "(met)" in out
-        assert "MISSED" not in out
+        assert "(epsilon 1.00e-03)" in out
+        assert re.search(
+            r"level polish: \d+ round\(s\), gap before \d\.\d\de[-+]\d+", out
+        )
 
     def test_threshold_gates_routing(self, svm_files, capsys):
         train, _, tmp = svm_files
@@ -157,7 +160,7 @@ class TestCascadeCLI:
         payload = json.loads(report_path.read_text())
         routed = [s for s in payload["per_svm"] if "cascade" in s]
         assert len(routed) == 3
-        assert all(s["cascade"]["budget_met"] for s in routed)
+        assert all(s["cascade"]["final_gap"] <= 1e-3 for s in routed)
 
     def test_model_predicts(self, svm_files, capsys):
         train, test, tmp = svm_files

@@ -52,6 +52,20 @@ class TestLoad:
         with pytest.raises(SparseFormatError, match="bad feature"):
             load_libsvm(io.StringIO("1 1=1.0\n"))
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1 1:nan\n", "line 1: non-finite value in feature '1:nan'"),
+            ("1 1:1\ninf 1:1\n", "line 2: non-finite label 'inf'"),
+            ("1 2:1 1:1e400\n", "line 1: non-finite value in feature '1:1e400'"),
+        ],
+        ids=["nan_value", "inf_label", "overflow_value"],
+    )
+    def test_non_finite_rejected(self, text, message):
+        with pytest.raises(SparseFormatError) as info:
+            load_libsvm(io.StringIO(text))
+        assert message in str(info.value)
+
     def test_n_features_too_small(self):
         with pytest.raises(SparseFormatError, match="exceeds"):
             load_libsvm(io.StringIO("1 5:1.0\n"), n_features=2)
