@@ -1,8 +1,8 @@
-"""Host sweep behind ``DENSE_HOST_MAX_COLS``: CSR loop vs densified GEMM.
+"""Host sweep behind ``DENSE_HOST_MAX_COLS``: CSR product vs densified GEMM.
 
 ``repro.backends.reference.matmul_transpose`` computes a CSR product as
 a dense, row/column-tiled GEMM when the feature space has at most
-``DENSE_HOST_MAX_COLS`` columns, and as the per-row CSR x CSR loop
+``DENSE_HOST_MAX_COLS`` columns, and as the blocked CSR x CSR product
 otherwise.  The simulated clock charges the CSR operands either way, so
 the bound is a host wall-clock choice only.  This bench times both
 products at the shapes the kernel-row and prediction products take
@@ -98,7 +98,7 @@ def _render(rows: dict[str, dict[str, float]]) -> str:
         rows,
         [f"d={d:.0%}" for d in DENSITIES],
         title=(
-            "Dense host product speedup over the CSR loop "
+            "Dense host product speedup over the CSR product "
             f"(worst of {len(SHAPES)} shapes; bound {DENSE_HOST_MAX_COLS} cols)"
         ),
         value_format="0.3g",

@@ -15,8 +15,8 @@ dominates large-scale SVM throughput:
 
 Sparse (CSR) operands take the float64 reference product and narrow the
 result: a CSR feature space at most ``DENSE_HOST_MAX_COLS`` wide runs as
-the densified, row/column-tiled float64 GEMM, a wider one as the per-row
-CSR loop.  Neither is precision-bound enough on the host for a float32
+the densified, row/column-tiled float64 GEMM, a wider one as the blocked
+CSR x CSR product.  Neither is precision-bound enough on the host for a float32
 re-implementation to pay for its parity risk.
 
 Accuracy is enforced by the delta gates of the conformance suite and the

@@ -56,9 +56,11 @@ __all__ = [
 # wide is densified (an exact copy) and takes the same tiled GEMM, so it
 # inherits the invariant.  The rule reads only the column count, never
 # the density: every operand drawn from one feature space then takes the
-# same product, whichever rows a batch holds.  Wider CSR operands keep
-# the per-row CSR loop and segment reductions, which are row-pure by
-# construction.  The simulated clock charges the operands as given
+# same product, whichever rows a batch holds.  Wider CSR operands take
+# ``CSRMatrix.matmul_transpose``: row blocks scattered into a dense
+# workspace, gathered at the other side's columns and segment-summed per
+# row, which is row-pure by construction (no bit depends on the block).
+# The simulated clock charges the operands as given
 # (``repro.gpusim.engine``), so the host product never moves it.
 MATMUL_TILE_ROWS = 256
 MATMUL_MIN_TILE_ROWS = 8

@@ -112,6 +112,11 @@ class SharedClassPairKernels:
         self.max_bytes = max_bytes
         self.stats = SharingStats()
         self._segments: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+        # Class positions, and which ``(instance, position)`` segments
+        # ``_segments`` holds (``_store`` sets a flag, eviction clears it).
+        self._labels = list(self.class_indices)
+        self._class_position = {label: i for i, label in enumerate(self._labels)}
+        self._resident = np.zeros((computer.n, len(self._labels)), dtype=bool)
         self._resident_bytes = 0
         # Segments computed by a fused prefetch whose owning request has
         # not consumed them yet: the owner's consuming fetch is accounted
@@ -176,33 +181,34 @@ class SharedClassPairKernels:
         """
         if not self.enabled or not requests:
             return 0
-        demanded_ids: list[np.ndarray] = []
-        demanded_classes: list[np.ndarray] = []
+        n_classes = len(self._labels)
+        demanded: list[np.ndarray] = []
         for global_ids, class_s, class_t in requests:
             self._check_class(class_s)
             self._check_class(class_t)
-            ids = np.asarray(global_ids, dtype=np.int64)
-            for class_label in (class_s, class_t):
-                demanded_ids.append(ids)
-                demanded_classes.append(np.full(ids.size, class_label, dtype=np.int64))
-        all_ids = np.concatenate(demanded_ids)
-        all_classes = np.concatenate(demanded_classes)
-        # Dedup the wave's demand in one vectorized pass (first occurrence
-        # wins, preserving request order) instead of per-segment dict probes.
-        paired = np.stack([all_ids, all_classes], axis=1)
-        _, first_pos, counts = np.unique(
-            paired, axis=0, return_index=True, return_counts=True
+            base = np.asarray(global_ids, dtype=np.int64) * n_classes
+            demanded.append(base + self._class_position[class_s])
+            demanded.append(base + self._class_position[class_t])
+        # Dedup the wave's demand in one pass over ``gid * k + position``
+        # keys: first occurrence wins, preserving request order.
+        keys, first_pos, counts = np.unique(
+            np.concatenate(demanded), return_index=True, return_counts=True
         )
         order = np.argsort(first_pos)
-        queued: OrderedDict[tuple[int, int], None] = OrderedDict()
-        for pos, repeat_count in zip(first_pos[order], counts[order]):
-            key = (int(all_ids[pos]), int(all_classes[pos]))
-            if key in self._segments:
-                continue
-            queued[key] = None
-            self.stats.prefetch_dedup_hits += int(repeat_count) - 1
-        if not queued:
+        keys, counts = keys[order], counts[order]
+        missing = ~self._resident.reshape(-1)[keys]
+        queued = keys[missing]
+        if not queued.size:
             return 0
+        self.stats.prefetch_dedup_hits += int(counts[missing].sum()) - queued.size
+        # Group by class in the order each class first appears, keeping
+        # request order within a class (one stable sort).
+        _, first_seen, inverse = np.unique(
+            queued % n_classes, return_index=True, return_inverse=True
+        )
+        group_of = first_seen[inverse]
+        order = np.argsort(group_of, kind="stable")
+        groups = np.split(queued[order], np.flatnonzero(np.diff(group_of[order])) + 1)
 
         # Execute the per-class products against a scratch engine, then
         # charge the real engine once with the totals: one fused launch.
@@ -215,13 +221,11 @@ class SharedClassPairKernels:
             flop_efficiency=engine.flop_efficiency,
             bandwidth_efficiency=engine.bandwidth_efficiency,
         )
-        by_class: OrderedDict[int, list[int]] = OrderedDict()
-        for gid, class_label in queued:
-            by_class.setdefault(class_label, []).append(gid)
         norms = self.computer.norms()
-        for class_label, gids in by_class.items():
+        for group in groups:
+            class_label = self._labels[group[0] % n_classes]
+            row_ids = group // n_classes
             columns = self.class_indices[class_label]
-            row_ids = np.asarray(gids, dtype=np.int64)
             block = self.computer.kernel.pairwise(
                 scratch,
                 self.computer.operand.take_rows(row_ids),
@@ -231,10 +235,9 @@ class SharedClassPairKernels:
                 norms_b=None if norms is None else norms[columns],
             )
             self.stats.values_computed += block.size
-            for gid, row in zip(gids, block):
+            for gid, row in zip(row_ids.tolist(), block):
                 key = (gid, class_label)
-                self._store(key, row)
-                if key in self._segments:
+                if self._store(key, row):
                     self._prefetched_fresh.add(key)
         used = scratch.counters
         engine.charge(
@@ -247,8 +250,8 @@ class SharedClassPairKernels:
             pcie_bytes=used.pcie_bytes,
         )
         self.stats.prefetch_launches += 1
-        self.stats.prefetch_segments += len(queued)
-        return len(queued)
+        self.stats.prefetch_segments += queued.size
+        return int(queued.size)
 
     @property
     def resident_bytes(self) -> int:
@@ -322,14 +325,19 @@ class SharedClassPairKernels:
                     self._store((gid, class_label), row)
         return out
 
-    def _store(self, key: tuple[int, int], segment: np.ndarray) -> None:
+    def _store(self, key: tuple[int, int], segment: np.ndarray) -> bool:
+        """Cache one segment, evicting the oldest; False if it cannot fit."""
         nbytes = segment.size * FLOAT_BYTES
         if self.max_bytes is not None:
             while self._resident_bytes + nbytes > self.max_bytes and self._segments:
                 evicted_key, evicted = self._segments.popitem(last=False)
                 self._resident_bytes -= evicted.size * FLOAT_BYTES
                 self._prefetched_fresh.discard(evicted_key)
+                gid, label = evicted_key
+                self._resident[gid, self._class_position[label]] = False
             if self._resident_bytes + nbytes > self.max_bytes:
-                return  # segment alone exceeds the cap; skip caching
+                return False  # segment alone exceeds the cap; skip caching
         self._segments[key] = segment.copy()
+        self._resident[key[0], self._class_position[key[1]]] = True
         self._resident_bytes += nbytes
+        return True

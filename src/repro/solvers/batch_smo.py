@@ -180,7 +180,7 @@ class BatchSMOSolver:
         ``penalty_vector`` optionally gives per-instance box bounds
         (class-weighted C, LibSVM's ``-wi``).  ``initial_alpha`` and
         ``initial_f`` warm-start the run from an earlier state (warm-start
-        refits, cascade merge and feedback): they are given together, and
+        refits, the cascade's polish): they are given together, and
         ``initial_f`` must be the Eq.-3 indicators of those weights.
         """
         session = self.start(

@@ -25,10 +25,12 @@ import numpy as np
 
 from repro.exceptions import SparseFormatError
 
-__all__ = ["CSRMatrix", "DOT_DENSE_MAX_BYTES"]
+__all__ = ["CSRMatrix", "DOT_DENSE_MAX_BYTES", "MATMUL_BLOCK_BYTES"]
 
 # Byte budget of one ``CSRMatrix.dot_dense`` intermediate (see there).
 DOT_DENSE_MAX_BYTES = 32 << 20
+# Byte budget of one ``CSRMatrix.matmul_transpose`` row block (see there).
+MATMUL_BLOCK_BYTES = 1 << 20
 
 
 def _as_index_array(values: object) -> np.ndarray:
@@ -351,23 +353,42 @@ class CSRMatrix:
         """Dense result of ``self @ other.T`` for two CSR matrices.
 
         This is the batched kernel-row product: ``self`` holds the (few)
-        working-set rows, ``other`` holds the full training set.  The
-        algorithm scatters each row of ``self`` into a dense workspace and
-        runs a sparse mat-vec of ``other`` against it — the standard
-        row-by-row SpGEMM-to-dense scheme.
+        working-set rows, ``other`` holds the full training set.  Blocks of
+        rows of ``self`` (a block's workspace and products stay within the
+        cache-sized :data:`MATMUL_BLOCK_BYTES`) are scattered into a reused
+        dense workspace, gathered at ``other``'s columns, multiplied by
+        ``other.data`` and summed per output value by one ``reduceat``: the
+        same IEEE products and pairwise sums as one row at a time, so no bit
+        depends on the block size.
         """
         if self.shape[1] != other.shape[1]:
             raise SparseFormatError(
                 f"column mismatch: {self.shape} vs {other.shape}"
             )
-        out = np.empty((self.shape[0], other.shape[0]))
-        workspace = np.zeros(self.shape[1])
-        for i in range(self.shape[0]):
-            cols, vals = self.row(i)
-            workspace[cols] = vals
-            products = other.data * workspace[other.indices]
-            out[i] = segment_sums(products, other.indptr)
-            workspace[cols] = 0.0
+        m, n_cols = self.shape
+        out = np.zeros((m, other.shape[0]))
+        non_empty = np.diff(other.indptr) > 0
+        if not non_empty.any():
+            return out
+        # As in ``segment_sums``, reduce at non-empty starts only (empty
+        # segments stay 0), with the mask worked out once, not per block.
+        starts = other.indptr[:-1][non_empty]
+        columns = slice(None) if non_empty.all() else non_empty
+        step = max(1, min(m, MATMUL_BLOCK_BYTES // (8 * (n_cols + other.nnz))))
+        workspace = np.zeros((step, n_cols))
+        flat = workspace.reshape(-1)
+        products = np.empty((step, other.nnz))
+        row_ids = self._row_ids()
+        for start in range(0, m, step):
+            rows = min(step, m - start)
+            lo, hi = self.indptr[start], self.indptr[start + rows]
+            positions = (row_ids[lo:hi] - start) * n_cols + self.indices[lo:hi]
+            flat[positions] = self.data[lo:hi]
+            block = products[:rows]
+            np.take(workspace[:rows], other.indices, axis=1, out=block, mode="clip")
+            block *= other.data
+            out[start : start + rows, columns] = np.add.reduceat(block, starts, axis=1)
+            flat[positions] = 0.0
         return out
 
     def row_norms_sq(self) -> np.ndarray:
